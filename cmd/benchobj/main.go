@@ -1,14 +1,7 @@
-// Command benchobj assembles BENCH_objective.json from `go test -bench`
-// logs of the objective-evaluation layer, recording every benchmark with
-// kernel-on and kernel-off columns side by side.
-//
-// Three logs feed it:
-//
-//   - -kernels: the internal/objective/kernel micro-benchmarks, whose
-//     sub-benchmark names already carry the /kernel=on|off dispatch leaf;
-//   - -on / -off: the same macro benchmark selection run twice, once with
-//     the dispatch layer picking the fastest kernel and once under
-//     CLOUDSCHED_NOSIMD=1 (scalar reference).
+// Command benchobj assembles BENCH_objective.json from one `go test -bench`
+// log of the objective-evaluation layer: the ACO roulette micro-benchmarks
+// in internal/aco and the root Objective*/MetricEq* benchmarks, one ns/op
+// column per benchmark.
 //
 // The historical "schedulers" and "acceptance" sections of an existing
 // record (-base) are preserved verbatim — they compare against the growth
@@ -16,8 +9,7 @@
 //
 // Usage (see scripts/bench_objective.sh):
 //
-//	benchobj -kernels micro.log -on on.log -off off.log \
-//	         -base BENCH_objective.json -out BENCH_objective.json
+//	benchobj -log bench.log -base BENCH_objective.json -out BENCH_objective.json
 package main
 
 import (
@@ -29,18 +21,12 @@ import (
 	"os"
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 )
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op`)
-
-// row accumulates the two dispatch columns of one benchmark.
-type row struct {
-	on, off float64
-}
 
 type environment struct {
 	Goos   string `json:"goos"`
@@ -52,8 +38,7 @@ type environment struct {
 
 // normalizeName strips the trailing -GOMAXPROCS suffix the bench runner
 // appends when GOMAXPROCS != 1. The only digit-final leaves in the
-// objective selection are that suffix, so a bare strip is unambiguous
-// (kernel=on|off leaves never end in a digit).
+// objective selection are that suffix, so a bare strip is unambiguous.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 func normalizeName(name string) string {
@@ -88,110 +73,23 @@ func parseLog(r io.Reader, env *environment) (map[string]float64, error) {
 	return out, sc.Err()
 }
 
-// mergeKernelLog folds a micro-benchmark log whose names end in a
-// /kernel=on|off leaf into per-benchmark rows.
-func mergeKernelLog(results map[string]float64, rows map[string]*row) {
+// record builds the benchmarks section: one ns/op entry per benchmark.
+func record(results map[string]float64) map[string]any {
+	out := make(map[string]any, len(results))
 	for name, ns := range results {
-		base, mode, ok := splitKernelLeaf(name)
-		if !ok {
-			continue
-		}
-		r := rows[base]
-		if r == nil {
-			r = &row{}
-			rows[base] = r
-		}
-		if mode == "on" {
-			r.on = ns
-		} else {
-			r.off = ns
-		}
-	}
-}
-
-func splitKernelLeaf(name string) (base, mode string, ok bool) {
-	switch {
-	case strings.HasSuffix(name, "/kernel=on"):
-		return strings.TrimSuffix(name, "/kernel=on"), "on", true
-	case strings.HasSuffix(name, "/kernel=off"):
-		return strings.TrimSuffix(name, "/kernel=off"), "off", true
-	}
-	return "", "", false
-}
-
-// mergeOnOffLogs pairs the two macro logs by benchmark name.
-func mergeOnOffLogs(on, off map[string]float64, rows map[string]*row) {
-	for name, ns := range on {
-		r := rows[name]
-		if r == nil {
-			r = &row{}
-			rows[name] = r
-		}
-		r.on = ns
-	}
-	for name, ns := range off {
-		r := rows[name]
-		if r == nil {
-			r = &row{}
-			rows[name] = r
-		}
-		r.off = ns
-	}
-}
-
-// record builds the kernels section: both columns plus the off/on ratio,
-// so a kernel that loses to scalar reads as a speedup below 1x rather
-// than being hidden.
-func record(rows map[string]*row) map[string]any {
-	names := make([]string, 0, len(rows))
-	for n := range rows {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := map[string]any{}
-	for _, n := range names {
-		r := rows[n]
-		entry := map[string]any{}
-		if r.on > 0 {
-			entry["kernel_on_ns_op"] = r.on
-		}
-		if r.off > 0 {
-			entry["kernel_off_ns_op"] = r.off
-		}
-		if r.on > 0 && r.off > 0 {
-			entry["speedup"] = fmt.Sprintf("%.2fx", r.off/r.on)
-		}
-		out[n] = entry
+		out[name] = map[string]any{"ns_op": ns}
 	}
 	return out
 }
 
-func run(kernelsPath, onPath, offPath, basePath, outPath, desc string, now time.Time) error {
+func run(logPath, basePath, outPath, desc string, now time.Time) error {
 	env := environment{Cores: runtime.GOMAXPROCS(0), Go: runtime.Version()}
-	rows := map[string]*row{}
-
-	if kernelsPath != "" {
-		results, err := parseFile(kernelsPath, &env)
-		if err != nil {
-			return err
-		}
-		mergeKernelLog(results, rows)
+	results, err := parseFile(logPath, &env)
+	if err != nil {
+		return err
 	}
-	var on, off map[string]float64
-	var err error
-	if onPath != "" {
-		if on, err = parseFile(onPath, &env); err != nil {
-			return err
-		}
-	}
-	if offPath != "" {
-		if off, err = parseFile(offPath, &env); err != nil {
-			return err
-		}
-	}
-	mergeOnOffLogs(on, off, rows)
-	if len(rows) == 0 {
-		return fmt.Errorf("no benchmark results found in inputs")
+	if len(results) == 0 {
+		return fmt.Errorf("no benchmark results found in %s", logPath)
 	}
 
 	rec := map[string]any{}
@@ -213,7 +111,7 @@ func run(kernelsPath, onPath, offPath, basePath, outPath, desc string, now time.
 	rec["description"] = desc
 	rec["date"] = now.Format("2006-01-02")
 	rec["environment"] = env
-	rec["kernels"] = record(rows)
+	rec["benchmarks"] = record(results)
 
 	buf, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -222,7 +120,7 @@ func run(kernelsPath, onPath, offPath, basePath, outPath, desc string, now time.
 	if err := os.WriteFile(outPath, append(buf, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d kernel rows)\n", outPath, len(rows))
+	fmt.Printf("wrote %s (%d benchmarks)\n", outPath, len(results))
 	return nil
 }
 
@@ -236,18 +134,16 @@ func parseFile(path string, env *environment) (map[string]float64, error) {
 }
 
 func main() {
-	kernels := flag.String("kernels", "", "bench log whose names carry /kernel=on|off leaves (internal/objective/kernel)")
-	on := flag.String("on", "", "macro bench log with the kernel dispatch layer active")
-	off := flag.String("off", "", "macro bench log run under CLOUDSCHED_NOSIMD=1")
+	logPath := flag.String("log", "", "go test -bench log to record")
 	base := flag.String("base", "", "existing record whose schedulers/acceptance sections are preserved")
 	out := flag.String("out", "BENCH_objective.json", "output path")
 	desc := flag.String("desc", "", "description embedded in the record")
 	flag.Parse()
-	if *kernels == "" && *on == "" && *off == "" {
-		fmt.Fprintln(os.Stderr, "benchobj: nothing to do; pass -kernels and/or -on/-off logs")
+	if *logPath == "" {
+		fmt.Fprintln(os.Stderr, "benchobj: nothing to do; pass -log")
 		os.Exit(2)
 	}
-	if err := run(*kernels, *on, *off, *base, *out, *desc, time.Now()); err != nil {
+	if err := run(*logPath, *base, *out, *desc, time.Now()); err != nil {
 		fmt.Fprintln(os.Stderr, "benchobj:", err)
 		os.Exit(1)
 	}

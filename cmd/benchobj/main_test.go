@@ -1,73 +1,82 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
-const microLog = `goos: linux
+const benchLog = `goos: linux
 goarch: amd64
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkCumSum/kernel=on         	    6976	      1457 ns/op
-BenchmarkCumSum/kernel=off        	    9540	      1286 ns/op
-BenchmarkMaxIndexed/kernel=on-4   	  974666	        13.00 ns/op
-BenchmarkMaxIndexed/kernel=off-4  	  739704	        14.94 ns/op
+BenchmarkSearchCum         	 6976000	        19.00 ns/op
+BenchmarkObjectiveDense-4  	  974666	       561.6 ns/op
 PASS
 `
 
-func TestMergeKernelLogPairsDispatchLeaves(t *testing.T) {
+func TestParseLogReadsEnvironmentAndStripsSuffix(t *testing.T) {
 	var env environment
-	results, err := parseLog(strings.NewReader(microLog), &env)
+	results, err := parseLog(strings.NewReader(benchLog), &env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Goos != "linux" || !strings.Contains(env.CPU, "Xeon") {
+	if env.Goos != "linux" || env.Goarch != "amd64" || !strings.Contains(env.CPU, "Xeon") {
 		t.Fatalf("environment header not parsed: %+v", env)
 	}
-	rows := map[string]*row{}
-	mergeKernelLog(results, rows)
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
-	}
-	// GOMAXPROCS-suffixed and bare leaves both pair up.
-	if r := rows["BenchmarkMaxIndexed"]; r == nil || r.on != 13.00 || r.off != 14.94 {
-		t.Fatalf("MaxIndexed row = %+v", rows["BenchmarkMaxIndexed"])
-	}
-	if r := rows["BenchmarkCumSum"]; r == nil || r.on != 1457 || r.off != 1286 {
-		t.Fatalf("CumSum row = %+v", rows["BenchmarkCumSum"])
+	// GOMAXPROCS-suffixed and bare names both come out bare.
+	if len(results) != 2 || results["BenchmarkSearchCum"] != 19 || results["BenchmarkObjectiveDense"] != 561.6 {
+		t.Fatalf("results = %v", results)
 	}
 }
 
-func TestRecordEmitsBothColumnsAndHonestRatio(t *testing.T) {
-	rows := map[string]*row{
-		"BenchmarkCumSum": {on: 2000, off: 1000}, // kernel LOSES: ratio below 1x
-		"BenchmarkOnOnly": {on: 500},
+func TestRunWritesOneColumnAndKeepsHistory(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "bench.log")
+	basePath := filepath.Join(dir, "base.json")
+	outPath := filepath.Join(dir, "out.json")
+	if err := os.WriteFile(logPath, []byte(benchLog), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	rec := record(rows)
-	cs := rec["BenchmarkCumSum"].(map[string]any)
-	if cs["kernel_on_ns_op"] != 2000.0 || cs["kernel_off_ns_op"] != 1000.0 {
-		t.Fatalf("columns = %v", cs)
+	base := `{"schedulers": {"x": 1}, "acceptance": {"y": 2}, "kernels": {"stale": 3}}`
+	if err := os.WriteFile(basePath, []byte(base), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if cs["speedup"] != "0.50x" {
-		t.Fatalf("losing kernel must read as sub-1x speedup, got %v", cs["speedup"])
+	if err := run(logPath, basePath, outPath, "desc", time.Date(2026, 1, 2, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
 	}
-	oo := rec["BenchmarkOnOnly"].(map[string]any)
-	if _, there := oo["speedup"]; there {
-		t.Fatal("half-measured row must not fabricate a ratio")
+	buf, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(buf, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec["schedulers"] == nil || rec["acceptance"] == nil {
+		t.Fatalf("history sections dropped: %v", rec)
+	}
+	if rec["kernels"] != nil {
+		t.Fatal("a section other than the history ones was carried forward")
+	}
+	if rec["date"] != "2026-01-02" || rec["description"] != "desc" {
+		t.Fatalf("header = %v, %v", rec["date"], rec["description"])
+	}
+	sc := rec["benchmarks"].(map[string]any)["BenchmarkSearchCum"].(map[string]any)
+	if len(sc) != 1 || sc["ns_op"] != 19.0 {
+		t.Fatalf("BenchmarkSearchCum entry = %v, want one ns_op column", sc)
 	}
 }
 
-func TestMergeOnOffLogsPairsByName(t *testing.T) {
-	rows := map[string]*row{}
-	mergeOnOffLogs(
-		map[string]float64{"BenchmarkObjectiveDense": 550, "BenchmarkObjectiveDelta": 10},
-		map[string]float64{"BenchmarkObjectiveDense": 600},
-		rows,
-	)
-	if r := rows["BenchmarkObjectiveDense"]; r.on != 550 || r.off != 600 {
-		t.Fatalf("Dense row = %+v", r)
+func TestRunRejectsEmptyLog(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "empty.log")
+	if err := os.WriteFile(logPath, []byte("PASS\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if r := rows["BenchmarkObjectiveDelta"]; r.on != 10 || r.off != 0 {
-		t.Fatalf("Delta row = %+v", r)
+	if err := run(logPath, "", filepath.Join(dir, "out.json"), "", time.Now()); err == nil {
+		t.Fatal("a log without benchmark lines must be an error")
 	}
 }

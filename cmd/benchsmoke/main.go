@@ -111,12 +111,8 @@ func normalizeName(name string) string {
 }
 
 // workersRun splits a normalized name into its family and worker count;
-// ok is false for benchmarks without a /workers-K leaf. A trailing
-// /kernel=on|off sub-benchmark (the objective-kernel dispatch dimension)
-// is folded into the family, so each kernel mode forms its own curve;
-// a kernel segment ahead of the workers leaf lands in the family via the
-// greedy prefix match without any special casing.
-var workersLeaf = regexp.MustCompile(`^(.+)/workers-(\d+)(/kernel=(?:on|off))?$`)
+// ok is false for benchmarks without a /workers-K leaf.
+var workersLeaf = regexp.MustCompile(`^(.+)/workers-(\d+)$`)
 
 func workersRun(name string) (family string, workers int, ok bool) {
 	m := workersLeaf.FindStringSubmatch(name)
@@ -127,7 +123,7 @@ func workersRun(name string) (family string, workers int, ok bool) {
 	if err != nil {
 		return "", 0, false
 	}
-	return m[1] + m[3], w, true
+	return m[1], w, true
 }
 
 // buildCurves groups /workers-K results into per-family sweeps, sorted by

@@ -63,91 +63,22 @@ BenchmarkParallelFig5a/aco/workers-8         	      15	   4100000 ns/op
 }
 
 func TestWorkersRunSplitsFamilyAndCount(t *testing.T) {
-	family, w, ok := workersRun("BenchmarkParallelFig6b/hbo/workers-4")
-	if !ok || family != "BenchmarkParallelFig6b/hbo" || w != 4 {
-		t.Fatalf("got (%q, %d, %v)", family, w, ok)
+	for name, want := range map[string]struct {
+		family  string
+		workers int
+	}{
+		"BenchmarkParallelFig6b/hbo/workers-4": {"BenchmarkParallelFig6b/hbo", 4},
+		"BenchmarkParallelFig5a/aco/workers-1": {"BenchmarkParallelFig5a/aco", 1},
+		"BenchmarkParallelFig5a/aco/workers-8": {"BenchmarkParallelFig5a/aco", 8},
+	} {
+		family, w, ok := workersRun(name)
+		if !ok || family != want.family || w != want.workers {
+			t.Fatalf("%q parsed as (%q, %d, %v), want (%q, %d)", name, family, w, ok, want.family, want.workers)
+		}
 	}
 	// Non-sweep benchmarks are excluded, not misparsed.
 	if _, _, ok := workersRun("BenchmarkFig5a_HomogeneousSchedTime/aco"); ok {
 		t.Fatal("non-sweep name matched")
-	}
-}
-
-// The objective-kernel benchmarks carry a /kernel=on|off dispatch
-// dimension. Before: plain workers leaves parse as they always did.
-// After: the same families with a trailing kernel segment normalize
-// (GOMAXPROCS suffix stripped, kernel mode kept) and group into one
-// curve per kernel mode.
-func TestWorkersRunToleratesKernelSuffix(t *testing.T) {
-	before := map[string]struct {
-		family  string
-		workers int
-	}{
-		"BenchmarkParallelFig5a/aco/workers-1": {"BenchmarkParallelFig5a/aco", 1},
-		"BenchmarkParallelFig5a/aco/workers-8": {"BenchmarkParallelFig5a/aco", 8},
-	}
-	after := map[string]struct {
-		family  string
-		workers int
-	}{
-		"BenchmarkParallelFig5a/aco/workers-1/kernel=on":  {"BenchmarkParallelFig5a/aco/kernel=on", 1},
-		"BenchmarkParallelFig5a/aco/workers-8/kernel=on":  {"BenchmarkParallelFig5a/aco/kernel=on", 8},
-		"BenchmarkParallelFig5a/aco/workers-1/kernel=off": {"BenchmarkParallelFig5a/aco/kernel=off", 1},
-		// A kernel segment ahead of the workers leaf stays in the family.
-		"BenchmarkNorms/kernel=off/workers-4": {"BenchmarkNorms/kernel=off", 4},
-	}
-	for name, want := range before {
-		family, w, ok := workersRun(name)
-		if !ok || family != want.family || w != want.workers {
-			t.Fatalf("before-set %q parsed as (%q, %d, %v), want (%q, %d)", name, family, w, ok, want.family, want.workers)
-		}
-	}
-	for name, want := range after {
-		family, w, ok := workersRun(name)
-		if !ok || family != want.family || w != want.workers {
-			t.Fatalf("after-set %q parsed as (%q, %d, %v), want (%q, %d)", name, family, w, ok, want.family, want.workers)
-		}
-	}
-}
-
-// Full pipeline over kernel-suffixed bench output: names normalize with
-// and without the GOMAXPROCS suffix, and the two kernel modes of one
-// family gate as independent worker curves.
-func TestParseBenchAndCurvesWithKernelDimension(t *testing.T) {
-	const kernelOutput = `goos: linux
-BenchmarkParallelFig5a/aco/workers-1/kernel=on-4    15	   4108897 ns/op
-BenchmarkParallelFig5a/aco/workers-8/kernel=on-4    90	   1050000 ns/op
-BenchmarkParallelFig5a/aco/workers-1/kernel=off-4   12	   5208897 ns/op
-BenchmarkParallelFig5a/aco/workers-8/kernel=off-4   70	   1350000 ns/op
-BenchmarkCumSum/kernel=on-4                       9000	    120000 ns/op
-`
-	results, _, err := parseBench(strings.NewReader(kernelOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := results[0].Name; got != "BenchmarkParallelFig5a/aco/workers-1/kernel=on" {
-		t.Fatalf("kernel leaf normalized to %q", got)
-	}
-	if got := results[4].Name; got != "BenchmarkCumSum/kernel=on" {
-		t.Fatalf("workerless kernel bench normalized to %q", got)
-	}
-	curves := buildCurves(results)
-	if len(curves) != 2 {
-		t.Fatalf("got %d curves, want 2 (one per kernel mode); workerless bench must be dropped", len(curves))
-	}
-	if curves[0].Family != "BenchmarkParallelFig5a/aco/kernel=off" || curves[1].Family != "BenchmarkParallelFig5a/aco/kernel=on" {
-		t.Fatalf("families = %q, %q", curves[0].Family, curves[1].Family)
-	}
-	if got := curves[1].NsPerOp[8]; got != 1050000 {
-		t.Fatalf("kernel=on workers-8 = %v", got)
-	}
-	// Suffix-free (GOMAXPROCS=1) kernel leaves survive normalization too.
-	bare, _, err := parseBench(strings.NewReader("BenchmarkParallelFig5a/aco/workers-1/kernel=off    12	5208897 ns/op\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bare[0].Name; got != "BenchmarkParallelFig5a/aco/workers-1/kernel=off" {
-		t.Fatalf("suffix-free kernel leaf mangled to %q", got)
 	}
 }
 

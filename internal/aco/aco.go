@@ -51,7 +51,6 @@ import (
 	"sync"
 
 	"bioschedsim/internal/objective"
-	"bioschedsim/internal/objective/kernel"
 	"bioschedsim/internal/sched"
 	"bioschedsim/internal/xrand"
 )
@@ -448,19 +447,18 @@ func (r *run) construct(lo, hi int, rnd *rand.Rand, sc *antScratch) float64 {
 // through VM j (tabu VMs contribute exactly 0), and the draw resolves with
 // an upper-bound search for the first cum[j] > x. Because cum strictly
 // increases at j exactly when weight j is positive, the selected VM always
-// carries positive weight and is never tabu. Both halves run through
-// internal/objective/kernel, so the same differential suite that pins the
-// Eq. 8/12/13 folds pins tour sampling.
+// carries positive weight and is never tabu. Both halves live in
+// roulette.go; FuzzRoulette pins the binary search to a linear scan.
 func (r *run) pick(i int, tabu []bool, cum []float64, rnd interface{ Float64() float64 }) int {
 	cum = cum[:r.m]
 	var total float64
 	switch {
 	case r.dense && r.etaCls != nil:
-		// Hot path: the fused kernel masks, multiplies, and accumulates the
+		// Hot path: weightedCum masks, multiplies, and accumulates the
 		// whole candidate row in one pass over the cached b^α and η^β views.
 		ba := r.bAlpha[i*r.m : (i+1)*r.m]
 		eta := r.etaCls[i*r.k : (i+1)*r.k]
-		total = kernel.WeightedCum(ba, eta, r.cls, tabu, cum)
+		total = weightedCum(ba, eta, r.cls, tabu, cum)
 	case r.dense:
 		ba := r.bAlpha[i*r.m : (i+1)*r.m]
 		for j := 0; j < r.m; j++ {
@@ -470,7 +468,7 @@ func (r *run) pick(i int, tabu []bool, cum []float64, rnd interface{ Float64() f
 			}
 			cum[j] = ba[j] * r.eta(i, j)
 		}
-		total = kernel.CumSum(cum, cum)
+		total = cumSum(cum, cum)
 	default:
 		for j := 0; j < r.m; j++ {
 			if tabu[j] {
@@ -479,7 +477,7 @@ func (r *run) pick(i int, tabu []bool, cum []float64, rnd interface{ Float64() f
 			}
 			cum[j] = r.bVMAlpha[j] * r.eta(i, j)
 		}
-		total = kernel.CumSum(cum, cum)
+		total = cumSum(cum, cum)
 	}
 	if total <= 0 || math.IsInf(total, 1) || math.IsNaN(total) {
 		// Degenerate weights (all under/overflowed): fall back to the first
@@ -492,7 +490,7 @@ func (r *run) pick(i int, tabu []bool, cum []float64, rnd interface{ Float64() f
 		return 0
 	}
 	x := rnd.Float64() * total
-	if j := kernel.SearchCum(cum, x); j < r.m {
+	if j := searchCum(cum, x); j < r.m {
 		return j
 	}
 	// Float round-off (x rounded up to the total): return the last allowed VM.

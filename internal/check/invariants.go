@@ -26,7 +26,6 @@ const (
 	InvPermutation      = "permutation"
 	InvWorkerInvariance = "worker-invariance"
 	InvShardInvariance  = "shard-invariance"
-	InvKernelInvariance = "kernel-invariance"
 	InvOracle           = "oracle"
 	InvQModelOracle     = "qmodel-oracle"
 	InvEq12             = "eq12"
@@ -139,10 +138,7 @@ func CheckScenario(scheduler string, sc Scenario) *Violation {
 	if v := checkExecution(sc, b, as); v != nil {
 		return v
 	}
-	if v := checkShardInvariance(sc, pos); v != nil {
-		return v
-	}
-	return checkKernelInvariance(scheduler, sc)
+	return checkShardInvariance(sc, pos)
 }
 
 // checkDeterminism rebuilds the scenario from its seed and re-schedules

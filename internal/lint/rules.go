@@ -21,7 +21,7 @@ var deterministicPkgs = []string{
 	"internal/elastic",
 	"internal/sched",
 	"internal/sim",
-	"internal/objective", // prefix match: covers internal/objective/kernel too
+	"internal/objective",
 
 	"internal/online",
 	"internal/workload",

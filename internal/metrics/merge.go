@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"bioschedsim/internal/cloud"
-	"bioschedsim/internal/objective/kernel"
 	"bioschedsim/internal/sim"
 )
 
@@ -33,8 +32,8 @@ type RunStats struct {
 	SumExec   float64
 }
 
-// CollectRunStats aggregates one finished set through the Eq. 12/13
-// reduction kernels: min/max are seeded from the first cloudlet and SumExec
+// CollectRunStats aggregates one finished set through minMaxSum, the
+// Eq. 12/13 reduction: min/max are seeded from the first cloudlet and SumExec
 // accumulates in slice order, exactly like the historical scalar fold. The
 // zero RunStats is the empty set and is the identity of Merge.
 func CollectRunStats(cloudlets []*cloud.Cloudlet) RunStats {
@@ -44,9 +43,9 @@ func CollectRunStats(cloudlets []*cloud.Cloudlet) RunStats {
 	starts, finishes, execs := gather3(cloudlets)
 	var s RunStats
 	s.Count = len(cloudlets)
-	s.MinStart, _, _ = kernel.MinMaxSum(starts)
-	_, s.MaxFinish, _ = kernel.MinMaxSum(finishes)
-	s.MinExec, s.MaxExec, s.SumExec = kernel.MinMaxSum(execs)
+	s.MinStart, _, _ = minMaxSum(starts)
+	_, s.MaxFinish, _ = minMaxSum(finishes)
+	s.MinExec, s.MaxExec, s.SumExec = minMaxSum(execs)
 	return s
 }
 

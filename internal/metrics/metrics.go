@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"bioschedsim/internal/cloud"
-	"bioschedsim/internal/objective/kernel"
 	"bioschedsim/internal/sim"
 )
 
 // gather3 extracts the start, finish, and execution-time columns of a
-// cloudlet set into flat float64 slices — the structure-of-arrays shape the
-// Eq. 12/13 reduction kernels fold. sim.Time is an alias of float64, so the
+// cloudlet set into flat float64 slices — the structure-of-arrays shape
+// minMaxSum folds for Eq. 12/13. sim.Time is an alias of float64, so the
 // columns carry the exact stored values.
 func gather3(cloudlets []*cloud.Cloudlet) (starts, finishes, execs []float64) {
 	n := len(cloudlets)
@@ -29,6 +28,26 @@ func gather3(cloudlets []*cloud.Cloudlet) (starts, finishes, execs []float64) {
 	return starts, finishes, execs
 }
 
+// minMaxSum returns the minimum, maximum, and in-order sum of xs, with min
+// and max seeded from xs[0] (so a NaN-first slice propagates NaN) and
+// (0, 0, 0) for an empty slice.
+func minMaxSum(xs []float64) (min, max, sum float64) {
+	if len(xs) == 0 {
+		return 0, 0, 0
+	}
+	min, max = xs[0], xs[0]
+	for _, x := range xs {
+		if x < min {
+			min = x
+		}
+		if x > max {
+			max = x
+		}
+		sum += x
+	}
+	return min, max, sum
+}
+
 // SimulationTime implements Eq. 12 over finished cloudlets:
 // T_sim = max(FinishTime) − min(StartTime). It returns 0 for an empty set.
 func SimulationTime(cloudlets []*cloud.Cloudlet) sim.Time {
@@ -36,8 +55,8 @@ func SimulationTime(cloudlets []*cloud.Cloudlet) sim.Time {
 		return 0
 	}
 	starts, finishes, _ := gather3(cloudlets)
-	minStart, _, _ := kernel.MinMaxSum(starts)
-	_, maxFinish, _ := kernel.MinMaxSum(finishes)
+	minStart, _, _ := minMaxSum(starts)
+	_, maxFinish, _ := minMaxSum(finishes)
 	return maxFinish - minStart
 }
 
@@ -49,7 +68,7 @@ func TimeImbalance(cloudlets []*cloud.Cloudlet) float64 {
 		return 0
 	}
 	_, _, execs := gather3(cloudlets)
-	min, max, sum := kernel.MinMaxSum(execs)
+	min, max, sum := minMaxSum(execs)
 	avg := sum / float64(len(cloudlets))
 	if avg == 0 {
 		return 0

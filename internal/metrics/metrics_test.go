@@ -201,3 +201,33 @@ func TestProcessingCostDelegates(t *testing.T) {
 		t.Fatal("cost should be positive")
 	}
 }
+
+// TestMinMaxSumEdges pins the Eq. 12/13 fold on its edges: min and max are
+// seeded from the first element, so a leading NaN poisons both while a later
+// one never wins a comparison, and the sum accumulates in slice order.
+func TestMinMaxSumEdges(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name          string
+		xs            []float64
+		min, max, sum float64
+	}{
+		{"nil", nil, 0, 0, 0},
+		{"empty", []float64{}, 0, 0, 0},
+		{"single", []float64{5}, 5, 5, 5},
+		{"all-equal", []float64{3, 3, 3, 3}, 3, 3, 12},
+		{"in-order-sum", []float64{1e16, 1, 1, 1, 1, -1e16}, -1e16, 1e16, 0}, // any regrouping that adds the ones first gives 4
+		{"nan-first", []float64{nan, 1, 2}, nan, nan, nan},
+		{"nan-later", []float64{2, nan, 1}, 1, 2, nan},
+	} {
+		min, max, sum := minMaxSum(tc.xs)
+		for _, f := range []struct {
+			field     string
+			got, want float64
+		}{{"min", min, tc.min}, {"max", max, tc.max}, {"sum", sum, tc.sum}} {
+			if math.IsNaN(f.want) != math.IsNaN(f.got) || (!math.IsNaN(f.want) && math.Float64bits(f.got) != math.Float64bits(f.want)) {
+				t.Errorf("%s: %s = %v, want %v", tc.name, f.field, f.got, f.want)
+			}
+		}
+	}
+}

@@ -29,10 +29,10 @@ func TestCostOfAndMakespanOfEmptyAssignment(t *testing.T) {
 }
 
 // TestNormsSingleClassFleet pins Norms on the paper's homogeneous scenario
-// (one exec-equivalence class): the kernel-backed gather over the compressed
-// row must equal the brute-force flat (i, j) loop bit for bit, in every
-// storage mode, including the cost side computed from concrete VMs when the
-// matrix was built without cost caching.
+// (one exec-equivalence class): the gather over the compressed row must
+// equal the brute-force flat (i, j) loop bit for bit, in every storage mode,
+// including the cost side computed from concrete VMs when the matrix was
+// built without cost caching.
 func TestNormsSingleClassFleet(t *testing.T) {
 	ctx := schedtest.Homogeneous(t, 6, 12, 1)
 	var wantTime, wantCost float64
@@ -60,9 +60,9 @@ func TestNormsSingleClassFleet(t *testing.T) {
 
 // TestExecByClassVsExecTimeHeterogeneous is the compression regression on a
 // heterogeneous fixture: every class representative's cached row entry and
-// the kernel-backed ExecTimes gather must be bit-identical to the scalar
-// ExecTime of the representative — the exact seam a wrong class key or a
-// divergent ExecRow kernel would break.
+// the ExecTimes row fill must be bit-identical to the per-VM ExecTime of the
+// representative — the exact seam a wrong class key or a divergent row loop
+// would break.
 func TestExecByClassVsExecTimeHeterogeneous(t *testing.T) {
 	ctx := schedtest.Heterogeneous(t, 7, 21, 2)
 	mx := objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{Mode: objective.Materialized})

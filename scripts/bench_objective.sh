@@ -1,12 +1,8 @@
 #!/usr/bin/env sh
-# Record BENCH_objective.json: the objective-evaluation layer measured with
-# the vectorized kernel dispatch on (fastest registered implementation) and
-# off (scalar reference, forced via CLOUDSCHED_NOSIMD=1), side by side.
-#
-# Three logs feed cmd/benchobj:
-#   - internal/objective/kernel micro-benchmarks, which emit both columns
-#     themselves through /kernel=on|off sub-benchmarks;
-#   - the macro Objective*/MetricEq* benches run twice, kernels on vs off.
+# Record BENCH_objective.json: the objective-evaluation layer's hot loops,
+# one ns/op column per benchmark, from a single `go test -bench` pass over
+# the ACO roulette micro-benchmarks (internal/aco: SearchCum, WeightedCum)
+# and the root Objective*/MetricEq* benches.
 #
 # The historical "schedulers"/"acceptance" sections of an existing record
 # (before/after vs the growth seed) are preserved, not re-measured.
@@ -15,18 +11,12 @@
 set -eu
 
 out="${1:-BENCH_objective.json}"
-micro="$(mktemp)"
-on="$(mktemp)"
-off="$(mktemp)"
-trap 'rm -f "$micro" "$on" "$off"' EXIT
+log="$(mktemp)"
+trap 'rm -f "$log"' EXIT
 
 # No tee: a pipeline would mask a bench failure's exit status in POSIX sh.
-go test ./internal/objective/kernel -run '^$' -bench . -benchtime=200ms > "$micro"
-cat "$micro"
-go test . -run '^$' -bench 'Objective|MetricEq' -benchtime=500ms > "$on"
-cat "$on"
-CLOUDSCHED_NOSIMD=1 go test . -run '^$' -bench 'Objective|MetricEq' -benchtime=500ms > "$off"
-cat "$off"
+go test ./internal/aco . -run '^$' -bench '^Benchmark(SearchCum|WeightedCum|Objective|MetricEq)' -benchtime=500ms > "$log"
+cat "$log"
 
-go run ./cmd/benchobj -kernels "$micro" -on "$on" -off "$off" -base "$out" -out "$out" \
-  -desc "Objective-evaluation layer with the internal/objective/kernel dispatch on (unrolled implementation) vs off (scalar reference via CLOUDSCHED_NOSIMD=1). Both paths are bit-identical by contract (differential property suite + FuzzKernelVsReference + kernel-invariance invariant); only wall clock may differ. On narrow or dependence-chained folds (CumSum, SumIndexed keep one accumulator to preserve bit-identity of Eq. 12/13) the unrolled kernel can tie or lose to scalar on a single-core host — the ratio column reports that honestly as sub-1x. The schedulers section is the historical before/after record vs the growth seed (9b81cc4) and is carried forward, not re-measured."
+go run ./cmd/benchobj -log "$log" -base "$out" -out "$out" \
+  -desc "Objective-evaluation layer hot loops, one ns/op per benchmark: the ACO roulette's binary upper-bound search (SearchCum) and 4x-unrolled single-accumulator weight row (WeightedCum) in internal/aco, plus the root Objective*/MetricEq* benches. Every loop is one plain function in the package that calls it; placements and Eq. 12/13 are pinned bit for bit by TestPlacementDigestsPinned. The schedulers section is the historical before/after record vs the growth seed (9b81cc4) and is carried forward, not re-measured."

@@ -4,17 +4,16 @@
 # scheduling layers, the property-checking campaign (schedcheck) over every
 # registered scheduler — including the worker-invariance suite for the
 # parallel mapping kernels, the shard-count invariance of the merged
-# Eq. 12/13 metrics, and the kernel invariance of the vectorized objective
-# kernels against their scalar reference and the qmodel-oracle gate
+# Eq. 12/13 metrics, and the qmodel-oracle gate
 # (capacity-planning engine vs analytic M/M/1 and M/M/c mean waits within
 # documented bands, both seeded plants caught) — a full-module race pass plus
 # explicit race gates for the parallel kernels (aco/hbo/rbs/ga/objective)
 # and the sharded daemon (internal/service at 2/4 shards), and a short fuzz
 # smoke over the untrusted-input boundaries (the daemon's JSON submit
 # decoder, the CSV workload trace parser, the columnar binary trace
-# reader/converter, schedlint's suppression-directive parser, the
-# vectorized-vs-scalar kernel differential, and the capacity-plan spec
-# parser).
+# reader/converter, schedlint's suppression-directive parser, the ACO
+# roulette's binary search and unrolled weight row, and the capacity-plan
+# spec parser).
 #
 # schedlint runs with the committed baseline (.schedlint.baseline.json):
 # findings recorded there are tolerated while being burned down; anything
@@ -78,7 +77,6 @@ awk '
     for (i = 3; i <= NF; i++) if ($i ~ /^[0-9.]+%$/) cov = substr($i, 1, length($i) - 1) + 0
     if (cov < 0) next
     if ($2 == "bioschedsim/internal/objective" && cov < 90) { printf "coverage floor: %s at %.1f%% (< 90%%)\n", $2, cov; bad = 1 }
-    if ($2 == "bioschedsim/internal/objective/kernel" && cov < 90) { printf "coverage floor: %s at %.1f%% (< 90%%)\n", $2, cov; bad = 1 }
     if ($2 == "bioschedsim/internal/sched" && cov < 80) { printf "coverage floor: %s at %.1f%% (< 80%%)\n", $2, cov; bad = 1 }
   }
   END { exit bad }
@@ -96,12 +94,6 @@ go run ./cmd/schedcheck -quick
 # invariant on every scenario, but a named gate fails loudly on its own).
 go test -run 'TestShardInvariance' ./internal/check
 
-# Kernel invariance, explicit: scalar reference vs fastest vectorized
-# kernels must produce bit-identical placements and Eq. 12/13 metrics, and
-# the seeded broken-SearchCum plant must be caught through the full
-# schedcheck pipeline (shrink + replay line included).
-go test -run 'TestKernelInvariance' ./internal/check
-
 # qmodel oracle, explicit: the capacity-planning engine's simulated mean
 # wait must agree with the analytic M/M/1 and M/M/c oracles at
 # rho in {0.3, 0.6, 0.9} within the documented bands (10% below saturation,
@@ -112,10 +104,6 @@ go test -run 'TestQModelOracle' ./internal/check
 # The same sweep through internal/plan's own differential table, plus the
 # fleet-shape invariance (c 1-PE VMs vs one c-PE VM, bit-identical).
 go test -run 'TestQModelDifferential|TestCentralQueueFleetShapeInvariant' ./internal/plan
-# The objective/aco/metrics layers must pass with the kernel dispatch
-# forced to the scalar reference — the same knob the CI matrix leg and
-# scripts/bench_objective.sh use.
-CLOUDSCHED_NOSIMD=1 go test ./internal/objective/... ./internal/aco/... ./internal/metrics/...
 
 go test -race ./...
 # Explicit race gate over the parallel mapping kernels: the invariance and
@@ -134,10 +122,10 @@ go test -run='^$' -fuzz=FuzzReadColumnar -fuzztime=5s ./internal/tracecol
 # Suppression-directive boundary: arbitrary comment text through schedlint's
 # //schedlint:ignore parser never panics and never silently disables a rule.
 go test -run='^$' -fuzz=FuzzSuppressDirective -fuzztime=5s ./internal/lint
-# Differential kernel boundary: arbitrary float bit patterns (NaN payloads,
-# denormals, ±Inf, lane-tail lengths) through every vectorized kernel must
-# match the scalar reference bit for bit (any-NaN matches any-NaN).
-go test -run='^$' -fuzz=FuzzKernelVsReference -fuzztime=5s ./internal/objective/kernel
+# ACO roulette: the binary upper-bound search must agree with a linear scan
+# on contract-valid prefix sums, and the unrolled weight row with its plain
+# loop bit for bit on arbitrary float bit patterns (any-NaN matches any-NaN).
+go test -run='^$' -fuzz=FuzzRoulette -fuzztime=5s ./internal/aco
 # Capacity-plan spec boundary: arbitrary JSON through plan.ParseSpec never
 # panics, and every accepted spec validates, builds its arrival process,
 # and survives a marshal→reparse round trip (NaN/Inf rates and bogus SLO
