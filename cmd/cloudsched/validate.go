@@ -61,16 +61,18 @@ func checkMM1() error {
 	broker := cloud.NewBroker(eng, env, cloud.SpaceSharedFactory)
 
 	at := sim.Time(0)
-	for i := 0; i < n; i++ {
+	arrivals := make([]sim.Time, n)
+	cloudlets := make([]*cloud.Cloudlet, n)
+	for i := range cloudlets {
 		at += sim.Time(r.ExpFloat64() / lambda)
 		length := r.ExpFloat64() / mu * 1000
 		if length < 1e-6 {
 			length = 1e-6
 		}
-		c := cloud.NewCloudlet(i, length, 1, 0, 0)
-		delay := at
-		eng.ScheduleAt(delay, sim.PriorityAcquire, func() { broker.Submit(c, vm) })
+		arrivals[i] = at
+		cloudlets[i] = cloud.NewCloudlet(i, length, 1, 0, 0)
 	}
+	eng.ScheduleStream(arrivals, sim.PriorityAcquire, func(i int) { broker.Submit(cloudlets[i], vm) })
 	eng.Run()
 	var wait float64
 	for _, c := range broker.Finished() {

@@ -4,11 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
+	"math/rand"
 	"testing"
 
 	"bioschedsim/internal/cloud"
 	"bioschedsim/internal/metrics"
+	"bioschedsim/internal/online"
+	"bioschedsim/internal/plan"
 	"bioschedsim/internal/sched"
 	"bioschedsim/internal/workload"
 )
@@ -127,5 +131,200 @@ func TestPlacementDigestsPinned(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// pinnedOnlineDigests holds, per arrival set and online policy, the SHA-256
+// of each cloudlet's VM ID, start and finish time bits (input order), then
+// the float64 bits of Eq. 12, Eq. 13 and cost, then the engine's fired
+// event count. The values were recorded with the earlier kernel that queued
+// one event per arrival up front, so a match shows that the arrival path of
+// online.Run kept every bit and every event.
+var pinnedOnlineDigests = map[string]string{
+	"mmpp20k/online-2choice":       "2c27bd7e01123e5193980bf1777f32c50cfb4bfc24fac69762b5568c27b94440",
+	"mmpp20k/online-aco":           "1dfcd25d530bcbfbf1fdd79d51da822972df8fe9604c43a2789db4f656e29109",
+	"mmpp20k/online-eft":           "45b0a084a432860cd972c1efae9b6c0196056faf53e4c6773edadb8a76e50fa1",
+	"mmpp20k/online-hbo":           "52ef69a3a5427afd26884a2de8da44d388c74e61cd36f028fbb3a99009d0ca8d",
+	"mmpp20k/online-least":         "77f8f1d32829e8d9ff0e28561911e2dfab16bb43956361c4b59881ff714fdda6",
+	"mmpp20k/online-rbs":           "18f1f0658a9b6cf9a3ccbe66586808cde921d88e6d3813a43f2d1d140aba57e0",
+	"mmpp20k/online-rr":            "173cb2187dda3b39cef5b5b8ba3da357db9938639fb26d5d7638b59a6b7fce2d",
+	"reversed-ties/online-2choice": "b7fd04d8140892fbca6150b583a81c5334afd4977aebf58594e936e50ca37f53",
+	"reversed-ties/online-aco":     "1293f5b21bc99b2fc4f02b79f128972896a21fedff5e707815505f9ca482fe63",
+	"reversed-ties/online-eft":     "549dde93615f60f558947c9870bce4c4ca32ed185dbceba2f33f66b054a93612",
+	"reversed-ties/online-hbo":     "b6e5d985b0bc2e207757511edacba87d9effffab3e94dc7feb3209c8da48a304",
+	"reversed-ties/online-least":   "ff1648872eca470bfc52cd59b4b845b1da1c03a9f812bb23e0aa1d6e77ea5c29",
+	"reversed-ties/online-rbs":     "3c6167d356218e6ea3b65e2d8a485d0f5e330c0329266623eef584b67ec7d812",
+	"reversed-ties/online-rr":      "f89c67c4a4ac96a48e42a28df71c7b5df184b23790fe090c1b389ade2e927619",
+}
+
+// pinnedPlanDigests holds the SHA-256 of one plan.Run probe: every recorded
+// (wait, latency) pair in completion order, then the fired event count and
+// the peak fleet. Recorded with the same earlier kernel.
+var pinnedPlanDigests = map[string]string{
+	"perfbench-queue": "54d16fdcccc39cab8331b102042ad9b21d69729b5745790b60fba0c01742e4c4",
+	"elastic-spread":  "102fabdeec49e777d1317a901744f5590e10e031a51bb0ee1b5a0b6552b7d1d5",
+}
+
+// onlineArrivalSets builds each arrival set afresh: online.Run consumes
+// its cloudlets, so every policy gets its own copy.
+var onlineArrivalSets = []struct {
+	name  string
+	build func(t *testing.T) (*cloud.Environment, []*cloud.Cloudlet, []float64)
+}{
+	// mmpp20k is `cloudsched replay`'s shape at 1/50 scale: gentrace's
+	// default MMPP arrivals on 50 heterogeneous VMs over 4 datacenters.
+	{"mmpp20k", func(t *testing.T) (*cloud.Environment, []*cloud.Cloudlet, []float64) {
+		const seed = 7
+		proc, err := workload.NewMMPP(2, 16, 60, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := workload.SyntheticTraceFrom(workload.HeterogeneousCloudletSpec(), 20_000, proc, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls, arrivals := workload.Split(entries)
+		fleet := workload.GenerateVMs(workload.HeterogeneousVMSpec(), 50, seed)
+		env, err := workload.GenerateEnvironment(workload.HeterogeneousDatacenterSpec(4), fleet, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env, cls, arrivals
+	}},
+	// reversed-ties lists arrivals latest first, four cloudlets to each
+	// instant, so placement order rests on the stable tie-break alone.
+	{"reversed-ties", func(t *testing.T) (*cloud.Environment, []*cloud.Cloudlet, []float64) {
+		s, err := workload.Heterogeneous(20, 2000, 4, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals := make([]float64, len(s.Cloudlets))
+		for i := range arrivals {
+			arrivals[i] = float64((len(arrivals)-1-i)/4) * 0.05
+		}
+		return s.Env, s.Cloudlets, arrivals
+	}},
+}
+
+// onlineDigest replays one arrival set with the named online policy and
+// hashes what it produced.
+func onlineDigest(t *testing.T, policy string, env *cloud.Environment, cls []*cloud.Cloudlet, arrivals []float64) string {
+	t.Helper()
+	p, err := online.NewPolicy(policy, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := online.Run(env, p, cls, arrivals, cloud.TimeSharedFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	for _, c := range cls {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(c.VM.ID))
+		h.Write(buf[:4])
+		for _, v := range []float64{float64(c.StartTime), float64(c.FinishTime)} {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	for _, v := range []float64{float64(res.SimTime), res.Imbalance, res.Cost} {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	binary.LittleEndian.PutUint64(buf[:], res.EngineEvents)
+	h.Write(buf[:])
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestOnlineDigestsPinned replays both arrival sets with every registered
+// online policy and compares each digest with its pinned value.
+func TestOnlineDigestsPinned(t *testing.T) {
+	for _, set := range onlineArrivalSets {
+		for _, policy := range online.PolicyNames() {
+			key := set.name + "/" + policy
+			t.Run(key, func(t *testing.T) {
+				env, cls, arrivals := set.build(t)
+				checkPinned(t, pinnedOnlineDigests, key, onlineDigest(t, policy, env, cls, arrivals))
+			})
+		}
+	}
+}
+
+// hashingRecorder is a plan.LatencyStats that also hashes every sample in
+// the order it was observed.
+type hashingRecorder struct {
+	*plan.LatencyStats
+	h hash.Hash
+}
+
+func (r *hashingRecorder) Observe(wait, latency float64) {
+	r.LatencyStats.Observe(wait, latency)
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(wait))
+	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(latency))
+	r.h.Write(buf[:])
+}
+
+// planProbes are plan.Run probes at a fixed fleet size. The queue probe
+// is `cloudsched plan`'s perfbench spec (MMPP 200/800 per second, central
+// queue); the elastic probe takes the spread branch, whose arrivals
+// interleave with autoscaler ticks and VM boots.
+var planProbes = []struct {
+	name  string
+	spec  string
+	fleet int
+}{
+	{"perfbench-queue", `{
+  "name": "perfbench-plan-verdict",
+  "workload": {"process": "mmpp", "rate_a": 200, "rate_b": 800, "sojourn_a": 6, "sojourn_b": 1,
+               "cloudlets": 25000, "warmup": 500, "mean_length_mi": 1000},
+  "fleet": {"vm_mips": 1000, "vm_pes": 1, "min_vms": 1, "max_vms": 2048, "dispatch": "queue"},
+  "slo": {"quantile": 0.99, "target_seconds": 6},
+  "seed": 1
+}`, 320},
+	{"elastic-spread", `{
+  "name": "elastic-spread",
+  "workload": {"process": "poisson", "rate": 6, "cloudlets": 4000, "warmup": 400, "mean_length_mi": 1000},
+  "fleet": {"vm_mips": 1000, "vm_pes": 1, "min_vms": 1, "max_vms": 16},
+  "slo": {"quantile": 0.95, "target_seconds": 60},
+  "elastic": {"scale_up_load": 3, "scale_down_load": 0.5, "interval": 5, "boot_delay": 2},
+  "seed": 3
+}`, 1},
+}
+
+// TestPlanDigestsPinned runs each plan probe and compares its digest with
+// the pinned value.
+func TestPlanDigestsPinned(t *testing.T) {
+	for _, p := range planProbes {
+		t.Run(p.name, func(t *testing.T) {
+			spec, err := plan.ParseSpec([]byte(p.spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &hashingRecorder{LatencyStats: plan.NewLatencyStats(), h: sha256.New()}
+			res, err := plan.Run(spec, p.fleet, &plan.RunOptions{Recorder: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], res.EngineEvents)
+			rec.h.Write(buf[:])
+			binary.LittleEndian.PutUint64(buf[:], uint64(res.PeakFleet))
+			rec.h.Write(buf[:])
+			checkPinned(t, pinnedPlanDigests, p.name, hex.EncodeToString(rec.h.Sum(nil)))
+		})
+	}
+}
+
+// checkPinned compares got with pinned[key].
+func checkPinned(t *testing.T, pinned map[string]string, key, got string) {
+	t.Helper()
+	want, ok := pinned[key]
+	if !ok {
+		t.Fatalf("no pinned digest for %s; got %s", key, got)
+	}
+	if got != want {
+		t.Errorf("digest %s, pinned %s", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -303,6 +304,17 @@ func TestRunInputValidation(t *testing.T) {
 	}
 	if _, err := Run(env, NewRoundRobin(), cls, []float64{-1, 0, 1, 2}, cloud.TimeSharedFactory); err == nil {
 		t.Fatal("negative arrival accepted")
+	}
+}
+
+// TestRunRejectsNonFiniteArrivals: arrivals the kernel would panic on
+// (NaN) or never reach (+Inf) are an error from Run, not a panic.
+func TestRunRejectsNonFiniteArrivals(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		env, cls := hetEnv(t, 2, 4, 31)
+		if _, err := Run(env, NewRoundRobin(), cls, []float64{0, bad, 1, 2}, cloud.TimeSharedFactory); err == nil {
+			t.Fatalf("arrival %v accepted", bad)
+		}
 	}
 }
 

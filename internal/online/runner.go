@@ -66,21 +66,19 @@ func Run(env *cloud.Environment, scheduler Scheduler, cloudlets []*cloud.Cloudle
 	}
 
 	var placeErr error
-	for i, c := range cloudlets {
-		c := c
-		eng.ScheduleAt(arrivals[i], sim.PriorityAcquire, func() {
-			if placeErr != nil {
-				return
-			}
-			vm, err := scheduler.Place(c, env.VMs)
-			if err != nil {
-				placeErr = fmt.Errorf("online: placing cloudlet %d: %w", c.ID, err)
-				eng.Stop()
-				return
-			}
-			broker.Submit(c, vm)
-		})
-	}
+	eng.ScheduleStream(arrivals, sim.PriorityAcquire, func(i int) {
+		if placeErr != nil {
+			return
+		}
+		c := cloudlets[i]
+		vm, err := scheduler.Place(c, env.VMs)
+		if err != nil {
+			placeErr = fmt.Errorf("online: placing cloudlet %d: %w", c.ID, err)
+			eng.Stop()
+			return
+		}
+		broker.Submit(c, vm)
+	})
 	eng.Run()
 	if placeErr != nil {
 		return nil, placeErr

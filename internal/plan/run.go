@@ -244,18 +244,14 @@ func Run(spec *Spec, fleet int, opts *RunOptions) (*RunResult, error) {
 		}
 	})
 
-	for i := range cloudlets {
-		c := cloudlets[i]
-		at := sim.Time(offsets[i])
-		if queue != nil {
-			eng.ScheduleAt(at, sim.PriorityAcquire, func() { queue.arrive(c) })
-		} else {
-			eng.ScheduleAt(at, sim.PriorityAcquire, func() {
-				if vm := spreadPick(broker.Environment().VMs); vm != nil {
-					broker.Submit(c, vm)
-				}
-			})
-		}
+	if queue != nil {
+		eng.ScheduleStream(offsets, sim.PriorityAcquire, func(i int) { queue.arrive(cloudlets[i]) })
+	} else {
+		eng.ScheduleStream(offsets, sim.PriorityAcquire, func(i int) {
+			if vm := spreadPick(broker.Environment().VMs); vm != nil {
+				broker.Submit(cloudlets[i], vm)
+			}
+		})
 	}
 
 	var scaler *elastic.Autoscaler

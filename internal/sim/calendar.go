@@ -13,12 +13,11 @@ import "math"
 // and lose on small or bursty ones.
 type CalendarQueue struct {
 	buckets    [][]*Event
-	width      Time // width of one bucket in simulated time
-	lastTime   Time // dequeue cursor: time of the last Pop
-	lastBucket int  // dequeue cursor: bucket of the last Pop
-	bucketTop  Time // upper time bound of the current dequeue bucket
+	width      Time    // width of one bucket in simulated time
+	lastTime   Time    // dequeue cursor: time of the last Pop
+	lastBucket int     // dequeue cursor: bucket of the last Pop
+	lastSlot   float64 // dequeue cursor: slot of the last Pop
 	size       int
-	seqGuard   uint64 // retained for interface symmetry (unused)
 }
 
 // NewCalendarQueue returns an empty calendar queue with a small initial
@@ -37,9 +36,7 @@ func (q *CalendarQueue) resize(nbuckets int, width Time, startTime Time) {
 	q.buckets = make([][]*Event, nbuckets)
 	q.width = width
 	q.size = 0
-	q.lastTime = startTime
-	q.lastBucket = int(math.Mod(startTime/width, float64(nbuckets)))
-	q.bucketTop = Time(math.Floor(startTime/width))*width + width
+	q.setCursor(startTime)
 	for _, b := range old {
 		for _, e := range b {
 			q.push(e)
@@ -75,9 +72,15 @@ func (q *CalendarQueue) push(e *Event) {
 	}
 }
 
+// slot numbers the width-sized intervals of time: t falls in slot
+// ⌊t/width⌋. The bucket index and the dequeue walk both derive from it, so
+// they agree on which slot an event is in even where width·⌊t/width⌋ rounds
+// across t.
+func (q *CalendarQueue) slot(t Time) float64 { return math.Floor(t / q.width) }
+
 func (q *CalendarQueue) bucketIndex(t Time) int {
 	n := len(q.buckets)
-	i := int(math.Mod(math.Floor(t/q.width), float64(n)))
+	i := int(math.Mod(q.slot(t), float64(n)))
 	if i < 0 {
 		i += n
 	}
@@ -87,7 +90,7 @@ func (q *CalendarQueue) bucketIndex(t Time) int {
 func (q *CalendarQueue) setCursor(t Time) {
 	q.lastTime = t
 	q.lastBucket = q.bucketIndex(t)
-	q.bucketTop = Time(math.Floor(t/q.width))*q.width + q.width
+	q.lastSlot = q.slot(t)
 }
 
 // adapt rebuilds the bucket array with nbuckets buckets and a width sampled
@@ -166,13 +169,13 @@ func (q *CalendarQueue) Pop() *Event {
 func (q *CalendarQueue) scan() (e *Event, bucket, pos int) {
 	n := len(q.buckets)
 	i := q.lastBucket
-	top := q.bucketTop
+	slot := q.lastSlot
 	for steps := 0; steps < n; steps++ {
-		if b := q.buckets[i]; len(b) > 0 && b[0].time < top {
+		if b := q.buckets[i]; len(b) > 0 && q.slot(b[0].time) <= slot {
 			return b[0], i, 0
 		}
 		i = (i + 1) % n
-		top += q.width
+		slot++
 	}
 	// Full scan: pick global minimum.
 	var best *Event

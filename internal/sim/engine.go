@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Engine drives a single simulation run. It is single-threaded by design:
@@ -14,6 +16,7 @@ type Engine struct {
 	fired   uint64
 	stopped bool
 	tracer  Tracer
+	backlog int // stream members scheduled but not yet queued
 }
 
 // Option configures an Engine.
@@ -44,9 +47,10 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still queued (cancelled events may be
-// included until they surface).
-func (e *Engine) Pending() int { return e.queue.Len() }
+// Pending returns the number of events scheduled but not yet fired, every
+// unfired stream member included (cancelled events may be included until
+// they surface).
+func (e *Engine) Pending() int { return e.queue.Len() + e.backlog }
 
 // Schedule registers fn to run after delay with the given priority and
 // returns the Event handle (usable to Cancel). Negative delays are an error:
@@ -60,9 +64,7 @@ func (e *Engine) Schedule(delay Time, priority int, fn func()) *Event {
 
 // ScheduleAt registers fn to run at absolute time t.
 func (e *Engine) ScheduleAt(t Time, priority int, fn func()) *Event {
-	if t < e.now || math.IsNaN(t) {
-		panic(fmt.Sprintf("sim: ScheduleAt %v before now %v", t, e.now))
-	}
+	e.checkTime(t)
 	if fn == nil {
 		panic("sim: ScheduleAt with nil callback")
 	}
@@ -70,6 +72,82 @@ func (e *Engine) ScheduleAt(t Time, priority int, fn func()) *Event {
 	ev := &Event{time: t, priority: priority, seq: e.seq, fn: fn}
 	e.queue.Push(ev)
 	return ev
+}
+
+func (e *Engine) checkTime(t Time) {
+	if t < e.now || math.IsNaN(t) {
+		panic(fmt.Sprintf("sim: ScheduleAt %v before now %v", t, e.now))
+	}
+}
+
+// ScheduleStream registers fn(i) to run at times[i] for every i, in exactly
+// the order that len(times) consecutive ScheduleAt calls would fire them,
+// but queues only the stream's next member: the rest wait in times, so an
+// arrival list costs the event list one entry, not one per arrival. The
+// stream keeps times; the caller must not modify it until the last member
+// has fired. Times need not be sorted. An empty slice is a no-op.
+//
+// Member i takes the sequence number the i-th ScheduleAt call would have
+// taken, so ties with every other event resolve as they would under
+// ScheduleAt. Stream members cannot be cancelled.
+func (e *Engine) ScheduleStream(times []Time, priority int, fn func(i int)) {
+	if len(times) == 0 {
+		return
+	}
+	sorted := true
+	for i, t := range times {
+		e.checkTime(t)
+		sorted = sorted && (i == 0 || times[i-1] <= t)
+	}
+	if fn == nil {
+		panic("sim: ScheduleStream with nil callback")
+	}
+	s := &stream{eng: e, times: times, fn: fn, base: e.seq}
+	s.ev = Event{priority: priority, fn: s.fire}
+	if !sorted {
+		s.order = make([]int, len(times))
+		for i := range s.order {
+			s.order[i] = i
+		}
+		slices.SortStableFunc(s.order, func(a, b int) int { return cmp.Compare(times[a], times[b]) })
+	}
+	e.seq += uint64(len(times))
+	e.backlog += len(times) - 1
+	s.push()
+}
+
+// stream is one ScheduleStream registration. Its members fire in (time,
+// index) order; only the member at position next is ever queued, and it is
+// queued as ev, one Event reused for the whole stream.
+type stream struct {
+	eng   *Engine
+	times []Time
+	order []int // firing position → index; nil when times is sorted
+	fn    func(int)
+	base  uint64 // member i has seq base+1+i
+	next  int
+	ev    Event
+}
+
+// push queues the member at position next.
+func (s *stream) push() {
+	i := s.next
+	if s.order != nil {
+		i = s.order[i]
+	}
+	s.ev.time, s.ev.seq = s.times[i], s.base+1+uint64(i)
+	s.eng.queue.Push(&s.ev)
+}
+
+// fire runs the queued member after queueing its successor, which can
+// never precede it.
+func (s *stream) fire() {
+	i := int(s.ev.seq - s.base - 1)
+	if s.next++; s.next < len(s.times) {
+		s.eng.backlog--
+		s.push()
+	}
+	s.fn(i)
 }
 
 // Step fires the next event, if any, and reports whether one fired.

@@ -4,7 +4,9 @@
 // float64 (this repository uses seconds, converting to the paper's
 // milliseconds/hours at the reporting layer), events are closures scheduled at
 // absolute times, and ties are broken first by an integer priority and then
-// by insertion order, so runs are fully deterministic. Two future-event-list
+// by insertion order, so runs are fully deterministic. An arrival list is
+// registered as one stream that keeps only its next member in the event
+// list, so the list holds live work, not the whole trace. Two future-event-list
 // implementations are provided — a binary heap and a calendar queue — behind
 // a common Queue interface; the engine defaults to the heap, and the
 // `abl-queue` benchmarks compare the two.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -176,4 +177,25 @@ func BenchmarkEventQueueHeap(b *testing.B) {
 }
 func BenchmarkEventQueueCalendar(b *testing.B) {
 	benchQueue(b, func() Queue { return NewCalendarQueue() }, 100)
+}
+
+// TestCalendarQueueSlotBoundaryRounding: with this width, 4.5 falls in
+// slot 13 by division while 14·width rounds to exactly 4.5. The dequeue
+// walk must place 4.5 in slot 13 as the bucket index does, or it skips
+// the bucket and pops the later event at 5 first.
+func TestCalendarQueueSlotBoundaryRounding(t *testing.T) {
+	width := Time(0.32142857142857145)
+	if math.Floor(4.5/width) != 13 || 14*width != 4.5 {
+		t.Fatalf("float64 rounding: ⌊4.5/width⌋ = %v, 14·width = %v; want 13 and 4.5", math.Floor(4.5/width), 14*width)
+	}
+	q := NewCalendarQueue()
+	q.resize(16, width, 0)
+	for i, tm := range []Time{4.5, 5, 4.5} {
+		q.Push(&Event{time: tm, seq: uint64(i + 1)})
+	}
+	for _, want := range []uint64{1, 3, 2} {
+		if got := q.Pop(); got.seq != want {
+			t.Fatalf("popped seq %d at t=%v, want seq %d", got.seq, got.time, want)
+		}
+	}
 }

@@ -12,8 +12,8 @@
 # smoke over the untrusted-input boundaries (the daemon's JSON submit
 # decoder, the CSV workload trace parser, the columnar binary trace
 # reader/converter, schedlint's suppression-directive parser, the ACO
-# roulette's binary search and unrolled weight row, and the capacity-plan
-# spec parser).
+# roulette's binary search and unrolled weight row, the capacity-plan
+# spec parser, and the kernel's arrival streams against a ScheduleAt loop).
 #
 # schedlint runs with the committed baseline (.schedlint.baseline.json):
 # findings recorded there are tolerated while being burned down; anything
@@ -126,6 +126,10 @@ go test -run='^$' -fuzz=FuzzSuppressDirective -fuzztime=5s ./internal/lint
 # on contract-valid prefix sums, and the unrolled weight row with its plain
 # loop bit for bit on arbitrary float bit patterns (any-NaN matches any-NaN).
 go test -run='^$' -fuzz=FuzzRoulette -fuzztime=5s ./internal/aco
+# Arrival streams: on arbitrary scenarios ScheduleStream fires the same
+# (time, priority, seq, index) sequence and leaves the same Now/Fired/Pending
+# as a ScheduleAt loop, on both the heap and the calendar queue.
+go test -run='^$' -fuzz=FuzzScheduleStream -fuzztime=5s ./internal/sim
 # Capacity-plan spec boundary: arbitrary JSON through plan.ParseSpec never
 # panics, and every accepted spec validates, builds its arrival process,
 # and survives a marshal→reparse round trip (NaN/Inf rates and bogus SLO
