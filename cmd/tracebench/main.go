@@ -126,10 +126,10 @@ func run(rows int, out string, seed uint64, repeats int) error {
 			"cores":  runtime.GOMAXPROCS(0),
 			"go":     runtime.Version(),
 		},
-		"rows":    rows,
-		"repeats": repeats,
-		"seed":    seed,
-		"results": results,
+		"rows":                           rows,
+		"repeats":                        repeats,
+		"seed":                           seed,
+		"results":                        results,
 		"columnar_vs_text_single_reader": fmt.Sprintf("%.2fx", speedup),
 	}
 	buf, err := json.MarshalIndent(rec, "", "  ")

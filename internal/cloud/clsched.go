@@ -46,7 +46,10 @@ type TimeShared struct {
 
 	resident   []*Cloudlet
 	lastUpdate sim.Time
-	next       *sim.Event
+	// next is the completion event, created on the first arm and re-armed
+	// in place for the scheduler's whole life.
+	next     *sim.Event
+	finished []*Cloudlet // collect's scratch; nil while its callbacks run
 }
 
 // NewTimeShared returns a time-shared scheduler bound to vm on eng.
@@ -104,30 +107,52 @@ func (s *TimeShared) advance() {
 // reschedule (re-)arms the completion event for the earliest finisher and
 // retires any cloudlet whose remaining work dropped within tolerance.
 func (s *TimeShared) reschedule() {
-	if s.next != nil {
-		s.next.Cancel()
-		s.next = nil
-	}
-	s.collect()
-	if len(s.resident) == 0 {
-		return
-	}
-	minRem := s.resident[0].remaining
-	for _, c := range s.resident[1:] {
-		if c.remaining < minRem {
-			minRem = c.remaining
+	for {
+		s.collect()
+		if len(s.resident) == 0 {
+			s.disarm()
+			return
+		}
+		minRem := s.resident[0].remaining
+		for _, c := range s.resident[1:] {
+			if c.remaining < minRem {
+				minRem = c.remaining
+			}
+		}
+		now := s.eng.Now()
+		at := now + minRem/s.shareMIPS()
+		//schedlint:ignore floateq an eta below half an ulp of now would re-arm at now for ever: retire the earliest finishers at once
+		if at != now {
+			s.arm(at)
+			return
+		}
+		for _, c := range s.resident {
+			//schedlint:ignore floateq exactly the cloudlets holding the minimum remaining work are the ones whose eta rounded to now
+			if c.remaining == minRem {
+				c.remaining = 0
+			}
 		}
 	}
-	eta := minRem / s.shareMIPS()
-	if eta < 0 {
-		eta = 0
+}
+
+// arm queues the completion event at t, creating it on first use.
+func (s *TimeShared) arm(t sim.Time) {
+	if s.next == nil {
+		s.next = s.eng.ScheduleAt(t, sim.PriorityRelease, s.onTick)
+	} else {
+		s.eng.Reschedule(s.next, t)
 	}
-	s.next = s.eng.Schedule(eta, sim.PriorityRelease, s.onTick)
+}
+
+// disarm takes the completion event off the event list, if it is queued.
+func (s *TimeShared) disarm() {
+	if s.next != nil {
+		s.eng.Cancel(s.next)
+	}
 }
 
 // onTick fires when the earliest finisher should be done.
 func (s *TimeShared) onTick() {
-	s.next = nil
 	s.advance()
 	s.reschedule()
 }
@@ -135,10 +160,7 @@ func (s *TimeShared) onTick() {
 // Drain implements CloudletScheduler.
 func (s *TimeShared) Drain() []*Cloudlet {
 	s.advance()
-	if s.next != nil {
-		s.next.Cancel()
-		s.next = nil
-	}
+	s.disarm()
 	out := make([]*Cloudlet, len(s.resident))
 	copy(out, s.resident)
 	for i := range s.resident {
@@ -155,7 +177,7 @@ func (s *TimeShared) Drain() []*Cloudlet {
 func (s *TimeShared) collect() {
 	now := s.eng.Now()
 	kept := s.resident[:0]
-	var finished []*Cloudlet
+	finished := s.finished[:0]
 	for _, c := range s.resident {
 		if c.remaining <= lengthEps {
 			c.remaining = 0
@@ -171,11 +193,19 @@ func (s *TimeShared) collect() {
 		s.resident[i] = nil
 	}
 	s.resident = kept
+	if len(finished) == 0 {
+		return
+	}
+	// A finish callback may Submit to this VM and collect again, so the
+	// scratch is detached until the callbacks are done.
+	s.finished = nil
 	if s.onFinish != nil {
 		for _, c := range finished {
 			s.onFinish(c)
 		}
 	}
+	clear(finished) // do not pin finished cloudlets in the scratch
+	s.finished = finished[:0]
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +303,7 @@ func (s *SpaceShared) Drain() []*Cloudlet {
 	now := s.eng.Now()
 	var out []*Cloudlet
 	for c, run := range s.running {
-		run.event.Cancel()
+		s.eng.Cancel(run.event)
 		done := run.rate * (now - run.started)
 		c.remaining -= done
 		if c.remaining < 0 {

@@ -258,6 +258,101 @@ func TestTimeSharedFinishOrderMatchesLengths(t *testing.T) {
 	}
 }
 
+// TestTimeSharedSubUlpFinishDoesNotLivelock: at t = 2^18 a 1.1e-7 MI
+// cloudlet on a 4000-MIPS VM needs 2.75e-11 s, below half an ulp of the
+// clock, so its completion instant rounds to now. It must be retired at
+// once instead of the completion event re-arming at now for ever, and the
+// VM must keep running later work.
+func TestTimeSharedSubUlpFinishDoesNotLivelock(t *testing.T) {
+	const start = 1 << 18
+	eng := sim.NewEngine()
+	eng.RunUntil(start)
+	vm := NewVM(0, 4000, 1, 512, 500, 5000)
+	vm.bind(TimeSharedFactory(eng, vm, nil))
+	runBounded := func() {
+		t.Helper()
+		for steps := 0; eng.Step(); steps++ {
+			if steps == 100 {
+				t.Fatalf("still stepping after %d events at t=%v: completion re-arms at now", steps, eng.Now())
+			}
+		}
+	}
+	tiny := NewCloudlet(0, 1.1e-7, 1, 0, 0)
+	vm.Scheduler().Submit(tiny)
+	runBounded()
+	if tiny.Status != CloudletFinished || tiny.FinishTime != start {
+		t.Fatalf("tiny cloudlet: status %v, finish %v; want finished at %v", tiny.Status, tiny.FinishTime, start)
+	}
+	long := NewCloudlet(1, 4000, 1, 0, 0)
+	vm.Scheduler().Submit(long)
+	runBounded()
+	if long.Status != CloudletFinished || long.FinishTime != start+1 {
+		t.Fatalf("long cloudlet: status %v, finish %v; want finished at %v", long.Status, long.FinishTime, start+1)
+	}
+}
+
+// TestTimeSharedFinishHookResubmitsToSameVM: a finish callback that
+// submits to the VM it finished on re-arms the VM's one completion event;
+// no duplicate completion event is left queued to fire as an extra tick.
+func TestTimeSharedFinishHookResubmitsToSameVM(t *testing.T) {
+	eng := sim.NewEngine()
+	vm := NewVM(0, 1000, 1, 512, 500, 5000)
+	var finishes []sim.Time
+	vm.bind(TimeSharedFactory(eng, vm, func(c *Cloudlet) {
+		finishes = append(finishes, c.FinishTime)
+		if len(finishes) < 5 {
+			vm.Scheduler().Submit(NewCloudlet(100+len(finishes), 300, 1, 0, 0))
+		}
+	}))
+	vm.Scheduler().Submit(NewCloudlet(0, 100, 1, 0, 0))
+	vm.Scheduler().Submit(NewCloudlet(1, 700, 1, 0, 0))
+	eng.Run()
+	// Processor sharing at 1000 MIPS: 100 MI of two ends at 0.2; each
+	// resubmitted 300 MI cloudlet then shares with what is left.
+	want := []sim.Time{0.2, 0.8, 1.4, 1.4, 2, 2}
+	if len(finishes) != len(want) {
+		t.Fatalf("finish times %v, want %v", finishes, want)
+	}
+	for i := range want {
+		if !almost(finishes[i], want[i], 1e-9) {
+			t.Fatalf("finish times %v, want %v", finishes, want)
+		}
+	}
+	if eng.Fired() != 4 {
+		t.Fatalf("fired %d events, want one per completion instant (4)", eng.Fired())
+	}
+}
+
+// TestTimeSharedSubmitFinishAllocatesNothing: once warmed, submitting
+// cloudlets to one VM and running them to completion allocates nothing.
+// The completion event is re-armed in place, both while queued (a new
+// arrival) and after it fired, and collect reuses its scratch slice.
+func TestTimeSharedSubmitFinishAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	vm := NewVM(0, 1000, 2, 512, 500, 5000)
+	finished := 0
+	vm.bind(TimeSharedFactory(eng, vm, func(*Cloudlet) { finished++ }))
+	batch := make([]*Cloudlet, 8)
+	for i := range batch {
+		batch[i] = NewCloudlet(i, float64(100*(i+1)), 1, 0, 0)
+	}
+	cycle := func() {
+		for _, c := range batch {
+			c.reset()
+			vm.Scheduler().Submit(c)
+			eng.RunUntil(eng.Now() + 0.1)
+		}
+		eng.Run()
+	}
+	const runs = 20
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Fatalf("%v allocations per cycle of %d cloudlets, want 0", allocs, len(batch))
+	}
+	if want := (runs + 1) * len(batch); finished != want {
+		t.Fatalf("finished %d cloudlets, want %d", finished, want)
+	}
+}
+
 func BenchmarkTimeSharedThousandCloudlets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()

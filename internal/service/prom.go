@@ -27,8 +27,8 @@ func (g *gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 // Shared bucket layouts: every shard uses the same layout so per-shard
 // histograms merge bucket-for-bucket into the fleet-wide series.
 var (
-	batchSizeBuckets = metrics.ExpBuckets(1, 2, 13)      // 1 → 4096 cloudlets
-	schedSecsBuckets = metrics.ExpBuckets(1e-5, 4, 12)   // 10µs → ~2.7min
+	batchSizeBuckets = metrics.ExpBuckets(1, 2, 13)    // 1 → 4096 cloudlets
+	schedSecsBuckets = metrics.ExpBuckets(1e-5, 4, 12) // 10µs → ~2.7min
 )
 
 // shardMetrics is one shard's slice of the observability surface. Every

@@ -11,7 +11,7 @@ import (
 // run one Engine per goroutine for parallel experiments.
 type Engine struct {
 	now     Time
-	queue   Queue
+	events  eventHeap
 	seq     uint64
 	fired   uint64
 	stopped bool
@@ -22,11 +22,6 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithQueue selects the future-event-list implementation (default HeapQueue).
-func WithQueue(q Queue) Option {
-	return func(e *Engine) { e.queue = q }
-}
-
 // WithTracer attaches a Tracer that observes every fired event.
 func WithTracer(t Tracer) Option {
 	return func(e *Engine) { e.tracer = t }
@@ -34,7 +29,7 @@ func WithTracer(t Tracer) Option {
 
 // NewEngine returns an Engine at time zero.
 func NewEngine(opts ...Option) *Engine {
-	e := &Engine{queue: NewHeapQueue()}
+	e := &Engine{}
 	for _, o := range opts {
 		o(e)
 	}
@@ -48,13 +43,12 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events scheduled but not yet fired, every
-// unfired stream member included (cancelled events may be included until
-// they surface).
-func (e *Engine) Pending() int { return e.queue.Len() + e.backlog }
+// unfired stream member included. Cancelled events are not counted.
+func (e *Engine) Pending() int { return len(e.events) + e.backlog }
 
 // Schedule registers fn to run after delay with the given priority and
-// returns the Event handle (usable to Cancel). Negative delays are an error:
-// the kernel never travels backwards.
+// returns the Event handle (usable with Cancel and Reschedule). Negative
+// delays are an error: the kernel never travels backwards.
 func (e *Engine) Schedule(delay Time, priority int, fn func()) *Event {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: Schedule with invalid delay %v at t=%v", delay, e.now))
@@ -70,8 +64,32 @@ func (e *Engine) ScheduleAt(t Time, priority int, fn func()) *Event {
 	}
 	e.seq++
 	ev := &Event{time: t, priority: priority, seq: e.seq, fn: fn}
-	e.queue.Push(ev)
+	e.events.push(ev)
 	return ev
+}
+
+// Reschedule moves ev to fire at absolute time t, re-keying it in place if
+// it is queued and queueing it again if it has fired or been cancelled.
+// It takes a fresh sequence number, exactly as Cancel followed by
+// ScheduleAt would, so every tie resolves as it would under that pair.
+// ev must have come from Schedule or ScheduleAt on this engine.
+func (e *Engine) Reschedule(ev *Event, t Time) {
+	e.checkTime(t)
+	e.seq++
+	ev.time, ev.seq = t, e.seq
+	if e.events.holds(ev) {
+		e.events.fix(ev.index)
+	} else {
+		e.events.push(ev)
+	}
+}
+
+// Cancel removes ev from the event list so it does not fire. Cancelling a
+// fired or already cancelled event is a no-op.
+func (e *Engine) Cancel(ev *Event) {
+	if e.events.holds(ev) {
+		e.events.remove(ev.index)
+	}
 }
 
 func (e *Engine) checkTime(t Time) {
@@ -136,7 +154,7 @@ func (s *stream) push() {
 		i = s.order[i]
 	}
 	s.ev.time, s.ev.seq = s.times[i], s.base+1+uint64(i)
-	s.eng.queue.Push(&s.ev)
+	s.eng.events.push(&s.ev)
 }
 
 // fire runs the queued member after queueing its successor, which can
@@ -151,24 +169,18 @@ func (s *stream) fire() {
 }
 
 // Step fires the next event, if any, and reports whether one fired.
-// Cancelled events are discarded without firing and without advancing time.
 func (e *Engine) Step() bool {
-	for {
-		if e.stopped || e.queue.Len() == 0 {
-			return false
-		}
-		ev := e.queue.Pop()
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.time
-		if e.tracer != nil {
-			e.tracer.Fire(ev)
-		}
-		ev.fn()
-		e.fired++
-		return true
+	if e.stopped || len(e.events) == 0 {
+		return false
 	}
+	ev := e.events.pop()
+	e.now = ev.time
+	if e.tracer != nil {
+		e.tracer.Fire(ev)
+	}
+	ev.fn()
+	e.fired++
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called, and returns
@@ -186,7 +198,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if e.stopped {
 			return e.now
 		}
-		next := e.queue.Peek()
+		next := e.events.peek()
 		if next == nil || next.time > deadline {
 			break
 		}

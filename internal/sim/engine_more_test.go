@@ -38,46 +38,6 @@ func TestEngineClockMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestEngineHeapAndCalendarSameTrajectory: both queue implementations drive
-// identical event orders through a churning workload.
-func TestEngineHeapAndCalendarSameTrajectory(t *testing.T) {
-	runWith := func(q Queue, seed int64) []Time {
-		r := rand.New(rand.NewSource(seed))
-		e := NewEngine(WithQueue(q))
-		var trace []Time
-		var tick func()
-		count := 0
-		tick = func() {
-			trace = append(trace, e.Now())
-			count++
-			if count < 500 {
-				e.Schedule(r.Float64()*3, 0, tick)
-				if count%7 == 0 {
-					ev := e.Schedule(r.Float64()*5, 0, tick)
-					if count%14 == 0 {
-						ev.Cancel()
-					}
-				}
-			}
-		}
-		e.Schedule(0, 0, tick)
-		e.Run()
-		return trace
-	}
-	for seed := int64(1); seed <= 5; seed++ {
-		a := runWith(NewHeapQueue(), seed)
-		b := runWith(NewCalendarQueue(), seed)
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: lengths differ %d vs %d", seed, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: trajectories diverge at %d: %v vs %v", seed, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // TestEngineManyCancellations: cancelled events never fire even under heavy
 // mixing, and Fired counts only live events.
 func TestEngineManyCancellations(t *testing.T) {
@@ -91,7 +51,7 @@ func TestEngineManyCancellations(t *testing.T) {
 	}
 	for i, ev := range events {
 		if i%3 == 0 {
-			ev.Cancel()
+			e.Cancel(ev)
 		} else {
 			live++
 		}
@@ -108,7 +68,7 @@ func TestEngineCancelInsideHandler(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	second := e.Schedule(5, PriorityLow, func() { fired = true })
-	e.Schedule(5, PriorityHigh, func() { second.Cancel() })
+	e.Schedule(5, PriorityHigh, func() { e.Cancel(second) })
 	e.Run()
 	if fired {
 		t.Fatal("same-time cancellation failed")
@@ -137,40 +97,6 @@ func TestEngineRunUntilRepeated(t *testing.T) {
 	}
 	if e.Now() != 12 {
 		t.Fatalf("final clock: %v", e.Now())
-	}
-}
-
-// TestCalendarQueueShrinks: draining a large population triggers the
-// halving path without corrupting order.
-func TestCalendarQueueShrinks(t *testing.T) {
-	q := NewCalendarQueue()
-	r := rand.New(rand.NewSource(3))
-	var seq uint64
-	for i := 0; i < 4096; i++ {
-		seq++
-		q.Push(&Event{time: r.Float64() * 1e4, seq: seq})
-	}
-	last := Time(-1)
-	for q.Len() > 0 {
-		e := q.Pop()
-		if e.time < last {
-			t.Fatalf("order violated during shrink: %v < %v", e.time, last)
-		}
-		last = e.time
-	}
-}
-
-// TestCalendarQueueIdenticalTimesMass: a large all-equal-time population
-// must drain FIFO (exercises the bucket-overflow path).
-func TestCalendarQueueIdenticalTimesMass(t *testing.T) {
-	q := NewCalendarQueue()
-	for i := uint64(1); i <= 2000; i++ {
-		q.Push(&Event{time: 5, seq: i})
-	}
-	for i := uint64(1); i <= 2000; i++ {
-		if got := q.Pop().seq; got != i {
-			t.Fatalf("FIFO broken at %d: got %d", i, got)
-		}
 	}
 }
 

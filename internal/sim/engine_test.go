@@ -71,7 +71,7 @@ func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	ev := e.Schedule(1, PriorityDefault, func() { fired = true })
-	ev.Cancel()
+	e.Cancel(ev)
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -85,7 +85,7 @@ func TestEngineCancelFromEarlierEvent(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	later := e.Schedule(10, PriorityDefault, func() { fired = true })
-	e.Schedule(5, PriorityDefault, func() { later.Cancel() })
+	e.Schedule(5, PriorityDefault, func() { e.Cancel(later) })
 	e.Run()
 	if fired {
 		t.Fatal("event cancelled at t=5 still fired at t=10")
@@ -175,22 +175,6 @@ func TestEngineNilCallbackPanics(t *testing.T) {
 		}
 	}()
 	NewEngine().Schedule(0, PriorityDefault, nil)
-}
-
-func TestEngineWithCalendarQueue(t *testing.T) {
-	e := NewEngine(WithQueue(NewCalendarQueue()))
-	sum := Time(0)
-	for i := 1; i <= 1000; i++ {
-		tm := Time(i)
-		e.Schedule(tm, PriorityDefault, func() { sum += tm })
-	}
-	e.Run()
-	if sum != 500500 {
-		t.Fatalf("sum: got %v want 500500", sum)
-	}
-	if e.Fired() != 1000 {
-		t.Fatalf("Fired: %d", e.Fired())
-	}
 }
 
 func TestEngineTracer(t *testing.T) {

@@ -6,10 +6,10 @@
 // absolute times, and ties are broken first by an integer priority and then
 // by insertion order, so runs are fully deterministic. An arrival list is
 // registered as one stream that keeps only its next member in the event
-// list, so the list holds live work, not the whole trace. Two future-event-list
-// implementations are provided — a binary heap and a calendar queue — behind
-// a common Queue interface; the engine defaults to the heap, and the
-// `abl-queue` benchmarks compare the two.
+// list, so the list holds live work, not the whole trace. The future event
+// list is one indexed binary heap: every queued event knows its position, so
+// cancelling removes it at once and a long-lived event (a VM's completion
+// timer) is re-keyed in place instead of being replaced.
 package sim
 
 // Time is simulated time since the start of the run (seconds by convention
@@ -27,14 +27,14 @@ const (
 	PriorityLow     = 100 // reporting, statistics snapshots
 )
 
-// Event is a scheduled callback. Events are one-shot: once fired or
-// cancelled they never run again.
+// Event is a scheduled callback. It fires once per scheduling: once fired
+// or cancelled it runs again only if Engine.Reschedule re-arms it.
 type Event struct {
 	time     Time
 	priority int
 	seq      uint64
 	fn       func()
-	canceled bool
+	index    int // position in the engine's heap while queued
 }
 
 // Time returns the simulated time at which the event fires.
@@ -42,13 +42,6 @@ func (e *Event) Time() Time { return e.time }
 
 // Priority returns the event's tie-break priority.
 func (e *Event) Priority() int { return e.priority }
-
-// Cancel marks the event so the engine discards it instead of firing it.
-// Cancelling an already-fired event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether Cancel was called.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // before reports whether e should fire before other, implementing the
 // deterministic (time, priority, seq) ordering.

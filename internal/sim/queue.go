@@ -1,88 +1,96 @@
 package sim
 
-// Queue is a future event list: a priority queue of events ordered by
-// (time, priority, insertion sequence).
-type Queue interface {
-	// Push inserts an event.
-	Push(*Event)
-	// Pop removes and returns the earliest event. It panics on empty.
-	Pop() *Event
-	// Peek returns the earliest event without removing it, or nil if empty.
-	Peek() *Event
-	// Len returns the number of queued events (including cancelled ones not
-	// yet discarded).
-	Len() int
+// eventHeap is the engine's future event list: a binary min-heap of events
+// ordered by (time, priority, seq). Each event records its own position, so
+// a queued event can be re-keyed or removed in O(log n) without a search.
+type eventHeap []*Event
+
+// holds reports whether ev is queued in h. An event's index is only
+// trusted when the slot it names still holds that event: fired and
+// cancelled events keep a stale index.
+func (h eventHeap) holds(ev *Event) bool {
+	return ev.index < len(h) && h[ev.index] == ev
 }
 
-// HeapQueue is a classic binary-heap future event list. It is the engine's
-// default: O(log n) push/pop with excellent constants at the event counts
-// this simulator reaches (millions).
-type HeapQueue struct {
-	items []*Event
-}
-
-// NewHeapQueue returns an empty HeapQueue.
-func NewHeapQueue() *HeapQueue { return &HeapQueue{} }
-
-// Len implements Queue.
-func (q *HeapQueue) Len() int { return len(q.items) }
-
-// Peek implements Queue.
-func (q *HeapQueue) Peek() *Event {
-	if len(q.items) == 0 {
+// peek returns the earliest event without removing it, or nil if empty.
+func (h eventHeap) peek() *Event {
+	if len(h) == 0 {
 		return nil
 	}
-	return q.items[0]
+	return h[0]
 }
 
-// Push implements Queue.
-func (q *HeapQueue) Push(e *Event) {
-	q.items = append(q.items, e)
-	q.up(len(q.items) - 1)
+// push inserts ev.
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
 
-// Pop implements Queue.
-func (q *HeapQueue) Pop() *Event {
-	if len(q.items) == 0 {
-		panic("sim: Pop on empty HeapQueue")
+// pop removes and returns the earliest event. It panics on empty.
+func (h *eventHeap) pop() *Event {
+	if len(*h) == 0 {
+		panic("sim: pop on empty event heap")
 	}
-	top := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if len(q.items) > 0 {
-		q.down(0)
-	}
+	top := (*h)[0]
+	h.remove(0)
 	return top
 }
 
-func (q *HeapQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.items[i].before(q.items[parent]) {
-			break
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
+// remove deletes the event at position i.
+func (h *eventHeap) remove(i int) {
+	last := len(*h) - 1
+	if i != last {
+		(*h)[i] = (*h)[last]
+	}
+	(*h)[last] = nil
+	*h = (*h)[:last]
+	if i < last {
+		h.fix(i)
 	}
 }
 
-func (q *HeapQueue) down(i int) {
-	n := len(q.items)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+// fix restores heap order after the key of the event at position i changed.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
 		}
-		least := left
-		if right := left + 1; right < n && q.items[right].before(q.items[left]) {
+		h[i] = h[parent]
+		h[i].index = i
+		i = parent
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down sifts the event at position i towards the leaves and reports
+// whether it moved.
+func (h eventHeap) down(i int) bool {
+	ev, start, n := h[i], i, len(h)
+	for {
+		least := 2*i + 1
+		if least >= n {
+			break
+		}
+		if right := least + 1; right < n && h[right].before(h[least]) {
 			least = right
 		}
-		if !q.items[least].before(q.items[i]) {
-			return
+		if !h[least].before(ev) {
+			break
 		}
-		q.items[i], q.items[least] = q.items[least], q.items[i]
+		h[i] = h[least]
+		h[i].index = i
 		i = least
 	}
+	h[i] = ev
+	ev.index = i
+	return i > start
 }

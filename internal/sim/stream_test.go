@@ -83,7 +83,7 @@ func (s *streamScript) act(tag int) {
 		}
 	case 3:
 		if len(s.others) > 0 {
-			s.others[s.next()%len(s.others)].Cancel()
+			s.eng.Cancel(s.others[s.next()%len(s.others)])
 		}
 	}
 }
@@ -95,8 +95,8 @@ func (s *streamScript) checkpoint() {
 // run plays the scenario: other events, an optional advance of the clock,
 // the arrival list, more other events, then Run or a series of RunUntil
 // deadlines.
-func (s *streamScript) run(q Queue, useStream bool) {
-	s.eng = NewEngine(WithQueue(q), WithTracer(FuncTracer(func(ev *Event) {
+func (s *streamScript) run(useStream bool) {
+	s.eng = NewEngine(WithTracer(FuncTracer(func(ev *Event) {
 		s.log = append(s.log, fired{time: ev.time, priority: ev.priority, seq: ev.seq})
 	})))
 	s.budget = 200
@@ -144,22 +144,19 @@ func (s *streamScript) run(q Queue, useStream bool) {
 	s.checkpoint()
 }
 
-// diffStream plays data with a ScheduleAt loop and with ScheduleStream on
-// each queue implementation and requires identical fired sequences and
-// engine states.
+// diffStream plays data with a ScheduleAt loop and with ScheduleStream and
+// requires identical fired sequences and engine states.
 func diffStream(t *testing.T, data []byte) {
 	t.Helper()
-	for name, mk := range queueImpls() {
-		want := &streamScript{data: data}
-		want.run(mk(), false)
-		got := &streamScript{data: data}
-		got.run(mk(), true)
-		if !reflect.DeepEqual(got.log, want.log) {
-			t.Fatalf("%s queue, data %v: stream fired\n%v\nScheduleAt loop fired\n%v", name, data, got.log, want.log)
-		}
-		if !reflect.DeepEqual(got.states, want.states) {
-			t.Fatalf("%s queue, data %v: stream states %+v, ScheduleAt loop states %+v", name, data, got.states, want.states)
-		}
+	want := &streamScript{data: data}
+	want.run(false)
+	got := &streamScript{data: data}
+	got.run(true)
+	if !reflect.DeepEqual(got.log, want.log) {
+		t.Fatalf("data %v: stream fired\n%v\nScheduleAt loop fired\n%v", data, got.log, want.log)
+	}
+	if !reflect.DeepEqual(got.states, want.states) {
+		t.Fatalf("data %v: stream states %+v, ScheduleAt loop states %+v", data, got.states, want.states)
 	}
 }
 
@@ -197,8 +194,8 @@ func TestScheduleStreamPendingCountsEveryMember(t *testing.T) {
 	if got := e.Pending(); got != 5 {
 		t.Fatalf("Pending after registration: %d, want 5", got)
 	}
-	if e.queue.Len() != 2 {
-		t.Fatalf("queue holds %d events, want the other event and the stream head", e.queue.Len())
+	if len(e.events) != 2 {
+		t.Fatalf("queue holds %d events, want the other event and the stream head", len(e.events))
 	}
 	e.Step()
 	e.Step()

@@ -48,7 +48,7 @@ var Magic = [8]byte{'B', 'S', 'T', 'R', 'C', 'O', 'L', '1'}
 
 // Compression codes recorded in the footer.
 const (
-	CompressNone byte = 0
+	CompressNone  byte = 0
 	CompressFlate byte = 1
 )
 

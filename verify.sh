@@ -13,7 +13,8 @@
 # decoder, the CSV workload trace parser, the columnar binary trace
 # reader/converter, schedlint's suppression-directive parser, the ACO
 # roulette's binary search and unrolled weight row, the capacity-plan
-# spec parser, and the kernel's arrival streams against a ScheduleAt loop).
+# spec parser, the kernel's arrival streams against a ScheduleAt loop, and
+# the kernel's event heap against a reference model).
 #
 # schedlint runs with the committed baseline (.schedlint.baseline.json):
 # findings recorded there are tolerated while being burned down; anything
@@ -52,6 +53,8 @@ esac
 
 go build ./...
 go vet ./...
+# Every committed Go file must be gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go run ./cmd/schedlint -baseline .schedlint.baseline.json ./...
 
 # Baseline hygiene: every committed entry must still correspond to a real
@@ -128,8 +131,13 @@ go test -run='^$' -fuzz=FuzzSuppressDirective -fuzztime=5s ./internal/lint
 go test -run='^$' -fuzz=FuzzRoulette -fuzztime=5s ./internal/aco
 # Arrival streams: on arbitrary scenarios ScheduleStream fires the same
 # (time, priority, seq, index) sequence and leaves the same Now/Fired/Pending
-# as a ScheduleAt loop, on both the heap and the calendar queue.
+# as a ScheduleAt loop.
 go test -run='^$' -fuzz=FuzzScheduleStream -fuzztime=5s ./internal/sim
+# Indexed event heap: byte-chosen ScheduleAt, Reschedule (of queued, fired
+# and cancelled events), Cancel, ScheduleStream, Stop and RunUntil steps fire
+# the same sequence and leave the same Now/Fired/Pending as a flat-slice
+# reference model with lazily cancelled entries.
+go test -run='^$' -fuzz=FuzzReschedule -fuzztime=5s ./internal/sim
 # Capacity-plan spec boundary: arbitrary JSON through plan.ParseSpec never
 # panics, and every accepted spec validates, builds its arrival process,
 # and survives a marshal→reparse round trip (NaN/Inf rates and bogus SLO
