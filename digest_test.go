@@ -14,6 +14,7 @@ import (
 	"bioschedsim/internal/online"
 	"bioschedsim/internal/plan"
 	"bioschedsim/internal/sched"
+	"bioschedsim/internal/sim"
 	"bioschedsim/internal/workload"
 )
 
@@ -163,6 +164,7 @@ var pinnedOnlineDigests = map[string]string{
 var pinnedPlanDigests = map[string]string{
 	"perfbench-queue": "54d16fdcccc39cab8331b102042ad9b21d69729b5745790b60fba0c01742e4c4",
 	"elastic-spread":  "102fabdeec49e777d1317a901744f5590e10e031a51bb0ee1b5a0b6552b7d1d5",
+	"saturated-3pe":   "f1c19aa7e70f09c068ea3770a1c39c78441ce19ced0cd36d20a6c454c45d018c",
 }
 
 // onlineArrivalSets builds each arrival set afresh: online.Run consumes
@@ -291,6 +293,18 @@ var planProbes = []struct {
   "elastic": {"scale_up_load": 3, "scale_down_load": 0.5, "interval": 5, "boot_delay": 2},
   "seed": 3
 }`, 1},
+	// saturated-3pe works the central queue's VM pick: 3-PE VMs, a fleet
+	// that is no power of two, and MMPP bursts above the fleet's 111 PEs
+	// (mean load ~0.96), so the FIFO is often non-empty and every
+	// completion drains it onto the lowest-ID VM with a free PE.
+	{"saturated-3pe", `{
+  "name": "saturated-3pe",
+  "workload": {"process": "mmpp", "rate_a": 90, "rate_b": 140, "sojourn_a": 4, "sojourn_b": 2,
+               "cloudlets": 20000, "warmup": 200, "mean_length_mi": 1000},
+  "fleet": {"vm_mips": 1000, "vm_pes": 3, "min_vms": 1, "max_vms": 64, "dispatch": "queue"},
+  "slo": {"quantile": 0.99, "target_seconds": 6},
+  "seed": 5
+}`, 37},
 }
 
 // TestPlanDigestsPinned runs each plan probe and compares its digest with
@@ -314,6 +328,83 @@ func TestPlanDigestsPinned(t *testing.T) {
 			rec.h.Write(buf[:])
 			checkPinned(t, pinnedPlanDigests, p.name, hex.EncodeToString(rec.h.Sum(nil)))
 		})
+	}
+}
+
+// pinnedSpaceSharedDigest is the SHA-256 of spaceSharedDigest's run:
+// each cloudlet's ID, final VM ID, start and finish time bits (ID order),
+// then the fired event count. Recorded with the earlier SpaceShared that
+// allocated a run record, a closure and an event per dispatched cloudlet.
+const pinnedSpaceSharedDigest = "77aa75cf2430e5a6b3a6acb04867be9e74e186259f9e034b2e294f3e2fb7d3de"
+
+// spaceSharedDigest runs 600 cloudlets of 1-5 PEs on eight space-shared
+// VMs of 2-4 PEs (so wide cloudlets are clamped to the VM), staggered over
+// the first 6 s and overloading the fleet, then fails two VMs mid-run:
+// their running cloudlets are drained with progress kept and resume,
+// with the queued ones, on the healthy VMs.
+func spaceSharedDigest(t *testing.T) string {
+	t.Helper()
+	pes := []int{2, 3, 4}
+	mips := []float64{500, 750, 1000}
+	env := &cloud.Environment{}
+	hosts := make([]*cloud.Host, 8)
+	for i := range hosts {
+		hosts[i] = cloud.NewHost(i, cloud.NewPEs(4, 1000), 1<<16, 1<<20, 1<<30)
+		vm := cloud.NewVM(i, mips[i%3], pes[i%3], 512, 500, 5000)
+		if err := hosts[i].Place(vm); err != nil {
+			t.Fatal(err)
+		}
+		env.VMs = append(env.VMs, vm)
+	}
+	env.Datacenters = []*cloud.Datacenter{cloud.NewDatacenter(0, "space", cloud.Characteristics{}, hosts)}
+
+	r := rand.New(rand.NewSource(17))
+	cls := make([]*cloud.Cloudlet, 600)
+	vms := make([]*cloud.VM, len(cls))
+	arrivals := make([]float64, len(cls))
+	for i := range cls {
+		cls[i] = cloud.NewCloudlet(i, 500+r.Float64()*5000, 1+r.Intn(5), 0, 0)
+		vms[i] = env.VMs[r.Intn(len(env.VMs))]
+		arrivals[i] = float64(i/4) * 0.04
+	}
+
+	eng := sim.NewEngine()
+	broker := cloud.NewBroker(eng, env, cloud.SpaceSharedFactory)
+	if err := broker.SubmitAllSchedule(cls, vms, arrivals); err != nil {
+		t.Fatal(err)
+	}
+	if err := broker.FailVM(env.VMs[2], 8, cloud.LeastLoadedFailover); err != nil {
+		t.Fatal(err)
+	}
+	if err := broker.FailVM(env.VMs[5], 20.5, cloud.FastestFailover); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if got := len(broker.Finished()); got != len(cls) || len(broker.Lost()) != 0 || broker.Migrations() == 0 {
+		t.Fatalf("finished %d of %d, lost %d, migrated %d", got, len(cls), len(broker.Lost()), broker.Migrations())
+	}
+
+	h := sha256.New()
+	var buf [8]byte
+	for _, c := range cls {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(c.ID))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(c.VM.ID))
+		h.Write(buf[:])
+		for _, v := range []float64{float64(c.StartTime), float64(c.FinishTime)} {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	binary.LittleEndian.PutUint64(buf[:], eng.Fired())
+	h.Write(buf[:])
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSpaceSharedDigestPinned compares the space-shared failover run's
+// digest with its pinned value.
+func TestSpaceSharedDigestPinned(t *testing.T) {
+	if got := spaceSharedDigest(t); got != pinnedSpaceSharedDigest {
+		t.Errorf("digest %s, pinned %s", got, pinnedSpaceSharedDigest)
 	}
 }
 

@@ -219,16 +219,24 @@ type SpaceShared struct {
 	onFinish FinishFunc
 
 	freePEs int
-	running map[*Cloudlet]*spaceRun
-	queue   []*Cloudlet
+	running []*spaceRun // unordered; each run knows its slot
+	queue   []*Cloudlet // waiting cloudlets from head on
+	head    int
+	spare   []*spaceRun // retired runs, reused by dispatch
 }
 
 // spaceRun tracks one executing cloudlet so it can be drained mid-flight.
+// Runs are recycled: each keeps its completion event and the closure that
+// event fires for the scheduler's whole life, and dispatch re-arms the
+// event with Engine.Reschedule.
 type spaceRun struct {
+	c       *Cloudlet
+	slot    int // index in running
 	pes     int
 	rate    float64  // MIPS while running
 	started sim.Time // when this run segment began
 	event   *sim.Event
+	fire    func()
 }
 
 // NewSpaceShared returns a space-shared scheduler bound to vm on eng.
@@ -236,14 +244,14 @@ func NewSpaceShared(eng *sim.Engine, vm *VM, onFinish FinishFunc) *SpaceShared {
 	if eng == nil || vm == nil {
 		panic("cloud: NewSpaceShared with nil engine or VM")
 	}
-	return &SpaceShared{eng: eng, vm: vm, onFinish: onFinish, freePEs: vm.PEs, running: make(map[*Cloudlet]*spaceRun)}
+	return &SpaceShared{eng: eng, vm: vm, onFinish: onFinish, freePEs: vm.PEs}
 }
 
 // Name implements CloudletScheduler.
 func (s *SpaceShared) Name() string { return "space-shared" }
 
 // Resident implements CloudletScheduler.
-func (s *SpaceShared) Resident() int { return len(s.running) + len(s.queue) }
+func (s *SpaceShared) Resident() int { return len(s.running) + len(s.queue) - s.head }
 
 // Submit implements CloudletScheduler.
 func (s *SpaceShared) Submit(c *Cloudlet) {
@@ -253,6 +261,13 @@ func (s *SpaceShared) Submit(c *Cloudlet) {
 	c.VM = s.vm
 	c.SubmitTime = s.eng.Now()
 	c.Status = CloudletQueued
+	if s.head > 0 && len(s.queue) == cap(s.queue) && 2*s.head >= len(s.queue) {
+		// The backing array is full and at least half of it is dispatched
+		// slots: slide the waiting cloudlets down rather than growing it.
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue, s.head = s.queue[:n], 0
+	}
 	s.queue = append(s.queue, c)
 	s.dispatch()
 }
@@ -260,8 +275,8 @@ func (s *SpaceShared) Submit(c *Cloudlet) {
 // dispatch starts queued cloudlets while PEs are free.
 func (s *SpaceShared) dispatch() {
 	now := s.eng.Now()
-	for len(s.queue) > 0 {
-		c := s.queue[0]
+	for s.head < len(s.queue) {
+		c := s.queue[s.head]
 		need := c.PEs
 		if need > s.vm.PEs {
 			// The cloudlet can never get more PEs than the VM has; run it on
@@ -271,26 +286,58 @@ func (s *SpaceShared) dispatch() {
 		if need > s.freePEs {
 			return
 		}
-		s.queue = s.queue[1:]
+		s.queue[s.head] = nil
+		s.head++
 		s.freePEs -= need
 		c.Status = CloudletRunning
 		c.StartTime = now
 		rate := s.vm.MIPS * float64(need)
-		eta := c.remaining / rate
-		run := &spaceRun{pes: need, rate: rate, started: now}
-		run.event = s.eng.Schedule(eta, sim.PriorityRelease, func() { s.finish(c) })
-		s.running[c] = run
+		run := s.newRun()
+		run.c, run.pes, run.rate, run.started = c, need, rate, now
+		run.slot = len(s.running)
+		s.running = append(s.running, run)
+		if at := now + c.remaining/rate; run.event == nil {
+			run.event = s.eng.ScheduleAt(at, sim.PriorityRelease, run.fire)
+		} else {
+			s.eng.Reschedule(run.event, at)
+		}
 	}
 }
 
+// newRun takes a run from the free list, or makes one with its fire
+// closure bound.
+func (s *SpaceShared) newRun() *spaceRun {
+	if n := len(s.spare); n > 0 {
+		run := s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+		return run
+	}
+	run := &spaceRun{}
+	run.fire = func() { s.finish(run) }
+	return run
+}
+
+// retire takes run out of running and onto the free list.
+func (s *SpaceShared) retire(run *spaceRun) {
+	last := len(s.running) - 1
+	moved := s.running[last]
+	s.running[run.slot] = moved
+	moved.slot = run.slot
+	s.running[last] = nil
+	s.running = s.running[:last]
+	run.c = nil
+	s.spare = append(s.spare, run)
+}
+
 // finish retires one running cloudlet and refills the PEs.
-func (s *SpaceShared) finish(c *Cloudlet) {
-	run := s.running[c]
-	delete(s.running, c)
+func (s *SpaceShared) finish(run *spaceRun) {
+	c := run.c
+	s.freePEs += run.pes
+	s.retire(run)
 	c.remaining = 0
 	c.Status = CloudletFinished
 	c.FinishTime = s.eng.Now()
-	s.freePEs += run.pes
 	if s.onFinish != nil {
 		s.onFinish(c)
 	}
@@ -302,8 +349,9 @@ func (s *SpaceShared) finish(c *Cloudlet) {
 func (s *SpaceShared) Drain() []*Cloudlet {
 	now := s.eng.Now()
 	var out []*Cloudlet
-	for c, run := range s.running {
+	for _, run := range s.running {
 		s.eng.Cancel(run.event)
+		c := run.c
 		done := run.rate * (now - run.started)
 		c.remaining -= done
 		if c.remaining < 0 {
@@ -311,14 +359,18 @@ func (s *SpaceShared) Drain() []*Cloudlet {
 		}
 		s.freePEs += run.pes
 		out = append(out, c)
+		run.c = nil
+		s.spare = append(s.spare, run)
 	}
-	s.running = make(map[*Cloudlet]*spaceRun)
-	out = append(out, s.queue...)
-	s.queue = nil
+	clear(s.running)
+	s.running = s.running[:0]
+	out = append(out, s.queue[s.head:]...)
+	clear(s.queue)
+	s.queue, s.head = s.queue[:0], 0
 	for _, c := range out {
 		c.interrupt()
 	}
-	// Deterministic order for callers that iterate (map order above).
+	// Deterministic order for callers that iterate (running is unordered).
 	sortCloudletsByID(out)
 	return out
 }

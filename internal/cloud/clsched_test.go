@@ -353,6 +353,36 @@ func TestTimeSharedSubmitFinishAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSpaceSharedSubmitFinishAllocatesNothing: once warmed, submitting
+// cloudlets to one space-shared VM and running them to completion
+// allocates nothing. Run records and their completion events come from the
+// scheduler's free list, and the wait queue shifts in place.
+func TestSpaceSharedSubmitFinishAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	vm := NewVM(0, 1000, 2, 512, 500, 5000)
+	finished := 0
+	vm.bind(SpaceSharedFactory(eng, vm, func(*Cloudlet) { finished++ }))
+	batch := make([]*Cloudlet, 8)
+	for i := range batch {
+		batch[i] = NewCloudlet(i, float64(100*(i+1)), 1+i%3, 0, 0)
+	}
+	cycle := func() {
+		for _, c := range batch {
+			c.reset()
+			vm.Scheduler().Submit(c)
+			eng.RunUntil(eng.Now() + 0.1)
+		}
+		eng.Run()
+	}
+	const runs = 20
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Fatalf("%v allocations per cycle of %d cloudlets, want 0", allocs, len(batch))
+	}
+	if want := (runs + 1) * len(batch); finished != want {
+		t.Fatalf("finished %d cloudlets, want %d", finished, want)
+	}
+}
+
 func BenchmarkTimeSharedThousandCloudlets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()

@@ -1,0 +1,64 @@
+package plan
+
+import (
+	"strconv"
+	"testing"
+)
+
+// perfbenchSpec is `cloudsched plan`'s perfbench spec at seed 1: MMPP
+// arrivals switching between 200/s and 800/s, exponential 1 000 MI
+// cloudlets on single-PE 1 000-MIPS VMs behind the central queue, fleet
+// searched over [1, 2048] for p99 ≤ 6 s. Its verdict is 12 probes and a
+// smallest fleet of 345.
+const perfbenchSpec = `{
+  "name": "perfbench-plan-verdict",
+  "workload": {"process": "mmpp", "rate_a": 200, "rate_b": 800, "sojourn_a": 6, "sojourn_b": 1,
+               "cloudlets": 25000, "warmup": 500, "mean_length_mi": 1000},
+  "fleet": {"vm_mips": 1000, "vm_pes": 1, "min_vms": 1, "max_vms": 2048, "dispatch": "queue"},
+  "slo": {"quantile": 0.99, "target_seconds": 6},
+  "seed": 1
+}`
+
+func parsePerfbenchSpec(b *testing.B) *Spec {
+	b.Helper()
+	spec, err := ParseSpec([]byte(perfbenchSpec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return spec
+}
+
+// BenchmarkPlanVerdict answers the perfbench spec: one op is one full
+// verdict, every probe included.
+func BenchmarkPlanVerdict(b *testing.B) {
+	spec := parsePerfbenchSpec(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := Plan(spec, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(v.Probes) != 12 || v.MinFleet != 345 {
+			b.Fatalf("%d probes, smallest fleet %d; want 12 and 345", len(v.Probes), v.MinFleet)
+		}
+	}
+}
+
+// BenchmarkPlanRun is one probe of that verdict at the fleet bound it
+// starts from (2048 VMs, mostly idle) and at its answer (345 VMs, the
+// queue often non-empty).
+func BenchmarkPlanRun(b *testing.B) {
+	spec := parsePerfbenchSpec(b)
+	for _, fleet := range []int{2048, 345} {
+		b.Run(strconv.Itoa(fleet), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(spec, fleet, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -58,36 +58,82 @@ func vmNeed(c *cloud.Cloudlet, vm *cloud.VM) int {
 // each completion pulling the queue head onto the freed capacity. For a
 // homogeneous fleet and single-PE cloudlets this is textbook M/M/c — the
 // property the qmodel-oracle invariant certifies.
+//
+// The VM pick is a flat max-tree over the VMs' free PEs: leaf size+i holds
+// VM i's free PEs (padding leaves hold 0) and every inner node the larger
+// of its two children. pick descends from the root, going left whenever
+// the left subtree has a VM that fits, so it lands on the lowest-ID VM
+// with free ≥ need, which is what a scan in ID order finds. That is exact
+// because the fleet is homogeneous: a cloudlet needs min(c.PEs, vm.PEs)
+// PEs, the same on every VM, so one comparison per node is the scan's
+// comparison for every VM below it. A root below need answers "nothing
+// fits" at once, which is the common case in onFinish's drain loop when
+// the fleet is saturated.
 type centralQueue struct {
-	broker  *cloud.Broker
-	vms     []*cloud.VM
-	index   map[*cloud.VM]int
-	freePEs []int
-	fifo    []*cloud.Cloudlet
-	head    int
+	broker *cloud.Broker
+	vms    []*cloud.VM // vms[i].ID == i
+	free   []int       // the max-tree, root at 1, leaves from len(free)/2
+	fifo   []*cloud.Cloudlet
+	head   int
 }
 
-func newCentralQueue(broker *cloud.Broker, vms []*cloud.VM) *centralQueue {
-	q := &centralQueue{broker: broker, vms: vms, index: make(map[*cloud.VM]int, len(vms)), freePEs: make([]int, len(vms))}
-	for i, vm := range vms {
-		q.index[vm] = i
-		q.freePEs[i] = vm.PEs
+// newCentralQueue builds the queue over buildFleet's fleet. It requires
+// what the max-tree and the ID-indexed release rely on: every VM has the
+// same PEs and VM i has ID i.
+func newCentralQueue(broker *cloud.Broker, vms []*cloud.VM) (*centralQueue, error) {
+	size := 1
+	for size < len(vms) {
+		size *= 2
 	}
-	return q
+	q := &centralQueue{broker: broker, vms: vms, free: make([]int, 2*size)}
+	for i, vm := range vms {
+		if vm.ID != i {
+			return nil, fmt.Errorf("plan: central queue needs VM IDs 0..%d in order, VM %d has ID %d", len(vms)-1, i, vm.ID)
+		}
+		if vm.PEs != vms[0].PEs {
+			return nil, fmt.Errorf("plan: central queue needs a homogeneous fleet, VM %d has %d PEs and VM 0 has %d", i, vm.PEs, vms[0].PEs)
+		}
+		q.free[size+i] = vm.PEs
+	}
+	for k := size - 1; k >= 1; k-- {
+		q.free[k] = max(q.free[2*k], q.free[2*k+1])
+	}
+	return q, nil
 }
 
 // pick returns the lowest-ID VM index with enough free PEs for c, or -1.
 func (q *centralQueue) pick(c *cloud.Cloudlet) int {
-	for i, vm := range q.vms {
-		if q.freePEs[i] >= vmNeed(c, vm) {
-			return i
+	need := vmNeed(c, q.vms[0])
+	if q.free[1] < need {
+		return -1
+	}
+	k, size := 1, len(q.free)/2
+	for k < size {
+		k *= 2
+		if q.free[k] < need {
+			k++
 		}
 	}
-	return -1
+	return k - size
+}
+
+// adjust adds delta to VM i's free PEs and restores the max on the path to
+// the root, stopping where a node's value does not change.
+func (q *centralQueue) adjust(i, delta int) {
+	k := len(q.free)/2 + i
+	q.free[k] += delta
+	for k > 1 {
+		k /= 2
+		m := max(q.free[2*k], q.free[2*k+1])
+		if q.free[k] == m {
+			return
+		}
+		q.free[k] = m
+	}
 }
 
 func (q *centralQueue) dispatch(c *cloud.Cloudlet, i int) {
-	q.freePEs[i] -= vmNeed(c, q.vms[i])
+	q.adjust(i, -vmNeed(c, q.vms[i]))
 	q.broker.Submit(c, q.vms[i])
 }
 
@@ -104,8 +150,7 @@ func (q *centralQueue) arrive(c *cloud.Cloudlet) {
 // somewhere — strict FIFO: if the head fits nowhere, nothing behind it may
 // overtake.
 func (q *centralQueue) onFinish(c *cloud.Cloudlet) {
-	i := q.index[c.VM]
-	q.freePEs[i] += vmNeed(c, c.VM)
+	q.adjust(c.VM.ID, vmNeed(c, c.VM))
 	for q.head < len(q.fifo) {
 		next := q.fifo[q.head]
 		j := q.pick(next)
@@ -232,7 +277,9 @@ func Run(spec *Spec, fleet int, opts *RunOptions) (*RunResult, error) {
 	var queue *centralQueue
 	mode := spec.DispatchMode()
 	if mode == DispatchQueue {
-		queue = newCentralQueue(broker, env.VMs)
+		if queue, err = newCentralQueue(broker, env.VMs); err != nil {
+			return nil, err
+		}
 	}
 	broker.OnFinish(func(c *cloud.Cloudlet) {
 		if queue != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -230,7 +231,7 @@ func (sh *shard) mapAndExecute(worker int, subs []*submission, cls []*cloud.Clou
 		Rand:        sh.rands[worker],
 	}
 	start := time.Now()
-	assignments, err := sh.mappers[worker].Schedule(ctx)
+	assignments, err := sh.schedule(worker, ctx)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -248,6 +249,19 @@ func (sh *shard) mapAndExecute(worker int, subs []*submission, cls []*cloud.Clou
 		}
 	}
 	return sh.session.Run(), schedTime, nil
+}
+
+// schedule runs the worker's batch mapper and turns a panic in it into an
+// error, so a faulty scheduler fails only the batch it was mapping: the
+// cloudlets are marked failed with the panic text, schedd_failed_total
+// counts them, and the shard goes on serving.
+func (sh *shard) schedule(worker int, ctx *sched.Context) (as []sched.Assignment, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("scheduler %s panicked: %v", sh.svc.cfg.Scheduler, p)
+		}
+	}()
+	return sh.mappers[worker].Schedule(ctx)
 }
 
 // applyDeadlines converts relative SLA bounds to the shard session's

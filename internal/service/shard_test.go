@@ -2,13 +2,43 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bioschedsim/internal/sched"
 )
+
+// shardPanicPlant is a batch scheduler that maps like "base" on the shard
+// owning VM 0 and panics on every other shard.
+type shardPanicPlant struct{ base sched.Scheduler }
+
+const shardPanicText = "plant: no mapping off shard 0"
+
+func (p *shardPanicPlant) Name() string { return "shard-panic-plant" }
+
+func (p *shardPanicPlant) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
+	for _, vm := range ctx.VMs {
+		if vm.ID == 0 {
+			return p.base.Schedule(ctx)
+		}
+	}
+	panic(shardPanicText)
+}
+
+func init() {
+	sched.Register("shard-panic-plant", func() sched.Scheduler {
+		base, err := sched.New("base")
+		if err != nil {
+			panic(err)
+		}
+		return &shardPanicPlant{base: base}
+	})
+}
 
 func TestDispatcherDeterministicLeastWork(t *testing.T) {
 	// Same seed, same length stream → identical routing decisions.
@@ -248,5 +278,69 @@ func TestServiceShardedOnlinePolicy(t *testing.T) {
 	}
 	if got := svc.prom.finishedTotal(); got != 30 {
 		t.Fatalf("finished = %d, want 30", got)
+	}
+}
+
+// TestServiceShardedSchedulerPanicFailsOnlyItsBatch: a batch scheduler that
+// panics on one shard of two fails just the batches it was mapping. Their
+// cloudlets are marked failed with the panic text and counted in
+// schedd_failed_total; the daemon keeps accepting, the other shard keeps
+// finishing work after the panics, and after drain every accepted
+// cloudlet is either finished or failed.
+func TestServiceShardedSchedulerPanicFailsOnlyItsBatch(t *testing.T) {
+	svc := startService(t, Config{Scheduler: "shard-panic-plant", Shards: 2, BatchSize: 8, FlushInterval: 2 * time.Millisecond})
+	if svc.shards[0].vms[0].ID != 0 {
+		t.Fatalf("shard 0 starts at VM %d; the plant keys on VM 0", svc.shards[0].vms[0].ID)
+	}
+	ids, err := svc.Submit(specN(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for svc.prom.failedTotal() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no batch failed on the panicking shard")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	finishedBefore := svc.shards[0].prom.finished.Load()
+	if !svc.Accepting() {
+		t.Fatal("the daemon stopped accepting after a scheduler panic")
+	}
+	more, err := svc.Submit(specN(40))
+	if err != nil {
+		t.Fatalf("submit after a scheduler panic: %v", err)
+	}
+	ids = append(ids, more...)
+	drain(t, svc)
+
+	states := map[int]map[string]int{0: {}, 1: {}}
+	for _, id := range ids {
+		rec, ok := svc.Status(id)
+		if !ok {
+			t.Fatalf("cloudlet %d has no status", id)
+		}
+		states[rec.Shard][rec.State]++
+		if rec.State == StateFailed && !strings.Contains(rec.Error, shardPanicText) {
+			t.Errorf("cloudlet %d failed with %q, want the panic text", id, rec.Error)
+		}
+	}
+	if states[0][StateFinished] == 0 || len(states[0]) != 1 {
+		t.Errorf("shard 0 states %v, want every cloudlet finished", states[0])
+	}
+	if states[1][StateFailed] == 0 || len(states[1]) != 1 {
+		t.Errorf("shard 1 states %v, want every cloudlet failed", states[1])
+	}
+	if got := svc.shards[0].prom.finished.Load(); got <= finishedBefore {
+		t.Errorf("shard 0 finished %d cloudlets, no more than the %d before the second wave", got, finishedBefore)
+	}
+	finished, failed := svc.prom.finishedTotal(), svc.prom.failedTotal()
+	if finished+failed != uint64(len(ids)) {
+		t.Errorf("accepted %d, but finished %d + failed %d", len(ids), finished, failed)
+	}
+	var sb strings.Builder
+	svc.WriteMetrics(&sb)
+	if want := fmt.Sprintf("schedd_failed_total %d\n", failed); !strings.Contains(sb.String(), want) {
+		t.Errorf("metrics output missing %q", want)
 	}
 }

@@ -105,8 +105,9 @@ go test -run 'TestShardInvariance' ./internal/check
 # be caught with a runnable `cloudsched plan oracle` replay line.
 go test -run 'TestQModelOracle' ./internal/check
 # The same sweep through internal/plan's own differential table, plus the
-# fleet-shape invariance (c 1-PE VMs vs one c-PE VM, bit-identical).
-go test -run 'TestQModelDifferential|TestCentralQueueFleetShapeInvariant' ./internal/plan
+# fleet-shape invariance (c 1-PE VMs vs one c-PE VM, bit-identical) and the
+# central queue's max-tree VM pick against the linear scan it replaced.
+go test -run 'TestQModelDifferential|TestCentralQueueFleetShapeInvariant|TestCentralQueuePickMatchesScan' ./internal/plan
 
 go test -race ./...
 # Explicit race gate over the parallel mapping kernels: the invariance and
