@@ -1,9 +1,9 @@
 // Worker-count scaling curves for the parallel mapping kernels. Each
-// benchmark fans the same figure workload over workers ∈ {1, 2, 4, 8} so
-// `scripts/bench_parallel.sh` can record BENCH_parallel.json and
-// `verify.sh bench-smoke` can gate serial-vs-parallel regressions. Results
-// are bit-identical at every worker count (see the worker-invariance suite);
-// only wall clock may move.
+// benchmark fans the same figure workload over workers ∈ {1, 2, 4, 8}, so
+// `go test . -run '^$' -bench 'ParallelFig5a|ParallelFig6b' -benchtime=500ms`
+// records the curves and `verify.sh bench-smoke` gates serial-vs-parallel
+// regressions. Results are bit-identical at every worker count (see the
+// worker-invariance suite); only wall clock may move.
 package bioschedsim_test
 
 import (
@@ -71,9 +71,10 @@ func BenchmarkParallelFig6b(b *testing.B) {
 
 // BenchmarkParallelPaperScale is the paper-scale smoke point: 10k VMs x
 // 100k cloudlets, homogeneous (the fleet the paper sizes its largest
-// tables against). One mapping decision per iteration — run it via
-// scripts/bench_parallel.sh with -benchtime=1x; rbs and hbo only, since
-// ACO's O(ants*n*m) construction is not a single-smoke-point workload.
+// tables against). One mapping decision per iteration — run it with
+// `go test . -run '^$' -bench ParallelPaperScale -benchtime=1x`; rbs and
+// hbo only, since ACO's O(ants*n*m) construction is not a
+// single-smoke-point workload.
 func BenchmarkParallelPaperScale(b *testing.B) {
 	scenario := homScenario(b, 10000, 100000)()
 	for _, alg := range []string{"hbo", "rbs"} {

@@ -47,18 +47,28 @@ func BenchmarkPlanVerdict(b *testing.B) {
 
 // BenchmarkPlanRun is one probe of that verdict at the fleet bound it
 // starts from (2048 VMs, mostly idle) and at its answer (345 VMs, the
-// queue often non-empty).
+// queue often non-empty), under central-queue dispatch and under spread
+// dispatch (each arrival straight to the least-loaded VM). events/s is DES
+// events fired per wall second; the engine is serial, so it is a per-core
+// figure.
 func BenchmarkPlanRun(b *testing.B) {
-	spec := parsePerfbenchSpec(b)
-	for _, fleet := range []int{2048, 345} {
-		b.Run(strconv.Itoa(fleet), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(spec, fleet, nil); err != nil {
-					b.Fatal(err)
+	for _, dispatch := range []string{DispatchQueue, DispatchSpread} {
+		spec := parsePerfbenchSpec(b)
+		spec.Fleet.Dispatch = dispatch
+		for _, fleet := range []int{2048, 345} {
+			b.Run(dispatch+"/"+strconv.Itoa(fleet), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				var events uint64
+				for i := 0; i < b.N; i++ {
+					res, err := Run(spec, fleet, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					events += res.EngineEvents
 				}
-			}
-		})
+				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+			})
+		}
 	}
 }

@@ -57,7 +57,8 @@ type Config struct {
 	FlushInterval time.Duration
 
 	// QueueCap bounds each shard's admission queue. Submissions beyond a
-	// target shard's bound are rejected with ErrQueueFull (HTTP 429) instead
+	// target shard's bound are rejected with ErrQueueFull (HTTP 429), or
+	// with ErrTooLarge (HTTP 413) when the request alone exceeds it, instead
 	// of queueing unboundedly or spilling onto other shards — backpressure is
 	// a per-shard signal, so a hot shard refuses work while the rest of the
 	// fleet keeps accepting.

@@ -30,9 +30,14 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// maxSubmitBytes bounds a submit body. It leaves ~256 bytes per spec for a
+// request of DefaultQueueCap cloudlets, several times a spec's wire size
+// with every field set; a larger body is refused with 413 before decoding.
+const maxSubmitBytes = 1 << 20
+
 // Handler returns the daemon's HTTP API:
 //
-//	POST /v1/submit       accept one cloudlet or a batch (202, 400, 429, 503)
+//	POST /v1/submit       accept one cloudlet or a batch (202, 400, 413, 429, 503)
 //	GET  /v1/status/{id}  one cloudlet's lifecycle record (200, 404)
 //	GET  /v1/schedulers   registered batch schedulers and online policies
 //	GET  /healthz         200 while accepting, 503 while draining
@@ -63,7 +68,7 @@ func decodeSubmit(r io.Reader) ([]CloudletSpec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("malformed request: %v", err)
+		return nil, fmt.Errorf("malformed request: %w", err)
 	}
 	specs := req.Cloudlets
 	if len(specs) == 0 {
@@ -76,13 +81,20 @@ func decodeSubmit(r io.Reader) ([]CloudletSpec, error) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	specs, err := decodeSubmit(r.Body)
+	specs, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorResponse{Error: err.Error()})
 		return
 	}
 	ids, err := s.Submit(specs)
 	switch {
+	case errors.Is(err, ErrTooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: err.Error()})
+		return
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})

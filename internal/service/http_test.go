@@ -138,6 +138,56 @@ func TestHTTPBackpressure429(t *testing.T) {
 	}
 }
 
+// A request larger than a shard's queue is 413 with no Retry-After: no
+// retry could ever admit it.
+func TestHTTPRequestLargerThanQueue413(t *testing.T) {
+	_, ts := startHTTP(t, Config{Scheduler: "base", BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4})
+	resp, body := postJSON(t, ts.URL+"/v1/submit", `{"cloudlets": [{"length":1},{"length":1},{"length":1},{"length":1},{"length":1}]}`)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("got %d %s, want 413", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Fatalf("413 carries Retry-After %q", ra)
+	}
+}
+
+// submitBody renders n fully populated specs as one batch request.
+func submitBody(n int) string {
+	var sb strings.Builder
+	sb.WriteString(`{"cloudlets": [`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `{"length": %d.125, "pes": 1, "file_size": 300.5, "output_size": 300.5, "deadline": 86400.75}`, 1000+i)
+	}
+	sb.WriteString(`]}`)
+	return sb.String()
+}
+
+// The submit body is bounded: past maxSubmitBytes the request is 413
+// before it is decoded, while a request of QueueCap specs at the default
+// config fits under the bound and is accepted.
+func TestHTTPSubmitBodyLimit(t *testing.T) {
+	_, ts := startHTTP(t, Config{Scheduler: "base"})
+
+	full := submitBody(DefaultQueueCap)
+	if len(full) >= maxSubmitBytes {
+		t.Fatalf("a %d-spec body is %d bytes, over the %d-byte limit", DefaultQueueCap, len(full), maxSubmitBytes)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/submit", full)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("QueueCap-sized request: got %d %.200s, want 202", resp.StatusCode, body)
+	}
+
+	// Whitespace is valid JSON, so only the byte bound can refuse this.
+	oversized := `{"length": 1` + strings.Repeat(" ", maxSubmitBytes) + `}`
+	resp, body = postJSON(t, ts.URL+"/v1/submit", oversized)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: got %d %s, want 413", resp.StatusCode, body)
+	}
+}
+
 func TestHTTPStatusNotFoundAndBadID(t *testing.T) {
 	_, ts := startHTTP(t, Config{Scheduler: "base"})
 	if code, _ := getBody(t, ts.URL+"/v1/status/99999"); code != http.StatusNotFound {

@@ -12,6 +12,11 @@ import (
 // traffic toward the shards with headroom.
 var ErrQueueFull = errors.New("service: admission queue full")
 
+// ErrTooLarge rejects a request that routes more cloudlets to one shard
+// than that shard's whole queue holds. No retry can ever admit it, so the
+// HTTP layer maps it to 413 with no Retry-After; the client must split it.
+var ErrTooLarge = errors.New("service: request larger than a shard's admission queue")
+
 // ErrDraining rejects work arriving after shutdown began (HTTP 503).
 var ErrDraining = errors.New("service: draining, not accepting submissions")
 

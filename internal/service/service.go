@@ -136,11 +136,12 @@ func (s *Service) Accepting() bool { return s.accepting.Load() }
 
 // Submit validates and admits a request of one or more cloudlets
 // atomically: either every spec gets a queue slot on its routed shard and
-// an id, or the whole request is rejected (ErrQueueFull when any target
-// shard lacks room, ErrDraining after shutdown began, a validation error
-// for malformed specs). Routing happens before admission and its load
-// charges are never rolled back, so rejected requests still steer future
-// traffic away from the shard that refused them.
+// an id, or the whole request is rejected (ErrTooLarge when it routes more
+// cloudlets to one shard than its QueueCap, ErrQueueFull when any target
+// shard lacks room right now, ErrDraining after shutdown began, a
+// validation error for malformed specs). Routing happens before admission
+// and its load charges are never rolled back, so rejected requests still
+// steer future traffic away from the shard that refused them.
 func (s *Service) Submit(specs []CloudletSpec) ([]int, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("service: empty submission")
@@ -159,6 +160,11 @@ func (s *Service) Submit(specs []CloudletSpec) ([]int, error) {
 	for i, spec := range specs {
 		target[i] = s.disp.route(spec.Length)
 		counts[target[i]]++
+	}
+	for _, n := range counts {
+		if n > s.cfg.QueueCap {
+			return nil, ErrTooLarge
+		}
 	}
 
 	// All-or-nothing across shards: acquire each target shard's slots in

@@ -227,6 +227,34 @@ func TestServiceBackpressure(t *testing.T) {
 	}
 }
 
+// A request that routes more cloudlets to one shard than the shard's whole
+// queue holds can never be admitted, so it is ErrTooLarge, not the
+// retryable ErrQueueFull, and it takes no admission slot.
+func TestServiceRejectsRequestLargerThanQueue(t *testing.T) {
+	svc := startService(t, Config{Scheduler: "base", BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4})
+	if _, err := svc.Submit(specN(5)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("want ErrTooLarge, got %v", err)
+	}
+	if depth := svc.prom.queueDepthTotal(); depth != 0 {
+		t.Fatalf("queue depth = %v after an oversized request, want 0", depth)
+	}
+	// The queue is still whole: a request of exactly QueueCap fits.
+	if _, err := svc.Submit(specN(4)); err != nil {
+		t.Fatalf("QueueCap-sized request: %v", err)
+	}
+
+	// The bound is per shard: six equal cloudlets over two shards of 4
+	// route three to each and are admitted.
+	sharded := startService(t, Config{Scheduler: "base", Shards: 2, BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4})
+	specs := make([]CloudletSpec, 6)
+	for i := range specs {
+		specs[i] = CloudletSpec{Length: 1000}
+	}
+	if _, err := sharded.Submit(specs); err != nil {
+		t.Fatalf("request within every shard's cap: %v", err)
+	}
+}
+
 // TestServiceConcurrentSubmissionsRace is the acceptance gate: ≥1000
 // concurrent submissions against a deliberately small queue, under -race in
 // verify.sh. Every submission must be either accepted-and-finished or

@@ -147,7 +147,10 @@ func TestSyntheticTraceDeterministic(t *testing.T) {
 }
 
 // BenchmarkReadTrace measures the CSV ingest hot path (ReuseRecord + output
-// preallocation; the columnar numbers live in BENCH_trace.json).
+// preallocation). The columnar side of the same 100 000 rows is
+// tracecol.BenchmarkReadColumnar:
+//
+//	go test -run '^$' -bench 'ReadTrace|ReadColumnar' ./internal/workload ./internal/tracecol
 func BenchmarkReadTrace(b *testing.B) {
 	entries, err := SyntheticTrace(HeterogeneousCloudletSpec(), 100_000, 8, 42)
 	if err != nil {
