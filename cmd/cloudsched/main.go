@@ -104,7 +104,7 @@ Commands:
       -n N -rate R -out PATH -deadline-slack S -columnar -compress
       -process poisson|mmpp|diurnal   arrival process (mmpp: -rate-a -rate-b
       -sojourn-a -sojourn-b; diurnal: -amplitude -period, rate from -rate)
-  plan -spec PATH          capacity verdict: binary-search the smallest
+  plan -spec PATH          capacity verdict: search for the smallest
                            fleet that sustains the spec's workload within
                            its latency SLO (elastic specs: one autoscaled
                            run from min_vms)

@@ -93,6 +93,28 @@ func buildEnv(opt *options) (*cloud.Environment, error) {
 	}
 }
 
+// Connection deadlines. A client gets readHeaderTimeout to send its request
+// headers and readTimeout for the whole request, a 1 MiB submit body
+// included; an idle keep-alive connection is closed after idleTimeout. Without
+// them a client that trickles bytes (slowloris) holds a goroutine and a
+// connection for ever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in a server with the
+// connection deadlines above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // run starts the daemon and blocks until ctx is cancelled, then drains. If
 // ready is non-nil it receives the bound listen address once serving — the
 // hook integration tests use to find an OS-assigned loopback port.
@@ -109,7 +131,7 @@ func run(ctx context.Context, opt *options, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := newHTTPServer(svc.Handler())
 	errC := make(chan error, 1)
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {

@@ -224,3 +224,13 @@ func TestScheddSIGTERMDrains(t *testing.T) {
 		t.Fatal("daemon did not drain after SIGTERM")
 	}
 }
+
+// TestHTTPServerHasDeadlines: the daemon's server must bound how long a
+// client may take over its headers, its request and an idle keep-alive.
+func TestHTTPServerHasDeadlines(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("server deadlines header=%v read=%v idle=%v; all must be positive",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+}

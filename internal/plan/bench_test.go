@@ -8,7 +8,7 @@ import (
 // perfbenchSpec is `cloudsched plan`'s perfbench spec at seed 1: MMPP
 // arrivals switching between 200/s and 800/s, exponential 1 000 MI
 // cloudlets on single-PE 1 000-MIPS VMs behind the central queue, fleet
-// searched over [1, 2048] for p99 ≤ 6 s. Its verdict is 12 probes and a
+// searched over [1, 2048] for p99 ≤ 6 s. Its verdict is 6 probes and a
 // smallest fleet of 345.
 const perfbenchSpec = `{
   "name": "perfbench-plan-verdict",
@@ -39,15 +39,15 @@ func BenchmarkPlanVerdict(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(v.Probes) != 12 || v.MinFleet != 345 {
-			b.Fatalf("%d probes, smallest fleet %d; want 12 and 345", len(v.Probes), v.MinFleet)
+		if len(v.Probes) != 6 || v.MinFleet != 345 {
+			b.Fatalf("%d probes, smallest fleet %d; want 6 and 345", len(v.Probes), v.MinFleet)
 		}
 	}
 }
 
-// BenchmarkPlanRun is one probe of that verdict at the fleet bound it
-// starts from (2048 VMs, mostly idle) and at its answer (345 VMs, the
-// queue often non-empty), under central-queue dispatch and under spread
+// BenchmarkPlanRun is one probe of that spec at its largest fleet (2048
+// VMs, mostly idle) and at its answer (345 VMs, the queue often
+// non-empty), under central-queue dispatch and under spread
 // dispatch (each arrival straight to the least-loaded VM). events/s is DES
 // events fired per wall second; the engine is serial, so it is a per-core
 // figure.

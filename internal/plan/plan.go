@@ -2,7 +2,10 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+
+	"bioschedsim/internal/workload"
 )
 
 // Probe is one measured fleet size inside a verdict, in probe order.
@@ -51,15 +54,34 @@ func (v *Verdict) probe(fleet int, opts *RunOptions) (bool, error) {
 }
 
 // Plan answers "will this fleet sustain the workload within the SLO?". For
-// static specs it binary-searches the smallest fleet size in
-// [MinVMs, MaxVMs] that meets the SLO — queue wait is monotone in capacity,
-// so the passing region is an up-set and bisection is sound. For elastic
-// specs it runs once from MinVMs and reports whether the autoscaler held
-// the SLO and how big the fleet had to get. Every probe is recorded so the
-// verdict documents its own evidence.
+// static specs it searches [MinVMs, MaxVMs] for the smallest fleet that
+// meets the SLO. It keeps bisection's bracket: L, the largest fleet known
+// to miss (MinVMs−1 until one does), and H, the smallest known to meet
+// (MaxVMs+1 until one does), with every probe strictly between them. The
+// first probe is c₀ = ⌈λ̄/(μ·VMPes)⌉, the ρ = 1 point at the long-run
+// arrival rate. Each later probe is steered by the quantiles already
+// measured: a fleet interpolated, linearly in 1/QuantileValue, through the
+// two probes nearest 1/TargetSeconds. Until both ends of the bracket are
+// real probes the search steps toward the missing end, galloping by
+// c₀/8·2^k after k+1 probes when the estimate points the other way or has
+// been taken maxCreep times in a row. Once bracketed it bisects
+// when the estimate is not finite or falls outside the bracket, and when
+// the bracket has not halved over the last two probes. The search stops at
+// H = L+1, the state bisection ends in, so where the passing region is an
+// up-set (queue dispatch: a bigger fleet delays no cloudlet) MinFleet is
+// bisection's answer; under spread dispatch MinFleet met and MinFleet−1
+// missed or lies below MinVMs.
+//
+// For elastic specs Plan runs once from MinVMs and reports whether the
+// autoscaler held the SLO and how big the fleet had to get. Every probe is
+// recorded so the verdict documents its own evidence. opts.Recorder must
+// be nil: a recorder shared by every probe would mix their samples.
 func Plan(spec *Spec, opts *RunOptions) (*Verdict, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if opts != nil && opts.Recorder != nil {
+		return nil, fmt.Errorf("plan: RunOptions.Recorder is per run; Plan probes many fleets and cannot share one")
 	}
 	v := &Verdict{Spec: spec, Elastic: spec.Elastic != nil}
 	if v.Elastic {
@@ -74,31 +96,131 @@ func Plan(spec *Spec, opts *RunOptions) (*Verdict, error) {
 		return v, nil
 	}
 
-	lo, hi := spec.Fleet.MinVMs, spec.Fleet.MaxVMs
-	// The whole search is pointless if even the largest allowed fleet
-	// misses the SLO — establish the upper bracket first.
-	met, err := v.probe(hi, opts)
-	if err != nil {
-		return nil, err
+	var proc workload.ArrivalProcess
+	if opts != nil {
+		proc = opts.Process
 	}
-	if !met {
-		return v, nil
-	}
-	v.Sustainable = true
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		met, err := v.probe(mid, opts)
-		if err != nil {
+	if proc == nil {
+		var err error
+		if proc, err = spec.Workload.Arrivals(); err != nil {
 			return nil, err
 		}
+	}
+	c0 := clampFleet(math.Ceil(proc.Rate()/(spec.ServiceRate()*float64(spec.Fleet.VMPes))),
+		spec.Fleet.MinVMs, spec.Fleet.MaxVMs)
+	if err := v.search(c0, func(fleet int) (bool, error) { return v.probe(fleet, opts) }); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// search is Plan's static capacity search, starting at c0. probe measures
+// one fleet, appends it to v.Probes and reports whether it met the SLO.
+func (v *Verdict) search(c0 int, probe func(fleet int) (bool, error)) error {
+	minVMs, maxVMs := v.Spec.Fleet.MinVMs, v.Spec.Fleet.MaxVMs
+	step := max(c0/8, 1) // c₀/8·2^k
+
+	lo, hi := minVMs-1, maxVMs+1 // L and H
+	var widths []int             // hi−lo after each probe
+	creep := 0                   // outward estimates taken in a row
+	for next := c0; ; {
+		met, err := probe(next)
+		if err != nil {
+			return err
+		}
 		if met {
-			hi = mid
+			hi = next
 		} else {
-			lo = mid + 1
+			lo = next
+		}
+		if hi == lo+1 {
+			break
+		}
+		widths = append(widths, hi-lo)
+
+		est := v.estimate() // NaN fails every comparison below
+		switch {
+		case creep < maxCreep && (hi > maxVMs && est > float64(lo) || lo < minVMs && est < float64(hi)):
+			// One end of the bracket is missing and the estimate
+			// points toward it.
+			next = clampFleet(math.Round(est), lo+1, hi-1)
+			creep++
+		case hi > maxVMs: // nothing met yet: gallop up
+			next, creep = lo+step, 0
+		case lo < minVMs: // nothing missed yet: gallop down
+			next, creep = hi-step, 0
+		case est > float64(lo) && est < float64(hi) && !stalled(widths):
+			next = clampFleet(math.Round(est), lo+1, hi-1)
+		default:
+			next = lo + (hi-lo)/2
+		}
+		next = min(max(next, lo+1), hi-1)
+		step = min(2*step, maxVMs)
+	}
+	if hi <= maxVMs {
+		v.Sustainable = true
+		v.MinFleet = hi
+	}
+	return nil
+}
+
+// maxCreep is how many outward estimates search takes in a row before it
+// gallops. A latency curve that reaches the target tangentially makes every
+// estimate fall a little short, and the gallop bounds that creep.
+const maxCreep = 4
+
+// estimate interpolates the fleet size at which 1/QuantileValue reaches
+// 1/TargetSeconds, through the two probes whose 1/QuantileValue lies
+// nearest it. The reciprocal is close to linear in capacity near the
+// answer, where latency grows like 1/(cμ − λ). It returns NaN with fewer
+// than two usable probes; equal quantiles give ±Inf or NaN, which every
+// caller treats as "no estimate".
+func (v *Verdict) estimate() float64 {
+	target := 1 / v.Spec.SLO.TargetSeconds
+	a, b := -1, -1
+	dist := func(i int) float64 { return math.Abs(1/v.Probes[i].QuantileValue - target) }
+	for i := range v.Probes {
+		d := dist(i)
+		if math.IsNaN(d) {
+			continue
+		}
+		switch {
+		case a < 0 || d < dist(a):
+			a, b = i, a
+		case b < 0 || d < dist(b):
+			b = i
 		}
 	}
-	v.MinFleet = lo
-	return v, nil
+	if b < 0 {
+		return math.NaN()
+	}
+	pa, pb := v.Probes[a], v.Probes[b]
+	xa, xb := 1/pa.QuantileValue, 1/pb.QuantileValue
+	est := float64(pa.Fleet) + (target-xa)*float64(pb.Fleet-pa.Fleet)/(xb-xa)
+	if math.IsInf(est, 0) {
+		return math.NaN()
+	}
+	return est
+}
+
+// stalled reports whether the bracket failed to halve over the last two
+// probes.
+func stalled(widths []int) bool {
+	n := len(widths)
+	return n >= 3 && 2*widths[n-1] > widths[n-3]
+}
+
+// clampFleet converts a fleet estimate to an int in [lo, hi], clamping
+// before the conversion so a huge or NaN estimate cannot overflow.
+func clampFleet(f float64, lo, hi int) int {
+	switch {
+	case f >= float64(hi):
+		return hi
+	case f > float64(lo):
+		return int(f)
+	default: // below lo, or NaN
+		return lo
+	}
 }
 
 // ReplayCommand formats the one-liner that reproduces a single measured

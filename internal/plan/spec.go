@@ -2,7 +2,7 @@
 // "will this fleet sustain arrival rate R within a pXX latency SLO of T?"
 // by running the deterministic simulator over a seeded arrival process,
 // recording per-cloudlet wait and latency (arrival → completion) into
-// metrics.Histogram, and binary-searching the smallest fleet that meets the
+// metrics.Histogram, and searching for the smallest fleet that meets the
 // SLO. Experiment runs are driven by a spec file (workload, fleet,
 // dispatch, SLO, success criteria) so every result is self-documenting and
 // replayable: the same spec and seed reproduce the same verdict bit for
@@ -88,7 +88,7 @@ type FleetSpec struct {
 	VMMips float64 `json:"vm_mips"` // per-PE MIPS of each VM
 	VMPes  int     `json:"vm_pes"`  // PEs per VM
 
-	// MinVMs/MaxVMs bound the binary search (and the autoscaler, when the
+	// MinVMs/MaxVMs bound the fleet search (and the autoscaler, when the
 	// spec is elastic).
 	MinVMs int `json:"min_vms"`
 	MaxVMs int `json:"max_vms"`

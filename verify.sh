@@ -107,9 +107,11 @@ go test -run 'TestShardInvariance' ./internal/check
 # be caught with a runnable `cloudsched plan oracle` replay line.
 go test -run 'TestQModelOracle' ./internal/check
 # The same sweep through internal/plan's own differential table, plus the
-# fleet-shape invariance (c 1-PE VMs vs one c-PE VM, bit-identical) and the
-# central queue's max-tree VM pick against the linear scan it replaced.
-go test -run 'TestQModelDifferential|TestCentralQueueFleetShapeInvariant|TestCentralQueuePickMatchesScan' ./internal/plan
+# fleet-shape invariance (c 1-PE VMs vs one c-PE VM, bit-identical), the
+# central queue's max-tree VM pick against the linear scan it replaced, and
+# the quantile-steered capacity search against the bisection it replaced
+# (same MinFleet on every monotone spec, within twice bisection's probes).
+go test -run 'TestQModelDifferential|TestCentralQueueFleetShapeInvariant|TestCentralQueuePickMatchesScan|TestPlanSearchMatchesBisection' ./internal/plan
 
 go test -race ./...
 # Explicit race gate over the parallel mapping kernels: the invariance and
