@@ -6,14 +6,13 @@
 //
 // Usage:
 //
-//	schedlint [-C dir] [-rules r1,r2] [-workers n] [-json|-sarif]
-//	          [-baseline file] [-write-baseline file] [-list] [packages ...]
+//	schedlint [-C dir] [-rules r1,r2] [-json|-sarif] [-list] [packages ...]
 //
 // Package patterns are module-root-relative directories, with ./... for the
 // whole tree (the default). -json and -sarif emit machine-readable reports
-// (schema lint.SchemaVersion); -baseline filters known findings recorded by
-// a previous -write-baseline. Exit codes: 0 clean, 1 findings, 2 usage or
-// load error — suitable for CI gates (verify.sh runs
+// (schema lint.SchemaVersion). Any finding fails the run; an audited
+// //schedlint:ignore directive is the only suppression. Exit codes: 0 clean,
+// 1 findings, 2 usage or load error — suitable for CI gates (verify.sh runs
 // `go run ./cmd/schedlint ./...`; CI additionally uploads the -sarif report
 // for inline PR annotations).
 package main
@@ -35,12 +34,11 @@ func main() {
 
 // jsonReport is the -json output schema. CI consumers rely on these field
 // names; extend, do not rename. Schema identifies the report format version
-// and moves in lockstep with the SARIF and baseline schemas.
+// and moves in lockstep with the SARIF schema.
 type jsonReport struct {
 	Schema      string            `json:"schema"`
 	Packages    int               `json:"packages"`
 	Count       int               `json:"count"`
-	Baselined   int               `json:"baselined"`
 	Diagnostics []lint.Diagnostic `json:"diagnostics"`
 }
 
@@ -48,14 +46,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("schedlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dir           = fs.String("C", ".", "analyze the module containing this `directory`")
-		rules         = fs.String("rules", "", "comma-separated `rules` to run (default: all; see -list)")
-		workers       = fs.Int("workers", 0, "analysis worker `count`: 0 = GOMAXPROCS, 1 = serial (output is identical at every setting)")
-		jsonOut       = fs.Bool("json", false, "emit diagnostics as JSON")
-		sarifOut      = fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 (for CI code-scanning upload)")
-		baseline      = fs.String("baseline", "", "filter findings recorded in this baseline `file`")
-		writeBaseline = fs.String("write-baseline", "", "write current findings to this baseline `file` and exit 0")
-		listOnly      = fs.Bool("list", false, "list the registered rules and exit")
+		dir      = fs.String("C", ".", "analyze the module containing this `directory`")
+		rules    = fs.String("rules", "", "comma-separated `rules` to run (default: all; see -list)")
+		jsonOut  = fs.Bool("json", false, "emit diagnostics as JSON")
+		sarifOut = fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 (for CI code-scanning upload)")
+		listOnly = fs.Bool("list", false, "list the registered rules and exit")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: schedlint [flags] [package patterns, default ./...]\n")
@@ -83,22 +78,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Dir:      *dir,
 		Patterns: fs.Args(),
 		Rules:    ruleNames,
-		Workers:  *workers,
-		Baseline: *baseline,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "schedlint: %v\n", err)
 		return 2
-	}
-
-	if *writeBaseline != "" {
-		b := lint.NewBaseline(res.Diags)
-		if err := b.Write(*writeBaseline); err != nil {
-			fmt.Fprintf(stderr, "schedlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "schedlint: wrote %d finding(s) to baseline %s\n", len(res.Diags), *writeBaseline)
-		return 0
 	}
 
 	switch {
@@ -114,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Schema:      lint.SchemaVersion,
 			Packages:    res.Packages,
 			Count:       len(res.Diags),
-			Baselined:   res.Baselined,
 			Diagnostics: res.Diags,
 		}
 		if rep.Diagnostics == nil {
@@ -130,9 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if n := len(res.Diags); n > 0 {
 			fmt.Fprintf(stderr, "schedlint: %d finding(s) across %d package(s)\n", n, res.Packages)
-		}
-		if res.Baselined > 0 {
-			fmt.Fprintf(stderr, "schedlint: %d baselined finding(s) filtered\n", res.Baselined)
 		}
 	}
 	if len(res.Diags) > 0 {

@@ -52,7 +52,7 @@ func TestJSONGolden(t *testing.T) {
 		t.Fatalf("golden file is not valid JSON: %v", err)
 	}
 	if rep.Schema != lint.SchemaVersion {
-		t.Errorf("schema = %q, want %q (JSON, SARIF, and baseline version together)", rep.Schema, lint.SchemaVersion)
+		t.Errorf("schema = %q, want %q (JSON and SARIF version together)", rep.Schema, lint.SchemaVersion)
 	}
 	if rep.Count != len(rep.Diagnostics) || rep.Count != 2 {
 		t.Errorf("want count 2 matching diagnostics length, got count=%d len=%d", rep.Count, len(rep.Diagnostics))
@@ -64,26 +64,48 @@ func TestJSONGolden(t *testing.T) {
 	}
 }
 
-// TestJSONCleanTree proves the schema is stable on success: an empty
-// diagnostics array (never null), count 0, exit 0.
+// TestJSONCleanTree proves both machine schemas are stable on success:
+// exit 0, and an empty array (never null) — count 0 with [] diagnostics
+// under -json, [] results under -sarif (the report CI uploads on every run).
 func TestJSONCleanTree(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", "../..", "-json", "./internal/lint"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0; stdout: %s stderr: %s", code, stdout.String(), stderr.String())
-	}
-	var rep struct {
-		Count       int               `json:"count"`
-		Diagnostics []json.RawMessage `json:"diagnostics"`
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if rep.Count != 0 || rep.Diagnostics == nil || len(rep.Diagnostics) != 0 {
-		t.Errorf("clean tree must serialize as count 0 with [] diagnostics, got %s", stdout.String())
-	}
-	if !strings.Contains(stdout.String(), `"diagnostics": []`) {
-		t.Errorf("diagnostics must be [] (not null) on a clean tree, got %s", stdout.String())
+	for _, flag := range []string{"-json", "-sarif"} {
+		t.Run(flag, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run([]string{"-C", "../..", flag, "./internal/lint"}, &stdout, &stderr)
+			if code != 0 {
+				t.Fatalf("exit code = %d, want 0; stdout: %s stderr: %s", code, stdout.String(), stderr.String())
+			}
+			if flag == "-sarif" {
+				var log struct {
+					Runs []struct {
+						Results []json.RawMessage `json:"results"`
+					} `json:"runs"`
+				}
+				if err := json.Unmarshal(stdout.Bytes(), &log); err != nil {
+					t.Fatalf("bad SARIF: %v", err)
+				}
+				if len(log.Runs) != 1 || log.Runs[0].Results == nil || len(log.Runs[0].Results) != 0 {
+					t.Errorf("clean tree must serialize one run with [] results, got %s", stdout.String())
+				}
+				if !strings.Contains(stdout.String(), `"results": []`) {
+					t.Errorf("results must be [] (not null) on a clean tree, got %s", stdout.String())
+				}
+				return
+			}
+			var rep struct {
+				Count       int               `json:"count"`
+				Diagnostics []json.RawMessage `json:"diagnostics"`
+			}
+			if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+				t.Fatalf("bad JSON: %v", err)
+			}
+			if rep.Count != 0 || rep.Diagnostics == nil || len(rep.Diagnostics) != 0 {
+				t.Errorf("clean tree must serialize as count 0 with [] diagnostics, got %s", stdout.String())
+			}
+			if !strings.Contains(stdout.String(), `"diagnostics": []`) {
+				t.Errorf("diagnostics must be [] (not null) on a clean tree, got %s", stdout.String())
+			}
+		})
 	}
 }
 
@@ -227,71 +249,6 @@ func TestJSONSARIFExclusive(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "mutually exclusive") {
 		t.Errorf("stderr should explain the conflict: %q", stderr.String())
-	}
-}
-
-// TestBaselineRoundTrip: -write-baseline captures the fixture's findings;
-// rerunning with -baseline filters them (exit 0) while a fresh violation
-// class would still surface. The baseline file itself carries the shared
-// schema version.
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	bl := filepath.Join(dir, "baseline.json")
-	fix := filepath.Join("testdata", "jsonfix")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", fix, "-write-baseline", bl, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("write-baseline exit = %d, stderr: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(bl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b struct {
-		Schema   string `json:"schema"`
-		Findings []struct {
-			Count int `json:"count"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatalf("baseline is not valid JSON: %v", err)
-	}
-	if b.Schema != lint.SchemaVersion || len(b.Findings) != 2 {
-		t.Errorf("baseline schema=%q findings=%d, want %q/2", b.Schema, len(b.Findings), lint.SchemaVersion)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", fix, "-baseline", bl, "-json", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0; stdout: %s", code, stdout.String())
-	}
-	var rep struct {
-		Count     int `json:"count"`
-		Baselined int `json:"baselined"`
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Count != 0 || rep.Baselined != 2 {
-		t.Errorf("want count=0 baselined=2, got count=%d baselined=%d", rep.Count, rep.Baselined)
-	}
-}
-
-// TestWorkersDeterministic: the parallel per-package driver must emit
-// byte-identical reports at every worker count — the same contract the
-// engine enforces on the code it lints.
-func TestWorkersDeterministic(t *testing.T) {
-	outputs := make([]string, 0, 3)
-	for _, w := range []string{"1", "2", "8"} {
-		var stdout, stderr bytes.Buffer
-		code := run([]string{"-C", "../..", "-workers", w, "-json", "./..."}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("-workers %s exit = %d; stderr: %s", w, code, stderr.String())
-		}
-		outputs = append(outputs, stdout.String())
-	}
-	if outputs[0] != outputs[1] || outputs[1] != outputs[2] {
-		t.Errorf("output differs across worker counts:\n-workers 1:\n%s\n-workers 8:\n%s", outputs[0], outputs[2])
 	}
 }
 

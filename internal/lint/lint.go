@@ -44,8 +44,8 @@
 //
 // The reason is mandatory; malformed or unknown-rule directives are
 // themselves diagnosed (rule "ignore") so typos cannot silently disable a
-// check. Legacy findings can instead be carried in a baseline file (see
-// Baseline), which new rules use to land without bulk suppressions.
+// check. That directive is the only suppression: every other finding fails
+// the gate.
 package lint
 
 import (
@@ -59,9 +59,9 @@ import (
 )
 
 // SchemaVersion names the diagnostic output schema emitted by the JSON and
-// SARIF writers and recorded in baseline files. The three surfaces version
-// together: bump once here when any of them changes shape.
-const SchemaVersion = "schedlint/v2"
+// SARIF writers. The two surfaces version together: bump once here when
+// either of them changes shape.
+const SchemaVersion = "schedlint/v3"
 
 // Diagnostic is one finding, positioned at a module-root-relative file path.
 // The JSON field names are a stable schema consumed by CI tooling.
@@ -103,21 +103,6 @@ type Config struct {
 	Patterns []string
 	// Rules are the enabled rule names; empty means all registered rules.
 	Rules []string
-	// Workers bounds the per-package analysis fan-out under the repository
-	// convention: 0 means GOMAXPROCS, 1 forces serial. Loading and
-	// type-checking are always performed once per package regardless;
-	// workers only parallelize rule application, whose output is ordered by
-	// the final sort and therefore identical at every worker count.
-	Workers int
-	// Baseline is an optional path to a baseline file (see Baseline): known
-	// findings recorded there are filtered from the result and counted in
-	// Result.Baselined instead.
-	Baseline string
-	// Cache optionally shares loaded, type-checked packages across Run
-	// calls. Every package is parsed and type-checked at most once per
-	// Cache lifetime; the zero Config loads fresh. Sources must not change
-	// for the lifetime of a Cache.
-	Cache *Cache
 }
 
 // Result is a completed analysis.
@@ -126,8 +111,6 @@ type Result struct {
 	Diags []Diagnostic
 	// Packages is the number of packages analyzed.
 	Packages int
-	// Baselined counts findings absorbed by the Config.Baseline file.
-	Baselined int
 }
 
 // Analysis is the whole-module context handed to every rule: all loaded
@@ -197,21 +180,13 @@ func RuleNames() []string {
 
 // Run loads every package matched by cfg and applies the enabled rules.
 // It returns an error only for environmental failures (no module, bad
-// pattern, unknown rule name, unreadable baseline); findings are data, not
-// errors.
+// pattern, unknown rule name); findings are data, not errors.
 func Run(cfg Config) (*Result, error) {
 	rules, err := selectRules(cfg.Rules)
 	if err != nil {
 		return nil, err
 	}
-	var baseline *Baseline
-	if cfg.Baseline != "" {
-		baseline, err = LoadBaseline(cfg.Baseline)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ld, err := cfg.loader()
+	ld, err := newLoader(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -225,18 +200,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	analysis := newAnalysis(ld.allLoaded())
 
-	// Per-package rule application fans out across the worker pool; each
-	// worker writes only its own package's slot, and the final merge+sort is
-	// order-insensitive, so results are bit-identical at every worker count
-	// — the same contract the engine enforces on the code it lints.
+	// Per-package rule application fans out across min(GOMAXPROCS, len(pkgs))
+	// workers; each writes only its own package's slot, and the final
+	// merge+sort is order-insensitive, so results are bit-identical at every
+	// pool width — the same contract the engine enforces on the code it
+	// lints. A pool of one is the serial case.
 	perPkg := make([][]Diagnostic, len(pkgs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(pkgs))
 	analyze := func(i int) {
 		p := pkgs[i]
 		sup := scanSuppressions(p, ld.relFile)
@@ -263,28 +233,22 @@ func Run(cfg Config) (*Result, error) {
 		}
 		perPkg[i] = diags
 	}
-	if workers <= 1 {
-		for i := range pkgs {
-			analyze(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					analyze(i)
-				}
-			}()
-		}
-		for i := range pkgs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				analyze(i)
+			}
+		}()
 	}
+	for i := range pkgs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 
 	var diags []Diagnostic
 	for _, d := range perPkg {
@@ -306,11 +270,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return a.Message < b.Message
 	})
-	res := &Result{Diags: diags, Packages: len(pkgs)}
-	if baseline != nil {
-		res.Diags, res.Baselined = baseline.Filter(res.Diags)
-	}
-	return res, nil
+	return &Result{Diags: diags, Packages: len(pkgs)}, nil
 }
 
 // selectRules resolves names against the registry, defaulting to all.

@@ -43,8 +43,8 @@ type Package struct {
 // Every package is parsed and type-checked exactly once per loader: targets
 // and dependencies share one memoized universe (pkgs), so analyzing N
 // packages that all import internal/cloud type-checks internal/cloud once,
-// not N times. mu serializes the recursive load so a loader — and therefore
-// a Cache — may be shared across goroutines and Run calls.
+// not N times. mu serializes the recursive load so a loader may be shared
+// across goroutines.
 type loader struct {
 	mu      sync.Mutex
 	fset    *token.FileSet
@@ -53,42 +53,6 @@ type loader struct {
 	pkgs    map[string]*Package
 	loading map[string]bool
 	fakes   map[string]*types.Package
-}
-
-// Cache shares loaders — and with them every parsed, type-checked package —
-// across Run calls, keyed by resolved module root. A CLI process or a test
-// binary that analyzes the same module repeatedly pays the parse+check cost
-// once; see BenchmarkRunRepoCached. Sources must not change for the
-// lifetime of a Cache.
-type Cache struct {
-	mu      sync.Mutex
-	loaders map[string]*loader
-}
-
-// NewCache returns an empty shared load cache.
-func NewCache() *Cache {
-	return &Cache{loaders: make(map[string]*loader)}
-}
-
-// loader resolves cfg's Dir to a loader, reusing the Cache's instance for
-// that module root when a Cache is configured.
-func (cfg Config) loader() (*loader, error) {
-	if cfg.Cache == nil {
-		return newLoader(cfg.Dir)
-	}
-	cfg.Cache.mu.Lock()
-	defer cfg.Cache.mu.Unlock()
-	// Resolve the module root first so "." and an absolute path to the same
-	// module share one loader.
-	probe, err := newLoader(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	if ld, ok := cfg.Cache.loaders[probe.modRoot]; ok {
-		return ld, nil
-	}
-	cfg.Cache.loaders[probe.modRoot] = probe
-	return probe, nil
 }
 
 // allLoaded returns every package the loader has materialized — targets and

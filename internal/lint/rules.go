@@ -50,7 +50,7 @@ var simclockExempt = []string{
 
 // registry holds every rule in canonical order. Rule names are part of the
 // suppression and -rules surface; treat them as API. New rules append —
-// renaming or reordering breaks committed suppressions and baselines.
+// renaming or reordering breaks committed suppressions.
 var registry = []Rule{
 	{
 		Name:  "detrand",
