@@ -293,10 +293,11 @@ var planProbes = []struct {
   "elastic": {"scale_up_load": 3, "scale_down_load": 0.5, "interval": 5, "boot_delay": 2},
   "seed": 3
 }`, 1},
-	// saturated-3pe works the central queue's VM pick: 3-PE VMs, a fleet
-	// that is no power of two, and MMPP bursts above the fleet's 111 PEs
-	// (mean load ~0.96), so the FIFO is often non-empty and every
-	// completion drains it onto the lowest-ID VM with a free PE.
+	// saturated-3pe works the central queue when it is full: 3-PE VMs, a
+	// fleet that is no power of two, and MMPP bursts above the fleet's
+	// 111 PEs (mean load ~0.96), so the FIFO is often non-empty and most
+	// cloudlets wait for a server to free. Its digest was recorded on the
+	// DES central queue and holds unchanged under the recursion.
 	{"saturated-3pe", `{
   "name": "saturated-3pe",
   "workload": {"process": "mmpp", "rate_a": 90, "rate_b": 140, "sojourn_a": 4, "sojourn_b": 2,

@@ -47,21 +47,32 @@ func BenchmarkPlanVerdict(b *testing.B) {
 
 // BenchmarkPlanRun is one probe of that spec at its largest fleet (2048
 // VMs, mostly idle) and at its answer (345 VMs, the queue often
-// non-empty), under central-queue dispatch and under spread
-// dispatch (each arrival straight to the least-loaded VM). events/s is DES
-// events fired per wall second; the engine is serial, so it is a per-core
-// figure.
+// non-empty), three ways: queue dispatch as Run computes it (the
+// recursion), queue dispatch on the DES oracle (des-queue, so one run
+// shows the per-probe ratio), and spread dispatch on the DES (each arrival
+// straight to the least-loaded VM). events/s is events per wall second; on
+// the queue legs it counts the 2n events the DES fires for a queue probe,
+// which the recursion reports without firing them. Each leg is serial, so
+// it is a per-core figure.
 func BenchmarkPlanRun(b *testing.B) {
-	for _, dispatch := range []string{DispatchQueue, DispatchSpread} {
+	legs := []struct {
+		name, dispatch string
+		run            func(*Spec, int, *RunOptions) (*RunResult, error)
+	}{
+		{DispatchQueue, DispatchQueue, Run},
+		{"des-queue", DispatchQueue, runDESQueue},
+		{DispatchSpread, DispatchSpread, Run},
+	}
+	for _, leg := range legs {
 		spec := parsePerfbenchSpec(b)
-		spec.Fleet.Dispatch = dispatch
+		spec.Fleet.Dispatch = leg.dispatch
 		for _, fleet := range []int{2048, 345} {
-			b.Run(dispatch+"/"+strconv.Itoa(fleet), func(b *testing.B) {
+			b.Run(leg.name+"/"+strconv.Itoa(fleet), func(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				var events uint64
 				for i := 0; i < b.N; i++ {
-					res, err := Run(spec, fleet, nil)
+					res, err := leg.run(spec, fleet, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -1,7 +1,10 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"bioschedsim/internal/cloud"
 	"bioschedsim/internal/elastic"
@@ -30,7 +33,10 @@ type RunResult struct {
 
 	ScaleUps, ScaleDowns int // autoscaler decisions (elastic only)
 
-	EngineEvents uint64 // DES events fired, for throughput benches
+	// EngineEvents is the number of DES events the run fires, for
+	// throughput benches. A static queue run fires none; it reports the 2n
+	// (n arrivals, n completions) the DES would fire for it.
+	EngineEvents uint64
 }
 
 // SLOValue returns the latency at the spec's SLO quantile.
@@ -44,137 +50,163 @@ func (r *RunResult) SLOMet(spec *Spec) bool {
 	return r.SLOValue(spec) <= spec.SLO.TargetSeconds
 }
 
-// vmNeed mirrors SpaceShared's PE accounting: a cloudlet occupies
-// min(c.PEs, vm.PEs) processing elements on its VM.
-func vmNeed(c *cloud.Cloudlet, vm *cloud.VM) int {
-	if c.PEs < vm.PEs {
-		return c.PEs
+// Run executes the spec's workload against a fleet of the given size and
+// returns the measured result. The run is a pure function of
+// (spec, fleet, opts): arrivals come from the spec's process (stream
+// seed/5, 8, or 9 by kind), service demands are exponential with mean
+// MeanLengthMI (stream (seed, 6)) — same spec, same seed, same verdict.
+// A static queue spec is FCFS over fleet × VMPes identical servers, which
+// serveQueue computes without an event list; spread and elastic specs,
+// with their per-VM queues and autoscaler ticks, run on the DES kernel.
+func Run(spec *Spec, fleet int, opts *RunOptions) (*RunResult, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-	return vm.PEs
+	if fleet < 1 {
+		return nil, fmt.Errorf("plan: fleet size must be at least 1, got %d", fleet)
+	}
+	offsets, lengths, rec, err := draw(spec, opts)
+	if err != nil {
+		return nil, err
+	}
+	if spec.DispatchMode() == DispatchQueue {
+		n := len(offsets)
+		servers := min(fleet, n) * min(spec.Fleet.VMPes, n) // servers past the n-th stay idle
+		serveQueue(min(servers, n), spec.Fleet.VMMips, offsets, lengths, spec.Workload.Warmup, rec)
+		return &RunResult{Fleet: fleet, PeakFleet: fleet, Recorder: rec, EngineEvents: 2 * uint64(n)}, nil
+	}
+	return simulate(spec, fleet, offsets, lengths, rec, func(b *cloud.Broker) (dispatcher, error) { return spread{b}, nil })
 }
 
-// centralQueue is the queue-dispatch engine: one FIFO over the whole
-// fleet, each arrival handed to the lowest-ID VM with enough free PEs, and
-// each completion pulling the queue head onto the freed capacity. For a
-// homogeneous fleet and single-PE cloudlets this is textbook M/M/c — the
-// property the qmodel-oracle invariant certifies.
-//
-// The VM pick is a flat max-tree over the VMs' free PEs: leaf size+i holds
-// VM i's free PEs (padding leaves hold 0) and every inner node the larger
-// of its two children. pick descends from the root, going left whenever
-// the left subtree has a VM that fits, so it lands on the lowest-ID VM
-// with free ≥ need, which is what a scan in ID order finds. That is exact
-// because the fleet is homogeneous: a cloudlet needs min(c.PEs, vm.PEs)
-// PEs, the same on every VM, so one comparison per node is the scan's
-// comparison for every VM below it. A root below need answers "nothing
-// fits" at once, which is the common case in onFinish's drain loop when
-// the fleet is saturated.
-type centralQueue struct {
-	broker *cloud.Broker
-	vms    []*cloud.VM // vms[i].ID == i
-	free   []int       // the max-tree, root at 1, leaves from len(free)/2
-	fifo   []*cloud.Cloudlet
-	head   int
-}
-
-// newCentralQueue builds the queue over buildFleet's fleet. It requires
-// what the max-tree and the ID-indexed release rely on: every VM has the
-// same PEs and VM i has ID i.
-func newCentralQueue(broker *cloud.Broker, vms []*cloud.VM) (*centralQueue, error) {
-	size := 1
-	for size < len(vms) {
-		size *= 2
+// draw returns a run's arrival offsets (finite and non-negative, not
+// necessarily sorted) and service demands, and the recorder for its
+// samples, honouring opts' overrides.
+func draw(spec *Spec, opts *RunOptions) (offsets, lengths []float64, rec Recorder, err error) {
+	if opts == nil {
+		opts = &RunOptions{}
 	}
-	q := &centralQueue{broker: broker, vms: vms, free: make([]int, 2*size)}
-	for i, vm := range vms {
-		if vm.ID != i {
-			return nil, fmt.Errorf("plan: central queue needs VM IDs 0..%d in order, VM %d has ID %d", len(vms)-1, i, vm.ID)
-		}
-		if vm.PEs != vms[0].PEs {
-			return nil, fmt.Errorf("plan: central queue needs a homogeneous fleet, VM %d has %d PEs and VM 0 has %d", i, vm.PEs, vms[0].PEs)
-		}
-		q.free[size+i] = vm.PEs
-	}
-	for k := size - 1; k >= 1; k-- {
-		q.free[k] = max(q.free[2*k], q.free[2*k+1])
-	}
-	return q, nil
-}
-
-// pick returns the lowest-ID VM index with enough free PEs for c, or -1.
-func (q *centralQueue) pick(c *cloud.Cloudlet) int {
-	need := vmNeed(c, q.vms[0])
-	if q.free[1] < need {
-		return -1
-	}
-	k, size := 1, len(q.free)/2
-	for k < size {
-		k *= 2
-		if q.free[k] < need {
-			k++
+	proc, rec := opts.Process, opts.Recorder
+	if proc == nil {
+		if proc, err = spec.Workload.Arrivals(); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	return k - size
+	if rec == nil {
+		rec = NewLatencyStats()
+	}
+	n := spec.Workload.Cloudlets
+	if offsets, err = proc.Offsets(n, spec.Seed); err != nil {
+		return nil, nil, nil, err
+	}
+	if len(offsets) != n {
+		return nil, nil, nil, fmt.Errorf("plan: arrival process %s drew %d offsets, want %d", proc.Name(), len(offsets), n)
+	}
+	for i, t := range offsets {
+		if !(t >= 0) || math.IsInf(t, 1) {
+			return nil, nil, nil, fmt.Errorf("plan: arrival offset %d is %v, want finite and non-negative", i, t)
+		}
+	}
+
+	// Service demands: exponential length with mean MeanLengthMI, clamped
+	// to the engine's positive-length floor. Stream (seed, 6) is reserved
+	// for service draws so arrival and service randomness never correlate.
+	lengths = make([]float64, n)
+	r := xrand.New(spec.Seed, 6)
+	for i := range lengths {
+		lengths[i] = max(r.ExpFloat64()*spec.Workload.MeanLengthMI, 1e-6)
+	}
+	return offsets, lengths, rec, nil
 }
 
-// adjust adds delta to VM i's free PEs and restores the max on the path to
-// the root, stopping where a node's value does not change.
-func (q *centralQueue) adjust(i, delta int) {
-	k := len(q.free)/2 + i
-	q.free[k] += delta
-	for k > 1 {
-		k /= 2
-		m := max(q.free[2*k], q.free[2*k+1])
-		if q.free[k] == m {
-			return
+// serveQueue serves the cloudlets first-come-first-served on slots
+// identical servers of mips MIPS by the Kiefer–Wolfowitz recursion, and
+// records each one past warmup. Arrivals are taken in stable offset
+// order, as the DES fires them. A min-heap holds each server's cloudlet,
+// keyed by (finish, serve position) and seeded with idle servers at −Inf.
+// Each arrival replaces the heap's top, whose cloudlet completes, and
+// starts at max(offset, that finish). The DES fires completions in
+// (finish, dispatch order), and strict FIFO dispatches in serve order.
+// Each entry pushed sorts after the one it replaces (no earlier finish, a
+// later position), so the pops, and the recorder's samples, come in the
+// DES's order.
+func serveQueue(slots int, mips float64, offsets, lengths []float64, warmup int, rec Recorder) {
+	order := make([]int, len(offsets))
+	for i := range order {
+		order[i] = i
+	}
+	if !slices.IsSorted(offsets) {
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(offsets[a], offsets[b]) })
+	}
+	h := make(serverHeap, slots)
+	for i := range h {
+		h[i] = running{finish: math.Inf(-1), pos: -1}
+	}
+	observeTop := func() {
+		if top := h[0]; top.pos >= 0 && order[top.pos] >= warmup {
+			arrival := offsets[order[top.pos]]
+			rec.Observe(top.start-arrival, top.finish-arrival)
 		}
-		q.free[k] = m
+	}
+	for pos, job := range order {
+		observeTop()
+		start := max(offsets[job], h[0].finish)
+		h[0] = running{start + lengths[job]/mips, start, pos}
+		h.down()
+	}
+	for len(h) > 0 {
+		observeTop()
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		h.down()
 	}
 }
 
-func (q *centralQueue) dispatch(c *cloud.Cloudlet, i int) {
-	q.adjust(i, -vmNeed(c, q.vms[i]))
-	q.broker.Submit(c, q.vms[i])
+// running is one cloudlet on a server: when it starts and finishes, and
+// its position in serve order (−1 for an idle server).
+type running struct {
+	finish, start float64
+	pos           int
 }
 
-// arrive dispatches immediately when capacity is free, else queues.
-func (q *centralQueue) arrive(c *cloud.Cloudlet) {
-	if i := q.pick(c); i >= 0 {
-		q.dispatch(c, i)
+// serverHeap is a binary min-heap of running entries ordered by finish,
+// then serve position.
+type serverHeap []running
+
+// down sifts the root into place.
+func (h serverHeap) down() {
+	if len(h) == 0 {
 		return
 	}
-	q.fifo = append(q.fifo, c)
-}
-
-// onFinish releases c's PEs and drains the queue head while it fits
-// somewhere — strict FIFO: if the head fits nowhere, nothing behind it may
-// overtake.
-func (q *centralQueue) onFinish(c *cloud.Cloudlet) {
-	q.adjust(c.VM.ID, vmNeed(c, c.VM))
-	for q.head < len(q.fifo) {
-		next := q.fifo[q.head]
-		j := q.pick(next)
-		if j < 0 {
+	before := func(a, b running) bool { return a.finish < b.finish || (!(b.finish < a.finish) && a.pos < b.pos) }
+	i, e := 0, h[0]
+	for c := 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && before(h[c+1], h[c]) {
+			c++
+		}
+		if !before(h[c], e) {
 			break
 		}
-		q.fifo[q.head] = nil // release for GC; the slice itself is reused
-		q.head++
-		q.dispatch(next, j)
+		h[i], i = h[c], c
 	}
-	// Compact the drained prefix once it dominates the backing array.
-	if q.head > 4096 && q.head*2 > len(q.fifo) {
-		q.fifo = append(q.fifo[:0], q.fifo[q.head:]...)
-		q.head = 0
-	}
+	h[i] = e
 }
 
-// spreadPick returns the VM with the fewest resident cloudlets (lowest ID
-// on ties) from the live fleet — the per-VM-queue dispatch the autoscaler
+// dispatcher places arrivals on the fleet during a DES run. released hears
+// of each completion after its PEs are free and before it is recorded.
+type dispatcher interface {
+	arrive(c *cloud.Cloudlet)
+	released(c *cloud.Cloudlet)
+}
+
+// spread submits each arrival to the live VM with the fewest resident
+// cloudlets (lowest ID on ties) — per-VM queues, the shape the autoscaler
 // monitors.
-func spreadPick(vms []*cloud.VM) *cloud.VM {
+type spread struct{ broker *cloud.Broker }
+
+func (s spread) arrive(c *cloud.Cloudlet) {
 	var best *cloud.VM
 	bestLoad := 0
-	for _, vm := range vms {
+	for _, vm := range s.broker.Environment().VMs {
 		if vm.Scheduler() == nil {
 			continue // still booting
 		}
@@ -183,19 +215,28 @@ func spreadPick(vms []*cloud.VM) *cloud.VM {
 			best, bestLoad = vm, load
 		}
 	}
-	return best
+	if best != nil {
+		s.broker.Submit(c, best)
+	}
 }
 
-// buildFleet materializes hosts and the initial VM fleet. hostSlots is the
-// number of single-VM hosts to provision (> fleet for elastic headroom).
-func buildFleet(spec *Spec, fleet, hostSlots int) (*cloud.Environment, error) {
+func (spread) released(*cloud.Cloudlet) {}
+
+// simulate runs drawn arrivals through the DES kernel on single-VM hosts
+// (MaxVMs of them for elastic headroom) with space-shared VMs, placed by
+// the dispatcher newDispatcher builds on the broker, and under the spec's
+// autoscaler when it has one.
+func simulate(spec *Spec, fleet int, offsets, lengths []float64, rec Recorder, newDispatcher func(*cloud.Broker) (dispatcher, error)) (*RunResult, error) {
+	slots := fleet
+	if spec.Elastic != nil {
+		slots = max(fleet, spec.Fleet.MaxVMs)
+	}
+	hosts := make([]*cloud.Host, slots)
 	env := &cloud.Environment{}
-	hosts := make([]*cloud.Host, hostSlots)
 	for i := range hosts {
 		hosts[i] = cloud.NewHost(i, cloud.NewPEs(spec.Fleet.VMPes, spec.Fleet.VMMips), 1<<16, 1<<20, 1<<30)
 	}
-	dc := cloud.NewDatacenter(0, "plan", cloud.Characteristics{}, hosts)
-	env.Datacenters = []*cloud.Datacenter{dc}
+	env.Datacenters = []*cloud.Datacenter{cloud.NewDatacenter(0, "plan", cloud.Characteristics{}, hosts)}
 	for i := 0; i < fleet; i++ {
 		vm := cloud.NewVM(i, spec.Fleet.VMMips, spec.Fleet.VMPes, 512, 500, 5000)
 		if err := hosts[i].Place(vm); err != nil {
@@ -203,103 +244,30 @@ func buildFleet(spec *Spec, fleet, hostSlots int) (*cloud.Environment, error) {
 		}
 		env.VMs = append(env.VMs, vm)
 	}
-	return env, nil
-}
-
-// Run executes the spec's workload against a fleet of the given size and
-// returns the measured result. The run is a pure function of
-// (spec, fleet, opts): arrivals come from the spec's process (stream
-// seed/5, 8, or 9 by kind), service demands are exponential with mean
-// MeanLengthMI (stream (seed, 6)), and the engine is the deterministic DES
-// kernel — same spec, same seed, same verdict.
-func Run(spec *Spec, fleet int, opts *RunOptions) (*RunResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if fleet < 1 {
-		return nil, fmt.Errorf("plan: fleet size must be at least 1, got %d", fleet)
-	}
-	if opts == nil {
-		opts = &RunOptions{}
-	}
-	proc := opts.Process
-	if proc == nil {
-		var err error
-		if proc, err = spec.Workload.Arrivals(); err != nil {
-			return nil, err
-		}
-	}
-	rec := opts.Recorder
-	if rec == nil {
-		rec = NewLatencyStats()
-	}
-
-	n := spec.Workload.Cloudlets
-	offsets, err := proc.Offsets(n, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	// Service demands: exponential length with mean MeanLengthMI, clamped
-	// to the engine's positive-length floor. Stream (seed, 6) is reserved
-	// for service draws so arrival and service randomness never correlate.
-	lengths := make([]float64, n)
-	r := xrand.New(spec.Seed, 6)
-	for i := range lengths {
-		l := r.ExpFloat64() * spec.Workload.MeanLengthMI
-		if l < 1e-6 {
-			l = 1e-6
-		}
-		lengths[i] = l
-	}
-
-	hostSlots := fleet
-	if spec.Elastic != nil && spec.Fleet.MaxVMs > hostSlots {
-		hostSlots = spec.Fleet.MaxVMs
-	}
-	env, err := buildFleet(spec, fleet, hostSlots)
-	if err != nil {
-		return nil, err
-	}
 	eng := sim.NewEngine()
 	broker := cloud.NewBroker(eng, env, cloud.SpaceSharedFactory)
+	d, err := newDispatcher(broker)
+	if err != nil {
+		return nil, err
+	}
 
+	n := len(offsets)
 	cloudlets := make([]*cloud.Cloudlet, n)
 	for i := range cloudlets {
 		cloudlets[i] = cloud.NewCloudlet(i, lengths[i], 1, 0, 0)
 	}
-
-	// Latency is measured against the arrival offset, not SubmitTime:
-	// under queue dispatch a cloudlet is only submitted once capacity
-	// frees, so its scheduler-visible wait is ~0 and the queueing delay
+	// Latency is measured against the arrival offset, not SubmitTime: a
+	// dispatcher may hold a cloudlet back, and its queueing delay then
 	// lives between arrival and submission.
 	warmup := spec.Workload.Warmup
-	var queue *centralQueue
-	mode := spec.DispatchMode()
-	if mode == DispatchQueue {
-		if queue, err = newCentralQueue(broker, env.VMs); err != nil {
-			return nil, err
-		}
-	}
 	broker.OnFinish(func(c *cloud.Cloudlet) {
-		if queue != nil {
-			queue.onFinish(c)
-		}
+		d.released(c)
 		if c.ID >= warmup {
 			arrival := offsets[c.ID]
 			rec.Observe(float64(c.StartTime)-arrival, float64(c.FinishTime)-arrival)
 		}
 	})
-
-	if queue != nil {
-		eng.ScheduleStream(offsets, sim.PriorityAcquire, func(i int) { queue.arrive(cloudlets[i]) })
-	} else {
-		eng.ScheduleStream(offsets, sim.PriorityAcquire, func(i int) {
-			if vm := spreadPick(broker.Environment().VMs); vm != nil {
-				broker.Submit(cloudlets[i], vm)
-			}
-		})
-	}
+	eng.ScheduleStream(offsets, sim.PriorityAcquire, func(i int) { d.arrive(cloudlets[i]) })
 
 	var scaler *elastic.Autoscaler
 	if e := spec.Elastic; e != nil {
@@ -317,7 +285,7 @@ func Run(spec *Spec, fleet int, opts *RunOptions) (*RunResult, error) {
 			// Arrivals are open, not a batch: monitoring must survive idle
 			// instants between them or one drained moment ends autoscaling
 			// for the rest of the run.
-			MonitorUntil: sim.Time(offsets[n-1]),
+			MonitorUntil: sim.Time(slices.Max(offsets)),
 		}
 		if scaler, err = elastic.New(broker, pol, cloud.SpaceSharedFactory, fleet); err != nil {
 			return nil, err

@@ -51,21 +51,20 @@ func TestQModelDifferential(t *testing.T) {
 // TestCentralQueueFleetShapeInvariant pins the M/M/c equivalence that makes
 // the oracle differential meaningful: a 4-VM × 1-PE fleet behind the
 // central queue and a single 4-PE VM are the same queueing system, so with
-// identical seeds their mean waits must be bit-identical.
+// identical seeds they must record the same samples, bit for bit and in
+// the same order. The recursion sees 4 servers either way, so on Run this
+// holds by construction; on the DES oracle it pins centralQueue and
+// SpaceShared to the M/M/c shape the recursion assumes.
 func TestCentralQueueFleetShapeInvariant(t *testing.T) {
 	multi := OracleCase{Rho: 0.6, Servers: 4, VMs: 4, N: 20000, Warmup: 2000, Mu: 1, Seed: 5, Tol: 0.10}
 	single := multi
 	single.VMs = 1
-	a, err := multi.RunOracle(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := single.RunOracle(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SimMeanWait != b.SimMeanWait || a.Count != b.Count {
-		t.Fatalf("4×1PE (%v, %d) differs from 1×4PE (%v, %d)", a.SimMeanWait, a.Count, b.SimMeanWait, b.Count)
+	for name, run := range map[string]func(*Spec, int, *RunOptions) (*RunResult, error){"recursion": Run, "des": runDESQueue} {
+		a := probeDigest(t, run, multi.Spec(), multi.VMs, nil)
+		b := probeDigest(t, run, single.Spec(), single.VMs, nil)
+		if a != b {
+			t.Fatalf("%s: 4×1PE digest %s differs from 1×4PE digest %s", name, a, b)
+		}
 	}
 }
 

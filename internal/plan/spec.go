@@ -1,7 +1,9 @@
 // Package plan is the SLO-driven capacity-planning harness: it answers
 // "will this fleet sustain arrival rate R within a pXX latency SLO of T?"
-// by running the deterministic simulator over a seeded arrival process,
-// recording per-cloudlet wait and latency (arrival → completion) into
+// by serving a seeded arrival process on a candidate fleet (the
+// Kiefer–Wolfowitz recursion for a static central queue, the DES kernel
+// for spread and elastic specs), recording per-cloudlet wait and latency
+// (arrival → completion) into
 // metrics.Histogram, and searching for the smallest fleet that meets the
 // SLO. Experiment runs are driven by a spec file (workload, fleet,
 // dispatch, SLO, success criteria) so every result is self-documenting and
@@ -9,9 +11,10 @@
 // bit.
 //
 // The engine's credibility rests on internal/check's qmodel-oracle
-// invariant: with queue dispatch the simulated fleet is an exact M/M/c
-// system whose mean wait is validated against internal/qmodel analytic
-// oracles at ρ ∈ {0.3, 0.6, 0.9}.
+// invariant: with queue dispatch the fleet is an exact M/M/c system whose
+// mean wait is validated against internal/qmodel analytic oracles at
+// ρ ∈ {0.3, 0.6, 0.9}. The recursion is in turn held bit for bit to the
+// DES central queue, which the package's tests keep as its oracle.
 package plan
 
 import (
@@ -27,9 +30,12 @@ import (
 // Dispatch modes.
 const (
 	// DispatchQueue holds arrivals in one central FIFO and hands each to
-	// the first VM with free PEs (lowest ID on ties). A homogeneous fleet
-	// under queue dispatch is an exact M/M/c queue, which is what lets
-	// internal/check validate the engine against analytic oracles.
+	// a free PE. Every cloudlet needs one PE, so a static fleet under
+	// queue dispatch is first-come-first-served over fleet × VMPes
+	// identical servers: Run computes it by the Kiefer–Wolfowitz
+	// recursion without the event list, and with Poisson arrivals it is
+	// the exact M/M/c queue internal/check validates against analytic
+	// oracles.
 	DispatchQueue = "queue"
 	// DispatchSpread submits each arrival immediately to the VM with the
 	// fewest resident cloudlets (lowest ID on ties) — per-VM queues, the

@@ -95,11 +95,15 @@ go test -run 'TestShardInvariance' ./internal/check
 # be caught with a runnable `cloudsched plan oracle` replay line.
 go test -run 'TestQModelOracle' ./internal/check
 # The same sweep through internal/plan's own differential table, plus the
-# fleet-shape invariance (c 1-PE VMs vs one c-PE VM, bit-identical), the
-# central queue's max-tree VM pick against the linear scan it replaced, and
-# the quantile-steered capacity search against the bisection it replaced
-# (same MinFleet on every monotone spec, within twice bisection's probes).
-go test -run 'TestQModelDifferential|TestCentralQueueFleetShapeInvariant|TestCentralQueuePickMatchesScan|TestPlanSearchMatchesBisection' ./internal/plan
+# fleet-shape invariance (c 1-PE VMs vs one c-PE VM, bit-identical on the
+# recursion and on the DES oracle), the DES central queue's max-tree VM
+# pick against the linear scan it replaced, the quantile-steered capacity
+# search against the bisection it replaced (same MinFleet on every
+# monotone spec, within twice bisection's probes), and the static queue
+# recursion against the DES central queue (the same ordered wait/latency
+# samples and event count, bit for bit, on the pinned probes, 300 random
+# specs, shuffled offsets and ties).
+go test -run 'TestQModelDifferential|TestCentralQueueFleetShapeInvariant|TestCentralQueuePickMatchesScan|TestPlanSearchMatchesBisection|TestQueueRecursionMatchesDES' ./internal/plan
 
 go test -race ./...
 # Explicit race gate over the parallel mapping kernels: the invariance and
