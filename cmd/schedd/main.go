@@ -66,8 +66,8 @@ func parseFlags(args []string) (*options, error) {
 	fs.Uint64Var(&opt.seed, "seed", 42, "root random seed for fleet generation")
 	fs.DurationVar(&opt.drainTimeout, "drain-timeout", 30*time.Second, "graceful drain bound on shutdown")
 	fs.StringVar(&opt.svc.Scheduler, "scheduler", "aco", "mapping algorithm (see /v1/schedulers)")
-	fs.IntVar(&opt.svc.BatchSize, "batch", service.DefaultBatchSize, "flush after this many cloudlets coalesce")
-	fs.DurationVar(&opt.svc.FlushInterval, "flush", service.DefaultFlushInterval, "flush a partial batch after this long")
+	fs.IntVar(&opt.svc.BatchSize, "batch", service.DefaultBatchSize, "largest batch; while a batch maps, the next goes out at this many cloudlets")
+	fs.DurationVar(&opt.svc.FlushInterval, "flush", service.DefaultFlushInterval, "how long a partial batch waits for a second mapper while one batch maps (an idle shard maps at once)")
 	fs.IntVar(&opt.svc.QueueCap, "queue", service.DefaultQueueCap, "admission queue bound (429 beyond it)")
 	fs.IntVar(&opt.svc.Workers, "workers", service.DefaultWorkers, "batch-mapping worker pool size")
 	fs.IntVar(&opt.svc.SchedWorkers, "sched-workers", service.DefaultSchedWorkers, "kernel pool per mapper for WorkerTunable schedulers (1 = serial; widening oversubscribes unless -workers shrinks)")

@@ -48,8 +48,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 
+	"bioschedsim/internal/cloud"
 	"bioschedsim/internal/objective"
 	"bioschedsim/internal/sched"
 	"bioschedsim/internal/xrand"
@@ -111,9 +114,62 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Scheduler is the ACO batch scheduler.
+// Scheduler is the ACO batch scheduler. It is safe for concurrent Schedule
+// calls: each call takes its own run buffers from a pool, and the fleet's
+// VM class partition is cached as an immutable snapshot.
 type Scheduler struct {
 	cfg Config
+
+	// runs pools *run values, so a stream of small batches reuses the
+	// pheromone, η^β, tour and ant buffers instead of allocating them per
+	// call.
+	runs sync.Pool
+	// fleet is the VM class partition of the last fleet scheduled onto.
+	fleet atomic.Pointer[fleetClasses]
+}
+
+// fleetClasses is one fleet's VM class partition together with the inputs
+// it was built from. It is immutable once published.
+type fleetClasses struct {
+	vms     []*cloud.VM
+	caps    []uint64 // math.Float64bits of each VM's Capacity()
+	bws     []uint64 // math.Float64bits of each VM's Bw
+	classes *objective.Classes
+}
+
+// matches reports whether vms is exactly the fleet f was built from: the
+// same VM pointers in the same order, with bit-identical capacity and
+// bandwidth, the only VM fields the partition reads.
+func (f *fleetClasses) matches(vms []*cloud.VM) bool {
+	if f == nil || len(f.vms) != len(vms) {
+		return false
+	}
+	for j, vm := range vms {
+		if vm != f.vms[j] || math.Float64bits(vm.Capacity()) != f.caps[j] || math.Float64bits(vm.Bw) != f.bws[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// classesFor returns the VM class partition of vms, rebuilding the cached
+// one only when the fleet changed since the last call.
+func (s *Scheduler) classesFor(vms []*cloud.VM) *objective.Classes {
+	if f := s.fleet.Load(); f.matches(vms) {
+		return f.classes
+	}
+	f := &fleetClasses{
+		vms:     append([]*cloud.VM(nil), vms...),
+		caps:    make([]uint64, len(vms)),
+		bws:     make([]uint64, len(vms)),
+		classes: objective.ClassesOf(vms),
+	}
+	for j, vm := range vms {
+		f.caps[j] = math.Float64bits(vm.Capacity())
+		f.bws[j] = math.Float64bits(vm.Bw)
+	}
+	s.fleet.Store(f)
+	return f.classes
 }
 
 // New returns an ACO scheduler with cfg; zero-value fields fall back to the
@@ -172,12 +228,18 @@ func (s *Scheduler) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
 	if ctx.Rand == nil {
 		return nil, fmt.Errorf("aco: scheduler requires ctx.Rand")
 	}
-	run := newRun(s.cfg, ctx)
-	best := run.search()
+	r, _ := s.runs.Get().(*run)
+	if r == nil {
+		r = newRun()
+	}
+	r.reset(s.cfg, ctx, s.classesFor(ctx.VMs))
+	best := r.search()
 	out := make([]sched.Assignment, len(ctx.Cloudlets))
 	for i, v := range best {
 		out[i] = sched.Assignment{Cloudlet: ctx.Cloudlets[i], VM: ctx.VMs[v]}
 	}
+	r.ctx, r.mx = nil, nil
+	s.runs.Put(r)
 	return out, nil
 }
 
@@ -191,7 +253,9 @@ const renormThreshold = 1e-120
 // break-even point sits well below PopEvaluator's per-individual one.
 const minParallelCells = 1 << 12
 
-// run carries the per-call search state. Execution estimates live in a
+// run carries one call's search state in buffers that outlive the call:
+// Schedule pools runs, and reset resizes every buffer to the next problem,
+// reallocating only when it has grown. Execution estimates live in a
 // shared objective.Matrix (compressed per VM class); pheromone has two
 // layouts:
 //
@@ -217,13 +281,15 @@ type run struct {
 
 	mx  *objective.Matrix // shared Eq. 6 cache
 	k   int               // VM class count
-	cls []int32           // VM → class index
+	cls []int32           // VM → class index (the fleet partition's, shared)
 
 	// etaCls caches η_ij^β per (cloudlet, class) when the execution matrix is
 	// materialized; nil means compute on demand (memory-bounded fallback).
-	etaCls []float64
+	// etaBuf is its backing store across calls.
+	etaCls, etaBuf []float64
 
 	g        float64   // global pheromone decay scalar
+	ba0      float64   // τ(0)^α, every cell's initial cached power
 	b        []float64 // dense: base pheromone per (cloudlet, VM), row-major
 	bAlpha   []float64 // dense: cached b^α, refreshed on deposit
 	bVM      []float64 // vector: base pheromone per VM
@@ -234,9 +300,19 @@ type run struct {
 	// it without synchronization.
 	tour []int
 	// scratch pools per-worker antScratch values so a parallel iteration
-	// never shares tabu lists, roulette weights, or evaluators across
-	// goroutines.
+	// never shares tabu lists, roulette weights, evaluators or generators
+	// across goroutines.
 	scratch sync.Pool
+
+	chunks   [][2]int  // ant k's cloudlet range [lo, hi)
+	tourLens []float64 // ant k's Eq. 8 tour quality this iteration
+	busy     []float64 // MakespanOf scratch
+	seed     uint64    // the search's draw off ctx.Rand
+	iterBase uint64    // child-stream index of the iteration's ant 0
+
+	// The fan-out bodies, bound to this run once so that handing them to
+	// objective.ParallelFor allocates nothing per call.
+	antFn, etaRowFn, tauRowFn func(int)
 
 	bestTour []int
 	bestLen  float64
@@ -247,70 +323,100 @@ type antScratch struct {
 	tabu []bool
 	cum  []float64            // roulette cumulative-weight buffer
 	eval *objective.Evaluator // incremental Eq. 8 scorer for ant tours
+	src  *xrand.Source        // repositioned on each ant's child stream
+	rnd  *rand.Rand           // draws from src
 }
 
+// getScratch returns a worker scratch sized and bound to r's problem. A
+// scratch left over from an earlier call is rebound on first use.
 func (r *run) getScratch() *antScratch {
-	if sc, ok := r.scratch.Get().(*antScratch); ok {
-		return sc
+	sc, _ := r.scratch.Get().(*antScratch)
+	if sc == nil {
+		src := xrand.NewSource(0)
+		return &antScratch{
+			tabu: make([]bool, r.m),
+			cum:  make([]float64, r.m),
+			eval: objective.NewEvaluator(r.mx, false),
+			src:  src,
+			rnd:  rand.New(src),
+		}
 	}
-	return &antScratch{
-		tabu: make([]bool, r.m),
-		cum:  make([]float64, r.m),
-		eval: objective.NewEvaluator(r.mx, false),
+	if sc.eval.Matrix() != r.mx {
+		sc.tabu = grow(sc.tabu, r.m)
+		sc.cum = grow(sc.cum, r.m)
+		sc.eval.Rebind(r.mx)
 	}
+	return sc
 }
 
-func newRun(cfg Config, ctx *sched.Context) *run {
-	r := &run{
-		cfg: cfg, ctx: ctx,
-		n: len(ctx.Cloudlets), m: len(ctx.VMs),
-		bestLen: math.Inf(1),
-		g:       1,
-	}
+// grow returns s with length n, reallocating only when its capacity is
+// short.
+func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+func newRun() *run {
+	r := &run{}
+	r.antFn = r.buildAnt
+	r.etaRowFn = r.fillEtaRow
+	r.tauRowFn = r.fillTauRow
+	return r
+}
+
+// reset prepares r for one search of ctx under cfg, with classes the VM
+// partition of ctx.VMs.
+func (r *run) reset(cfg Config, ctx *sched.Context, classes *objective.Classes) {
+	r.cfg, r.ctx = cfg, ctx
+	r.n, r.m = len(ctx.Cloudlets), len(ctx.VMs)
+	r.bestLen, r.g = math.Inf(1), 1
+	r.bestTour = r.bestTour[:0]
 	// The construction pool: one worker below the dispatch break-even point,
 	// otherwise the configured bound. Results never depend on the choice.
 	r.workers = objective.EffectiveWorkers(cfg.Workers, int64(r.n)*int64(r.m), minParallelCells)
-	r.mx = objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{MaxCells: cfg.MaxMatrixCells, Workers: cfg.Workers})
+	r.mx = objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{MaxCells: cfg.MaxMatrixCells, Workers: cfg.Workers, Classes: classes})
 	r.k = r.mx.K()
-	r.cls = make([]int32, r.m)
-	for j := 0; j < r.m; j++ {
-		r.cls[j] = int32(r.mx.Class(j))
-	}
+	r.cls = classes.Index
+	r.etaCls = nil
 	if r.mx.Cached() {
 		// η^β rows are independent; math.Pow per cell is exactly the kind of
 		// work that fans out cleanly.
-		r.etaCls = make([]float64, r.n*r.k)
-		objective.ParallelFor(r.workers, r.n, func(i int) {
-			row := r.etaCls[i*r.k : (i+1)*r.k]
-			for cl := range row {
-				row[cl] = etaPow(r.mx.ExecByClass(i, cl), cfg.Beta)
-			}
-		})
+		r.etaBuf = grow(r.etaBuf, r.n*r.k)
+		r.etaCls = r.etaBuf
+		objective.ParallelFor(r.workers, r.n, r.etaRowFn)
 	}
-	r.tour = make([]int, r.n)
+	r.tour = grow(r.tour, r.n)
 
 	r.dense = int64(r.n)*int64(r.m) <= cfg.MaxMatrixCells
-	ba0 := math.Pow(cfg.InitialTau, cfg.Alpha)
+	r.ba0 = math.Pow(cfg.InitialTau, cfg.Alpha)
 	if r.dense {
-		r.b = make([]float64, r.n*r.m)
-		r.bAlpha = make([]float64, r.n*r.m)
-		objective.ParallelFor(r.workers, r.n, func(i int) {
-			row := r.b[i*r.m : (i+1)*r.m]
-			rowA := r.bAlpha[i*r.m : (i+1)*r.m]
-			for idx := range row {
-				row[idx] = cfg.InitialTau
-				rowA[idx] = ba0
-			}
-		})
+		r.b = grow(r.b, r.n*r.m)
+		r.bAlpha = grow(r.bAlpha, r.n*r.m)
+		objective.ParallelFor(r.workers, r.n, r.tauRowFn)
 	} else {
-		r.bVM = make([]float64, r.m)
-		r.bVMAlpha = make([]float64, r.m)
+		r.bVM = grow(r.bVM, r.m)
+		r.bVMAlpha = grow(r.bVMAlpha, r.m)
 		for j := range r.bVM {
 			r.bVM[j] = cfg.InitialTau
-			r.bVMAlpha[j] = ba0
+			r.bVMAlpha[j] = r.ba0
 		}
 	}
-	return r
+}
+
+// fillEtaRow fills cloudlet i's row of the η^β cache.
+func (r *run) fillEtaRow(i int) {
+	row := r.etaCls[i*r.k : (i+1)*r.k]
+	for cl := range row {
+		row[cl] = etaPow(r.mx.ExecByClass(i, cl), r.cfg.Beta)
+	}
+}
+
+// fillTauRow sets cloudlet i's dense pheromone row to τ(0) and its cached
+// power to τ(0)^α.
+func (r *run) fillTauRow(i int) {
+	row := r.b[i*r.m : (i+1)*r.m]
+	rowA := r.bAlpha[i*r.m : (i+1)*r.m]
+	for idx := range row {
+		row[idx] = r.cfg.InitialTau
+		rowA[idx] = r.ba0
+	}
 }
 
 // etaPow returns η^β = (1/d)^β with the degenerate d≤0 case clamped so the
@@ -349,31 +455,27 @@ func (r *run) search() []int {
 	if ants > r.n {
 		ants = r.n // never more ants than cloudlets; the rest would idle
 	}
-	chunks := make([][2]int, ants)
+	r.chunks = grow(r.chunks, ants)
 	for k := 0; k < ants; k++ {
-		chunks[k] = [2]int{k * r.n / ants, (k + 1) * r.n / ants}
+		r.chunks[k] = [2]int{k * r.n / ants, (k + 1) * r.n / ants}
 	}
-	tourLens := make([]float64, ants)
-	busy := make([]float64, r.m)
+	r.tourLens = grow(r.tourLens, ants)
+	r.busy = grow(r.busy, r.m)
 	// One draw off the caller's stream seeds the whole search; ant k of
 	// iteration it then owns child stream it·ants+k, so its randomness
 	// depends only on (seed, iteration, ant) — never on worker interleaving.
-	seed := r.ctx.Rand.Uint64()
+	r.seed = r.ctx.Rand.Uint64()
 	for it := 0; it < r.cfg.Iterations; it++ {
-		base := uint64(it) * uint64(ants)
-		objective.ParallelFor(r.workers, ants, func(k int) {
-			sc := r.getScratch()
-			tourLens[k] = r.construct(chunks[k][0], chunks[k][1], xrand.New(seed, base+uint64(k)), sc)
-			r.scratch.Put(sc)
-		})
+		r.iterBase = uint64(it) * uint64(ants)
+		objective.ParallelFor(r.workers, ants, r.antFn)
 		iterBest := 0
 		for k := 1; k < ants; k++ {
-			if tourLens[k] < tourLens[iterBest] {
+			if r.tourLens[k] < r.tourLens[iterBest] {
 				iterBest = k
 			}
 		}
 		// Combined iteration quality: Eq. 8 makespan over the whole batch.
-		combined := r.mx.MakespanOf(r.tour, busy)
+		combined := r.mx.MakespanOf(r.tour, r.busy)
 		if combined < r.bestLen {
 			r.bestLen = combined
 			r.bestTour = append(r.bestTour[:0], r.tour...)
@@ -381,10 +483,10 @@ func (r *run) search() []int {
 		r.evaporate()
 		// Eq. 9/10: every ant deposits Q/L_k along its own chunk's edges.
 		for k := 0; k < ants; k++ {
-			r.depositChunk(chunks[k][0], chunks[k][1], r.cfg.Q/tourLens[k])
+			r.depositChunk(r.chunks[k][0], r.chunks[k][1], r.cfg.Q/r.tourLens[k])
 		}
 		// Eq. 11: elitist reinforcement of the iteration-best ant's tour.
-		r.depositChunk(chunks[iterBest][0], chunks[iterBest][1], r.cfg.Q/tourLens[iterBest])
+		r.depositChunk(r.chunks[iterBest][0], r.chunks[iterBest][1], r.cfg.Q/r.tourLens[iterBest])
 		if !r.dense {
 			// The vector layout refreshes its K≪n·m cached powers in one pass.
 			for j := range r.bVM {
@@ -393,6 +495,15 @@ func (r *run) search() []int {
 		}
 	}
 	return r.bestTour
+}
+
+// buildAnt runs ant k of the current iteration on a worker scratch, drawing
+// from the ant's own child stream.
+func (r *run) buildAnt(k int) {
+	sc := r.getScratch()
+	sc.src.SetStream(r.seed, r.iterBase+uint64(k))
+	r.tourLens[k] = r.construct(r.chunks[k][0], r.chunks[k][1], sc.rnd, sc)
+	r.scratch.Put(sc)
 }
 
 // construct builds one ant's tour for cloudlets [lo,hi) into r.tour[lo:hi]

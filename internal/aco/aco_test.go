@@ -1,10 +1,12 @@
 package aco
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"bioschedsim/internal/cloud"
 	"bioschedsim/internal/sched"
 	"bioschedsim/internal/schedtest"
 )
@@ -276,4 +278,71 @@ func BenchmarkTableII_ACOIteration(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkScheduleSmallBatch prices the batches a work-conserving daemon
+// hands ACO: a few cloudlets on a 50-VM heterogeneous fleet, one worker,
+// with the Table II colony. At these sizes the per-call fixed cost, not the
+// search, sets the time and the allocations.
+func BenchmarkScheduleSmallBatch(b *testing.B) {
+	for _, n := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ctx := schedtest.Heterogeneous(b, 50, n, 1)
+			s := New(Config{Workers: 1})
+			rnd := rand.New(rand.NewSource(1))
+			ctx.Rand = rnd
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Schedule(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// A warm scheduler reuses run buffers and the cached VM class partition
+// from earlier calls. Its tours must equal a cold scheduler's on every
+// problem, including a fleet whose VMs changed capacity or bandwidth in
+// place, which must invalidate the cached partition.
+func TestWarmSchedulerMatchesCold(t *testing.T) {
+	warm := New(Config{Ants: 8, Iterations: 3})
+	check := func(name string, ctx *sched.Context) {
+		t.Helper()
+		ctx.Rand = rand.New(rand.NewSource(5))
+		got, err := warm.Schedule(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Rand = rand.New(rand.NewSource(5))
+		want, err := New(Config{Ants: 8, Iterations: 3}).Schedule(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i].VM != want[i].VM {
+				t.Fatalf("%s: warm scheduler diverged from cold at cloudlet %d", name, i)
+			}
+		}
+	}
+	ctx := schedtest.Heterogeneous(t, 12, 40, 3)
+	check("first call", ctx)
+	check("same problem again", ctx)
+	check("larger batch", schedtest.Heterogeneous(t, 12, 200, 4))
+	check("single cloudlet", schedtest.Heterogeneous(t, 12, 1, 4))
+	check("other fleet", schedtest.Heterogeneous(t, 30, 40, 6))
+
+	// Make VM 0 a copy of VM 1's speed, merging their classes, then give VM
+	// 2 VM 3's capacity through a different PE/MIPS split, and finally
+	// change a bandwidth alone.
+	vms := ctx.VMs
+	vms[0].MIPS, vms[0].PEs = vms[1].MIPS, vms[1].PEs
+	check("capacity changed in place", ctx)
+	vms[2].MIPS, vms[2].PEs = vms[3].Capacity()/2, 2
+	check("PEs and MIPS changed in place", ctx)
+	vms[5].Bw *= 3
+	check("bandwidth changed in place", ctx)
+	ctx.VMs = append([]*cloud.VM{vms[len(vms)-1]}, vms[:len(vms)-1]...)
+	check("fleet reordered", ctx)
 }

@@ -20,6 +20,12 @@ type Histogram struct {
 	counts []uint64  // len(bounds)+1; counts[len(bounds)] is the +Inf bucket
 	sum    float64
 	count  uint64
+
+	// log2Start and invLog2Step index an exponential layout in O(1): bound
+	// i is bounds[0]·factor^i up to rounding, so a value's bucket is near
+	// (log₂ v − log₂ bounds[0]) / log₂ factor. invLog2Step is 0 for any
+	// other layout, which is binary searched.
+	log2Start, invLog2Step float64
 }
 
 // NewHistogram returns a histogram over the given ascending upper bounds.
@@ -38,10 +44,77 @@ func NewHistogram(bounds []float64) *Histogram {
 			panic(fmt.Sprintf("metrics: histogram bounds not strictly ascending at index %d (%v after %v)", i, b, bounds[i-1]))
 		}
 	}
-	return &Histogram{
+	h := &Histogram{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]uint64, len(bounds)+1),
 	}
+	if factor, ok := expFactor(bounds); ok {
+		h.log2Start = math.Log2(bounds[0])
+		h.invLog2Step = 1 / math.Log2(factor)
+	}
+	return h
+}
+
+// expFactor reports whether bounds grow by one constant factor, to within
+// the rounding ExpBuckets accumulates, and returns it. It also requires
+// what fastLog2's error bound needs: normal bounds, and a factor of at
+// least 2^fastLog2Err, so that the estimate lands within one bucket.
+func expFactor(bounds []float64) (float64, bool) {
+	if len(bounds) < 2 || bounds[0] < 0x1p-1022 {
+		return 0, false
+	}
+	factor := bounds[1] / bounds[0]
+	if factor < math.Exp2(fastLog2Err) {
+		return 0, false
+	}
+	for i := 2; i < len(bounds); i++ {
+		if math.Abs(bounds[i]/bounds[i-1]/factor-1) > 1e-9 {
+			return 0, false
+		}
+	}
+	return factor, true
+}
+
+// fastLog2Err bounds |fastLog2(v) − log₂ v|: the largest gap between
+// log₂(1+f) and its chord f on [0, 1).
+const fastLog2Err = 0.0861
+
+// fastLog2 approximates log₂ v for a positive normal v from its bits: the
+// unbiased exponent plus the mantissa fraction, the chord of log₂(1+f).
+func fastLog2(v float64) float64 {
+	bits := math.Float64bits(v)
+	return float64(int(bits>>52)-1023) + float64(bits&(1<<52-1))*0x1p-52
+}
+
+// index returns the first bucket whose bound is ≥ v, exactly what
+// sort.SearchFloat64s(h.bounds, v) returns. On an exponential layout a
+// logarithm estimated from v's bits guesses the bucket to within one, and
+// comparisons against the bounds on each side correct the guess, so
+// rounding never moves a value to a neighbouring bucket.
+func (h *Histogram) index(v float64) int {
+	b := h.bounds
+	if h.invLog2Step == 0 {
+		return sort.SearchFloat64s(b, v)
+	}
+	last := len(b) - 1
+	switch {
+	case v <= b[0]:
+		return 0
+	case v > b[last]:
+		return len(b)
+	}
+	// b[0] < v ≤ b[last], so the answer lies in [1, last].
+	i := 1
+	if g := math.Ceil((fastLog2(v) - h.log2Start) * h.invLog2Step); g > 1 {
+		i = min(int(g), last)
+	}
+	for b[i-1] >= v {
+		i--
+	}
+	for b[i] < v {
+		i++
+	}
+	return i
 }
 
 // ExpBuckets returns n exponentially spaced bounds start, start·factor,
@@ -65,7 +138,7 @@ func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := h.index(v)
 	h.mu.Lock()
 	h.counts[i]++
 	h.count++

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -158,5 +160,59 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 			t.Fatalf("Quantile not monotone: q=%v gives %v after %v", q, cur, prev)
 		}
 		prev = cur
+	}
+}
+
+// The O(1) index of an exponential layout must agree with a binary search
+// everywhere: at every bound, one ulp either side of it, at the edges, and
+// at random values spread over and beyond the layout.
+func TestHistogramIndexMatchesSearch(t *testing.T) {
+	layouts := map[string][]float64{
+		"latency":    ExpBuckets(1e-3, 1.15, 100),
+		"batch size": ExpBuckets(1, 2, 13),
+		"sched secs": ExpBuckets(1e-5, 4, 12),
+		"decimal":    ExpBuckets(1e-3, 10, 4),
+		"linear":     {1, 2, 3, 4, 5},
+		"one bound":  {7},
+	}
+	rnd := rand.New(rand.NewSource(1))
+	for name, bounds := range layouts {
+		h := NewHistogram(bounds)
+		probe := func(v float64) {
+			if got, want := h.index(v), sort.SearchFloat64s(bounds, v); got != want {
+				t.Fatalf("%s: index(%v) = %d, binary search says %d", name, v, got, want)
+			}
+		}
+		for _, b := range bounds {
+			probe(b)
+			probe(math.Nextafter(b, math.Inf(-1)))
+			probe(math.Nextafter(b, math.Inf(1)))
+		}
+		for _, v := range []float64{0, math.Inf(1), math.Inf(-1), -1} {
+			probe(v)
+		}
+		lo, hi := math.Log(bounds[0]/10), math.Log(bounds[len(bounds)-1]*10)
+		for i := 0; i < 100_000; i++ {
+			probe(math.Exp(lo + rnd.Float64()*(hi-lo)))
+		}
+	}
+	if NewHistogram(ExpBuckets(1e-3, 1.15, 100)).invLog2Step == 0 {
+		t.Fatal("an ExpBuckets layout was not recognised as exponential")
+	}
+	if NewHistogram([]float64{1, 2, 3, 4, 5}).invLog2Step != 0 {
+		t.Fatal("a linear layout was taken for exponential")
+	}
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewHistogram(ExpBuckets(1e-3, 1.15, 100))
+	rnd := rand.New(rand.NewSource(1))
+	vs := make([]float64, 1024)
+	for i := range vs {
+		vs[i] = math.Exp(math.Log(1e-3) + rnd.Float64()*math.Log(1e6))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(vs[i&1023])
 	}
 }

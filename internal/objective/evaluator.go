@@ -1,5 +1,7 @@
 package objective
 
+import "slices"
+
 // Evaluator maintains the fitness of one assignment under single-cloudlet
 // updates. A full evaluation of Eq. 8 is O(n); the Evaluator books per-VM
 // load once and then keeps makespan and total cost current through O(1)
@@ -54,6 +56,24 @@ func NewEvaluator(mx *Matrix, withCost bool) *Evaluator {
 		epoch:    1,
 	}
 }
+
+// Rebind points e at mx and unassigns every cloudlet, reusing e's buffers
+// where they are large enough, so a pooled evaluator serves one problem
+// after another without allocating. It costs O(n+m).
+func (e *Evaluator) Rebind(mx *Matrix) {
+	e.mx = mx
+	e.pos = slices.Grow(e.pos[:0], mx.n)[:mx.n]
+	e.busy = slices.Grow(e.busy[:0], mx.m)[:mx.m]
+	e.stamp = slices.Grow(e.stamp[:0], mx.m)[:mx.m]
+	e.posStamp = slices.Grow(e.posStamp[:0], mx.n)[:mx.n]
+	clear(e.stamp)
+	clear(e.posStamp)
+	e.epoch = 0
+	e.Reset()
+}
+
+// Matrix returns the matrix e evaluates against.
+func (e *Evaluator) Matrix() *Matrix { return e.mx }
 
 // Reset unassigns every cloudlet in O(1).
 func (e *Evaluator) Reset() {

@@ -152,3 +152,35 @@ func TestTotalCostPanicsWithoutCost(t *testing.T) {
 	}()
 	e.TotalCost()
 }
+
+// A rebound evaluator must score a new problem exactly like a fresh one,
+// whether the problem is larger or smaller than the one before, and a
+// matrix built over a precomputed partition must equal one that builds
+// its own.
+func TestEvaluatorRebindAndSharedClasses(t *testing.T) {
+	e := objective.NewEvaluator(objective.NewMatrix(
+		schedtest.Heterogeneous(t, 5, 30, 1).Cloudlets, schedtest.Heterogeneous(t, 5, 30, 1).VMs, objective.Options{}), false)
+	e.Assign(0, 1)
+	for _, size := range [][2]int{{9, 120}, {3, 7}, {9, 60}} {
+		ctx := schedtest.Heterogeneous(t, size[0], size[1], int64(size[1]))
+		mx := objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{})
+		shared := objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{Classes: objective.ClassesOf(ctx.VMs)})
+		e.Rebind(shared)
+		if e.Matrix() != shared || e.Assignment(0) != -1 || e.Makespan() != 0 {
+			t.Fatalf("%v: rebound evaluator kept state from the last problem", size)
+		}
+		fresh := objective.NewEvaluator(mx, false)
+		rnd := rand.New(rand.NewSource(3))
+		for i := 0; i < mx.N(); i++ {
+			j := rnd.Intn(mx.M())
+			e.Assign(i, j)
+			fresh.Assign(i, j)
+			if bits(shared.Exec(i, j)) != bits(mx.Exec(i, j)) {
+				t.Fatalf("%v: Exec(%d, %d) differs over a shared partition", size, i, j)
+			}
+		}
+		if bits(e.Makespan()) != bits(fresh.Makespan()) {
+			t.Fatalf("%v: rebound makespan %v, fresh %v", size, e.Makespan(), fresh.Makespan())
+		}
+	}
+}

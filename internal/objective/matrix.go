@@ -80,6 +80,10 @@ type Options struct {
 	// is computed independently into its own slot, so cell values are
 	// bit-identical for every worker count.
 	Workers int
+	// Classes, when non-nil, is ClassesOf(vms) computed earlier, which lets
+	// a caller scheduling batch after batch on one fleet partition it once.
+	// It is ignored WithCost, whose partition also keys on pricing.
+	Classes *Classes
 }
 
 // Matrix is the cached execution-estimate (and optionally cost) store for
@@ -107,12 +111,16 @@ func NewMatrix(cloudlets []*cloud.Cloudlet, vms []*cloud.VM, opts Options) *Matr
 		maxCells = DefaultMaxCells
 	}
 	withCost := opts.WithCost
+	classes := opts.Classes
+	if classes == nil || withCost {
+		classes = classesOf(vms, withCost)
+	}
 	mx := &Matrix{
 		cloudlets: cloudlets,
 		vms:       vms,
 		n:         len(cloudlets),
 		m:         len(vms),
-		classes:   classesOf(vms, withCost),
+		classes:   classes,
 	}
 	k := mx.classes.K
 	cells := int64(mx.n) * int64(k)

@@ -2,7 +2,7 @@
 // scheduling daemon: an HTTP/JSON front end accepts cloudlet submissions, a
 // deterministic load-aware dispatcher routes each cloudlet to one of N
 // shards, and every shard runs the full pipeline independently — a
-// time/size-bounded batcher coalesces its cloudlets, a worker pool maps each
+// work-conserving batcher coalesces its cloudlets, a worker pool maps each
 // flushed batch with a registered scheduler (batch algorithms from
 // internal/sched — ACO, HBO, RBS, GA, PSO, base, … — or per-arrival
 // policies from internal/online), and a persistent online.Session executes
@@ -12,8 +12,9 @@
 // produced by a deterministic merge over the per-shard figures.
 //
 // The shape is the one production serving systems share: bounded per-shard
-// admission (429 + Retry-After under pressure), batch coalescing (flush on N
-// items or T elapsed, whichever first), concurrent mapping with serialized
+// admission (429 + Retry-After under pressure), work-conserving batch
+// coalescing (hand off at once while idle; otherwise on N items or T
+// elapsed, whichever first), concurrent mapping with serialized
 // per-shard state mutation, graceful drain on shutdown, and a Prometheus
 // observability surface with both merged and per-shard series. See
 // DESIGN.md §7 and §11.
@@ -48,12 +49,15 @@ type Config struct {
 	// ("online-eft", "online-aco", …). Required.
 	Scheduler string
 
-	// BatchSize flushes a shard's coalescing queue when this many cloudlets
-	// have accumulated.
+	// BatchSize caps a batch. While none of a shard's batches is mapping,
+	// whatever has arrived goes to a mapper at once; while one is mapping,
+	// the next batch goes out to a second mapper as soon as it holds this
+	// many cloudlets.
 	BatchSize int
 
-	// FlushInterval flushes a non-empty partial batch this long after its
-	// first cloudlet arrived, bounding worst-case queueing latency.
+	// FlushInterval is how long a partial batch waits for a second mapper
+	// while one of its shard's batches is mapping, counted from its first
+	// cloudlet. A batch on an idle shard does not wait.
 	FlushInterval time.Duration
 
 	// QueueCap bounds each shard's admission queue. Submissions beyond a

@@ -124,7 +124,8 @@ func TestHTTPSubmitRejectsMalformed(t *testing.T) {
 }
 
 func TestHTTPBackpressure429(t *testing.T) {
-	_, ts := startHTTP(t, Config{Scheduler: "base", BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4})
+	svc, ts := startHTTP(t, Config{Scheduler: "hold-plant", Workers: 1, BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4})
+	occupy(t, svc, newHoldGate(t))
 	resp, body := postJSON(t, ts.URL+"/v1/submit", `{"cloudlets": [{"length":1},{"length":1},{"length":1},{"length":1}]}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("fill: %d %s", resp.StatusCode, body)
@@ -141,7 +142,7 @@ func TestHTTPBackpressure429(t *testing.T) {
 // A request larger than a shard's queue is 413 with no Retry-After: no
 // retry could ever admit it.
 func TestHTTPRequestLargerThanQueue413(t *testing.T) {
-	_, ts := startHTTP(t, Config{Scheduler: "base", BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4})
+	_, ts := startHTTP(t, Config{Scheduler: "base", QueueCap: 4})
 	resp, body := postJSON(t, ts.URL+"/v1/submit", `{"cloudlets": [{"length":1},{"length":1},{"length":1},{"length":1},{"length":1}]}`)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("got %d %s, want 413", resp.StatusCode, body)
@@ -268,9 +269,10 @@ func TestHTTPMetricsSurface(t *testing.T) {
 // for cloudlets living on every shard.
 func TestHTTPShardedBackpressureAndStatus(t *testing.T) {
 	svc, ts := startHTTP(t, Config{
-		Scheduler: "base", Shards: 2,
+		Scheduler: "hold-plant", Shards: 2, Workers: 1,
 		BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4,
 	})
+	occupy(t, svc, newHoldGate(t))
 
 	// One heavy cloudlet claims a shard; the dispatcher then steers every
 	// light cloudlet to the other shard until its gate fills.

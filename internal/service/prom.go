@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"bioschedsim/internal/metrics"
 )
@@ -103,16 +104,17 @@ func newPromMetrics(shards []*shard) *promMetrics {
 }
 
 // observeBatch records one executed batch's figures on its shard and the
-// shared last-batch gauges.
-func (p *promMetrics) observeBatch(sm *shardMetrics, rep metrics.Report, stats metrics.RunStats) {
+// shared last-batch gauges: the batch size, the scheduler's mapping time,
+// and Eq. 12/13 over the batch's finished cloudlets.
+func (p *promMetrics) observeBatch(sm *shardMetrics, scheduler string, schedTime time.Duration, stats metrics.RunStats) {
 	sm.batches.Inc()
-	sm.batchSize.Observe(float64(rep.Cloudlets))
-	sm.schedulingHist(rep.Algorithm).Observe(rep.SchedulingTime.Seconds())
+	sm.batchSize.Observe(float64(stats.Count))
+	sm.schedulingHist(scheduler).Observe(schedTime.Seconds())
 	sm.mu.Lock()
 	sm.run = sm.run.Merge(stats)
 	sm.mu.Unlock()
-	p.lastSimTime.Set(rep.SimTime)
-	p.lastImbalance.Set(rep.Imbalance)
+	p.lastSimTime.Set(stats.SimTime())
+	p.lastImbalance.Set(stats.Imbalance())
 }
 
 // sum folds a counter accessor over every shard.

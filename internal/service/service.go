@@ -199,6 +199,7 @@ func (s *Service) Submit(specs []CloudletSpec) ([]int, error) {
 		return nil, ErrDraining
 	}
 	ids := make([]int, len(specs))
+	units := make([][]*submission, len(s.shards))
 	for i, spec := range specs {
 		id := int(s.nextID.Add(1))
 		ids[i] = id
@@ -207,10 +208,18 @@ func (s *Service) Submit(specs []CloudletSpec) ([]int, error) {
 			pes = 1
 		}
 		c := cloud.NewCloudlet(id, spec.Length, pes, spec.FileSize, spec.OutputSize)
-		sh := s.shards[target[i]]
-		s.stat.add(id, sh.index)
-		sh.pending <- &submission{cloudlet: c, deadline: spec.Deadline}
-		sh.prom.submitted.Inc()
+		s.stat.add(id, target[i])
+		units[target[i]] = append(units[target[i]], &submission{cloudlet: c, deadline: spec.Deadline})
+	}
+	// Each shard's share of the request travels as one unit, so the batcher
+	// keeps it in one batch whenever it fits.
+	for idx, unit := range units {
+		if len(unit) == 0 {
+			continue
+		}
+		sh := s.shards[idx]
+		sh.pending <- unit
+		sh.prom.submitted.Add(uint64(len(unit)))
 	}
 	return ids, nil
 }

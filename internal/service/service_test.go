@@ -86,25 +86,61 @@ func TestServiceFlushBySize(t *testing.T) {
 	}
 }
 
-func TestServiceFlushByTimer(t *testing.T) {
-	svc := startService(t, Config{Scheduler: "base", BatchSize: 1 << 20, FlushInterval: 20 * time.Millisecond})
-	ids, err := svc.Submit(specN(3))
+// A lone cloudlet on an idle shard goes to a mapper at once: it finishes
+// long before the hour-long FlushInterval, in a batch of its own.
+func TestServiceIdleShardFlushesAtOnce(t *testing.T) {
+	svc := startService(t, Config{Scheduler: "base", BatchSize: 1 << 20, FlushInterval: time.Hour})
+	ids, err := svc.Submit(specN(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		rec, _ := svc.Status(ids[2])
+		rec, _ := svc.Status(ids[0])
 		if rec.State == StateFinished {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("timer flush never completed; record %+v", rec)
+			t.Fatalf("lone cloudlet not mapped on an idle shard; record %+v", rec)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	if got := svc.prom.batchesTotal(); got != 1 {
-		t.Fatalf("batches = %d, want exactly 1 timer flush", got)
+		t.Fatalf("batches = %d, want 1", got)
+	}
+}
+
+// While one batch is mapping, the next partial batch lingers: it reaches
+// the second worker FlushInterval after its first cloudlet, not before,
+// and a request's cloudlets travel in it together.
+func TestServiceLingerWaitsForSecondWorker(t *testing.T) {
+	const linger = 100 * time.Millisecond
+	svc := startService(t, Config{Scheduler: "hold-plant", Workers: 2, BatchSize: 1 << 20, FlushInterval: linger})
+	g := newHoldGate(t)
+	if _, err := svc.Submit(specN(1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := g.wait(t); n != 1 {
+		t.Fatalf("first batch holds %d cloudlets, want 1", n)
+	}
+	start := time.Now()
+	if _, err := svc.Submit(specN(3)); err != nil {
+		t.Fatal(err)
+	}
+	n := g.wait(t)
+	if waited := time.Since(start); waited < linger {
+		t.Fatalf("partial batch reached the second worker after %v, before FlushInterval %v", waited, linger)
+	}
+	if n != 3 {
+		t.Fatalf("lingering batch holds %d cloudlets, want the whole 3-cloudlet request", n)
+	}
+	g.open()
+	drain(t, svc)
+	if got, want := svc.prom.finishedTotal(), uint64(4); got != want {
+		t.Fatalf("finished = %d, want %d", got, want)
+	}
+	if got := svc.prom.batchesTotal(); got != 2 {
+		t.Fatalf("batches = %d, want 2", got)
 	}
 }
 
@@ -205,10 +241,12 @@ func TestServiceEmptyFlushOnDrain(t *testing.T) {
 }
 
 func TestServiceBackpressure(t *testing.T) {
-	// A long flush interval and huge batch size park everything in the
-	// batcher's accumulation buffer; admission slots are held until flush,
-	// so the cap of 8 stays exhausted.
-	svc := startService(t, Config{Scheduler: "base", BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 8})
+	// With the shard's only worker held, a long flush interval and huge
+	// batch size park everything in the batcher's accumulation buffer;
+	// admission slots are held until hand-off, so the cap of 8 stays
+	// exhausted.
+	svc := startService(t, Config{Scheduler: "hold-plant", Workers: 1, BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 8})
+	occupy(t, svc, newHoldGate(t))
 	if _, err := svc.Submit(specN(8)); err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +256,10 @@ func TestServiceBackpressure(t *testing.T) {
 	if got := svc.prom.rejectedTotal(); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
-	// All-or-nothing: a multi-spec request never half-lands.
-	if got := svc.prom.submittedTotal(); got != 8 {
-		t.Fatalf("submitted = %d, want 8 (no partial acceptance)", got)
+	// All-or-nothing: a multi-spec request never half-lands. The held
+	// cloudlet counts as submitted too.
+	if got := svc.prom.submittedTotal(); got != 1+8 {
+		t.Fatalf("submitted = %d, want 1+8 (no partial acceptance)", got)
 	}
 	if depth := svc.prom.queueDepthTotal(); depth != 8 {
 		t.Fatalf("queue depth = %v, want 8", depth)
@@ -231,7 +270,7 @@ func TestServiceBackpressure(t *testing.T) {
 // queue holds can never be admitted, so it is ErrTooLarge, not the
 // retryable ErrQueueFull, and it takes no admission slot.
 func TestServiceRejectsRequestLargerThanQueue(t *testing.T) {
-	svc := startService(t, Config{Scheduler: "base", BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4})
+	svc := startService(t, Config{Scheduler: "base", QueueCap: 4})
 	if _, err := svc.Submit(specN(5)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("want ErrTooLarge, got %v", err)
 	}
@@ -245,7 +284,7 @@ func TestServiceRejectsRequestLargerThanQueue(t *testing.T) {
 
 	// The bound is per shard: six equal cloudlets over two shards of 4
 	// route three to each and are admitted.
-	sharded := startService(t, Config{Scheduler: "base", Shards: 2, BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4})
+	sharded := startService(t, Config{Scheduler: "base", Shards: 2, QueueCap: 4})
 	specs := make([]CloudletSpec, 6)
 	for i := range specs {
 		specs[i] = CloudletSpec{Length: 1000}

@@ -19,7 +19,7 @@ import (
 const shardSeedStride = int64(1) << 32
 
 // shard is one independent slice of the daemon: a contiguous VM range, its
-// own admission gate, coalescing batcher, mapping worker pool, and a
+// own admission gate, work-conserving batcher, mapping worker pool, and a
 // persistent online.Session whose broker and simulated clock survive across
 // batches. Shards share nothing mutable — each has its own engine, its own
 // execution lock, and its own metric counters — so N shards execute
@@ -30,9 +30,14 @@ type shard struct {
 	svc   *Service
 	vms   []*cloud.VM
 
-	adm     *admission
-	pending chan *submission
+	adm *admission
+	// pending carries one request's cloudlets for this shard per unit.
+	pending chan []*submission
+	// batches hands batches to the mapping workers. It is unbuffered, so a
+	// send succeeds only when a worker is free; idle wakes the batcher when
+	// a worker finishes one (prom.inflight counts the batches in workers).
 	batches chan []*submission
+	idle    chan struct{}
 
 	// execMu serializes every touch of this shard's session (placement for
 	// online policies, broker submission, engine runs). Batch mapping runs
@@ -59,8 +64,9 @@ func newShard(svc *Service, index int, vms []*cloud.VM) (*shard, error) {
 		svc:     svc,
 		vms:     vms,
 		adm:     &admission{cap: cfg.QueueCap},
-		pending: make(chan *submission, cfg.QueueCap),
-		batches: make(chan []*submission, cfg.Workers),
+		pending: make(chan []*submission, cfg.QueueCap),
+		batches: make(chan []*submission),
+		idle:    make(chan struct{}, 1),
 	}
 	sh.prom = newShardMetrics(sh.adm.depth)
 
@@ -108,64 +114,106 @@ func (sh *shard) start() {
 	}
 }
 
-// batchLoop coalesces the shard's pending submissions into batches: a batch
-// flushes when it reaches cfg.BatchSize cloudlets or cfg.FlushInterval after
-// its first cloudlet arrived, whichever comes first. The flush timer is
-// armed only while a partial batch exists, so an idle shard fires no timers.
-// When the pending channel closes (drain), the loop flushes whatever it
-// holds — possibly an empty batch, which the execution path absorbs via
-// online.ErrEmptyBatch — and closes the batch channel to stop the workers.
+// batchLoop coalesces the shard's pending requests into batches by
+// Nagle's rule. While none of the shard's batches is mapping, a non-empty
+// batch goes to a worker at once, so a lone cloudlet on an idle shard never
+// waits for company. While a batch is mapping, the next one keeps filling
+// and goes out when it holds cfg.BatchSize cloudlets or cfg.FlushInterval
+// after its first cloudlet, whichever comes first — and then only to a free
+// worker, since the hand-off channel is unbuffered. Under load batches thus
+// grow by themselves, and FlushInterval bounds how long a partial batch
+// waits for a second mapper. A request's cloudlets for this shard arrive as
+// one unit and join a single batch whenever they fit in cfg.BatchSize; a
+// unit that does not fit waits for the next batch, and one larger than
+// cfg.BatchSize is split. When the pending channel closes (drain), the loop
+// hands off whatever it holds — possibly an empty batch, which the
+// execution path absorbs via online.ErrEmptyBatch — and closes the batch
+// channel to stop the workers.
 func (sh *shard) batchLoop() {
 	defer close(sh.batches)
+	cfg := sh.svc.cfg
 	var (
-		batch  []*submission
-		timer  *time.Timer
-		timerC <-chan time.Time
+		batch, carry []*submission
+		in           = sh.pending
+		lingering    bool // the linger timer runs for the current batch
+		expired      bool // the current batch has lingered FlushInterval
 	)
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timerC = nil
+	linger := time.NewTimer(time.Hour)
+	stopLinger(linger)
+	defer linger.Stop()
+	for {
+		// Move the carried request into the batch when it fits whole, or
+		// split it when it alone exceeds a batch.
+		if len(carry) > 0 && (len(batch) == 0 || len(batch)+len(carry) <= cfg.BatchSize) {
+			n := min(len(carry), cfg.BatchSize)
+			batch = append(batch, carry[:n]...)
+			carry = carry[n:]
+		}
+		if in == nil && len(carry) == 0 {
+			// Drain: hand off the remainder unconditionally — empty flushes
+			// exercise the typed-empty-batch path by design.
+			sh.prom.inflight.Add(1)
+			sh.batches <- batch
+			sh.adm.release(len(batch))
+			return
+		}
+		idle := sh.prom.inflight.Load() == 0
+		if len(batch) > 0 && !idle && !lingering {
+			linger.Reset(cfg.FlushInterval)
+			lingering = true
+		}
+		var out chan<- []*submission
+		if len(batch) > 0 && (idle || expired || len(carry) > 0 || len(batch) >= cfg.BatchSize) {
+			out = sh.batches
+		}
+		var recv <-chan []*submission
+		if len(carry) == 0 {
+			recv = in
+		}
+		select {
+		case unit, ok := <-recv:
+			if !ok {
+				in = nil
+				continue
+			}
+			carry = unit
+		case out <- batch:
+			sh.prom.inflight.Add(1)
+			sh.adm.release(len(batch))
+			batch = nil
+			if lingering {
+				stopLinger(linger)
+				lingering, expired = false, false
+			}
+		case <-linger.C:
+			expired = true
+		case <-sh.idle:
 		}
 	}
-	flush := func() {
-		stopTimer()
-		out := batch
-		batch = nil
-		sh.batches <- out // blocks when workers are saturated: backpressure
-		sh.adm.release(len(out))
-	}
-	for {
+}
+
+// stopLinger stops t and discards a tick it may already have sent, so the
+// next Reset starts from a clean channel.
+func stopLinger(t *time.Timer) {
+	if !t.Stop() {
 		select {
-		case sub, ok := <-sh.pending:
-			if !ok {
-				// Drain: flush the remainder unconditionally — empty flushes
-				// exercise the typed-empty-batch path by design.
-				flush()
-				return
-			}
-			batch = append(batch, sub)
-			if len(batch) == 1 {
-				timer = time.NewTimer(sh.svc.cfg.FlushInterval)
-				timerC = timer.C
-			}
-			if len(batch) >= sh.svc.cfg.BatchSize {
-				flush()
-			}
-		case <-timerC:
-			timer = nil
-			timerC = nil
-			flush()
+		case <-t.C:
+		default:
 		}
 	}
 }
 
 // workerLoop maps and executes flushed batches until the batch channel
-// closes.
+// closes, and wakes the batcher after each one so a waiting partial batch
+// can go out as soon as the shard is idle.
 func (sh *shard) workerLoop(worker int) {
 	for batch := range sh.batches {
 		sh.runBatch(worker, batch)
+		sh.prom.inflight.Add(-1)
+		select {
+		case sh.idle <- struct{}{}:
+		default: // a wake-up is already pending
+		}
 	}
 }
 
@@ -173,9 +221,6 @@ func (sh *shard) workerLoop(worker int) {
 // records its metrics. Empty flushes are absorbed via the typed
 // online.ErrEmptyBatch and counted, never treated as failures.
 func (sh *shard) runBatch(worker int, subs []*submission) {
-	sh.prom.inflight.Add(1)
-	defer sh.prom.inflight.Add(-1)
-
 	cls := make([]*cloud.Cloudlet, len(subs))
 	ids := make([]int, len(subs))
 	for i, sub := range subs {
@@ -195,8 +240,7 @@ func (sh *shard) runBatch(worker int, subs []*submission) {
 		sh.svc.stat.fail(ids, err.Error())
 		return
 	}
-	rep := metrics.Collect(sh.svc.cfg.Scheduler, finished, sh.vms, schedTime)
-	sh.svc.prom.observeBatch(sh.prom, rep, metrics.CollectRunStats(finished))
+	sh.svc.prom.observeBatch(sh.prom, sh.svc.cfg.Scheduler, schedTime, metrics.CollectRunStats(finished))
 }
 
 // mapAndExecute performs the mode-specific mapping step and the serialized

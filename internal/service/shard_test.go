@@ -32,12 +32,106 @@ func (p *shardPanicPlant) Schedule(ctx *sched.Context) ([]sched.Assignment, erro
 
 func init() {
 	sched.Register("shard-panic-plant", func() sched.Scheduler {
-		base, err := sched.New("base")
-		if err != nil {
-			panic(err)
-		}
-		return &shardPanicPlant{base: base}
+		return &shardPanicPlant{base: mustBase()}
 	})
+	sched.Register("hold-plant", func() sched.Scheduler {
+		return &holdPlant{base: mustBase()}
+	})
+}
+
+func mustBase() sched.Scheduler {
+	base, err := sched.New("base")
+	if err != nil {
+		panic(err)
+	}
+	return base
+}
+
+// holdPlant is a batch scheduler that maps like "base", but only once the
+// installed holdGate lets it: each call reports its batch size on the
+// gate's held channel and then blocks until the gate opens. Tests use it to
+// keep a shard's mapping workers busy for exactly as long as they need.
+type holdPlant struct{ base sched.Scheduler }
+
+// holdGate is the switch a test installs for every holdPlant instance.
+type holdGate struct {
+	held    chan int      // the size of each batch the plant starts mapping
+	release chan struct{} // closed to let every held batch map
+	once    sync.Once
+}
+
+var installedGate atomic.Pointer[holdGate]
+
+func (p *holdPlant) Name() string { return "hold-plant" }
+
+func (p *holdPlant) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
+	if g := installedGate.Load(); g != nil {
+		select {
+		case g.held <- len(ctx.Cloudlets):
+		case <-g.release:
+		}
+		<-g.release
+	}
+	return p.base.Schedule(ctx)
+}
+
+// newHoldGate installs a closed gate for the hold plant and opens it at
+// cleanup. Call it after starting the service, so that the gate opens
+// before the service drains.
+func newHoldGate(t testing.TB) *holdGate {
+	t.Helper()
+	g := &holdGate{held: make(chan int, 64), release: make(chan struct{})}
+	installedGate.Store(g)
+	t.Cleanup(func() {
+		g.open()
+		installedGate.CompareAndSwap(g, nil)
+	})
+	return g
+}
+
+func (g *holdGate) open() { g.once.Do(func() { close(g.release) }) }
+
+// wait returns the size of the next batch the plant holds.
+func (g *holdGate) wait(t testing.TB) int {
+	t.Helper()
+	select {
+	case n := <-g.held:
+		return n
+	case <-time.After(10 * time.Second):
+		t.Fatal("no batch reached the hold plant")
+		return 0
+	}
+}
+
+// occupy saturates every shard of a one-worker-per-shard service: it
+// submits one cloudlet per shard, waits until the plant holds each shard's
+// batch, and waits until the batchers have released the held cloudlets'
+// admission slots. Every later submission then stays in its shard's queue
+// until the gate opens.
+func occupy(t testing.TB, svc *Service, g *holdGate) {
+	t.Helper()
+	if svc.cfg.Workers != 1 {
+		t.Fatalf("occupy needs Workers: 1, got %d", svc.cfg.Workers)
+	}
+	specs := make([]CloudletSpec, len(svc.shards))
+	for i := range specs {
+		specs[i] = CloudletSpec{Length: 1}
+	}
+	if _, err := svc.Submit(specs); err != nil {
+		t.Fatal(err)
+	}
+	for range svc.shards {
+		if n := g.wait(t); n != 1 {
+			t.Fatalf("held a batch of %d, want 1", n)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.prom.queueDepthTotal() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %v after every shard's batch was held, want 0", svc.prom.queueDepthTotal())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestDispatcherDeterministicLeastWork(t *testing.T) {
@@ -161,12 +255,14 @@ func TestServiceShardedEndToEnd(t *testing.T) {
 }
 
 func TestServiceShardedPerShardBackpressure(t *testing.T) {
-	// Batches never flush, so admission slots are held forever and each
-	// shard's gate (cap 4) fills independently.
+	// Each shard's only worker is held, so no queued batch is handed off:
+	// admission slots stay taken and each shard's gate (cap 4) fills
+	// independently.
 	svc := startService(t, Config{
-		Scheduler: "base", Shards: 2,
+		Scheduler: "hold-plant", Shards: 2, Workers: 1,
 		BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4,
 	})
+	occupy(t, svc, newHoldGate(t))
 	// The heavy cloudlet claims one shard; every light cloudlet after it
 	// routes to the other, least-loaded shard.
 	heavyIDs, err := svc.Submit([]CloudletSpec{{Length: 1e12}})

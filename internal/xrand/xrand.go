@@ -69,7 +69,18 @@ func (s *Source) Rand() *rand.Rand {
 // the same generator for the same inputs, which is what parallel sweeps use
 // to give every parameter point its own reproducible randomness.
 func Stream(seed uint64, n uint64) *Source {
-	return &Source{state: mix64(seed+golden*(n+1)) ^ golden*n}
+	s := new(Source)
+	s.SetStream(seed, n)
+	return s
+}
+
+// SetStream repositions s at the start of Stream(seed, n), so a hot loop can
+// walk many child streams through one Source (and one *rand.Rand over it)
+// without allocating a generator per stream. A *rand.Rand over s then
+// draws exactly what New(seed, n) would, for every method except Read,
+// whose buffered bytes SetStream does not reach.
+func (s *Source) SetStream(seed, n uint64) {
+	s.state = mix64(seed+golden*(n+1)) ^ golden*n
 }
 
 // New returns a *rand.Rand over the n-th child stream of seed.

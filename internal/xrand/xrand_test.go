@@ -142,3 +142,22 @@ func BenchmarkSourceUint64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// One Source walked across child streams with SetStream, under one reused
+// *rand.Rand, draws exactly what a fresh New(seed, n) draws for each.
+func TestSetStreamMatchesNew(t *testing.T) {
+	src := NewSource(0)
+	rnd := src.Rand()
+	for n := uint64(0); n < 50; n++ {
+		src.SetStream(77, n)
+		fresh := New(77, n)
+		for i := 0; i < 20; i++ {
+			if a, b := rnd.Intn(1000), fresh.Intn(1000); a != b {
+				t.Fatalf("stream %d draw %d: Intn %d != %d", n, i, a, b)
+			}
+			if a, b := rnd.Float64(), fresh.Float64(); a != b {
+				t.Fatalf("stream %d draw %d: Float64 %v != %v", n, i, a, b)
+			}
+		}
+	}
+}

@@ -8,7 +8,8 @@
 # (capacity-planning engine vs analytic M/M/1 and M/M/c mean waits within
 # documented bands, both seeded plants caught) — a full-module race pass plus
 # explicit race gates for the parallel kernels (aco/hbo/rbs/ga/objective)
-# and the sharded daemon (internal/service at 2/4 shards), and a short fuzz
+# and the daemon (internal/service at 2/4 shards, and its work-conserving
+# batcher), and a short fuzz
 # smoke over the untrusted-input boundaries (the daemon's JSON submit
 # decoder, the CSV workload trace parser, the columnar binary trace
 # reader/converter, schedlint's suppression-directive parser, the ACO
@@ -110,8 +111,10 @@ go test -race ./...
 # stress tests drive multi-worker pools even on single-core CI hosts.
 go test -race -run 'WorkerCountInvariant|ConcurrentScheduleRace' ./internal/aco ./internal/hbo ./internal/rbs ./internal/ga ./internal/objective
 # Explicit race gate over the sharded daemon: concurrent submitters across
-# 4 shards, per-shard backpressure, and the HTTP round-trips under -race.
-go test -race -run 'TestServiceSharded|TestHTTPSharded' ./internal/service
+# 4 shards, per-shard backpressure, and the HTTP round-trips under -race,
+# plus the work-conserving batcher: a lone cloudlet on an idle shard maps
+# at once, and a partial batch waits FlushInterval for a second mapper.
+go test -race -run 'TestServiceSharded|TestHTTPSharded|TestServiceIdleShardFlushesAtOnce|TestServiceLingerWaitsForSecondWorker' ./internal/service
 
 go test -run='^$' -fuzz=FuzzDecodeSubmit -fuzztime=5s ./internal/service
 go test -run='^$' -fuzz=FuzzReadTrace -fuzztime=5s ./internal/workload
