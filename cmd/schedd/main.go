@@ -1,6 +1,6 @@
 // Command schedd runs the scheduling daemon: a long-running HTTP/JSON
-// service that owns a live cloud environment, coalesces cloudlet
-// submissions into time/size-bounded batches, maps each batch with a
+// service that owns a live cloud environment, takes whatever cloudlets are
+// queued as a batch whenever a shard is free, maps each batch with a
 // registered scheduler, and executes placements on a persistent broker.
 //
 // Usage:
@@ -16,8 +16,8 @@
 //	GET  /metrics         Prometheus text format
 //
 // SIGINT/SIGTERM starts a graceful drain: admission stops (new submits get
-// 503), the queue flushes, in-flight batches execute to completion, then
-// the process exits.
+// 503), the shards map what is queued, in-flight batches execute to
+// completion, then the process exits.
 package main
 
 import (
@@ -66,11 +66,8 @@ func parseFlags(args []string) (*options, error) {
 	fs.Uint64Var(&opt.seed, "seed", 42, "root random seed for fleet generation")
 	fs.DurationVar(&opt.drainTimeout, "drain-timeout", 30*time.Second, "graceful drain bound on shutdown")
 	fs.StringVar(&opt.svc.Scheduler, "scheduler", "aco", "mapping algorithm (see /v1/schedulers)")
-	fs.IntVar(&opt.svc.BatchSize, "batch", service.DefaultBatchSize, "largest batch; while a batch maps, the next goes out at this many cloudlets")
-	fs.DurationVar(&opt.svc.FlushInterval, "flush", service.DefaultFlushInterval, "how long a partial batch waits for a second mapper while one batch maps (an idle shard maps at once)")
+	fs.IntVar(&opt.svc.BatchSize, "batch", service.DefaultBatchSize, "largest batch; a free shard maps whatever is queued, up to this many cloudlets")
 	fs.IntVar(&opt.svc.QueueCap, "queue", service.DefaultQueueCap, "admission queue bound (429 beyond it)")
-	fs.IntVar(&opt.svc.Workers, "workers", service.DefaultWorkers, "batch-mapping worker pool size")
-	fs.IntVar(&opt.svc.SchedWorkers, "sched-workers", service.DefaultSchedWorkers, "kernel pool per mapper for WorkerTunable schedulers (1 = serial; widening oversubscribes unless -workers shrinks)")
 	fs.IntVar(&opt.svc.Shards, "shards", service.DefaultShards, "shard the fleet into this many independent engines with load-aware routing (1 = unsharded)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -138,8 +135,9 @@ func run(ctx context.Context, opt *options, ready chan<- string) error {
 			errC <- err
 		}
 	}()
-	log.Printf("schedd: serving on %s (scheduler=%s vms=%d shards=%d batch=%d flush=%v queue=%d workers=%d)",
-		ln.Addr(), opt.svc.Scheduler, opt.vms, svc.Shards(), opt.svc.BatchSize, opt.svc.FlushInterval, opt.svc.QueueCap, opt.svc.Workers)
+	cfg := svc.Config()
+	log.Printf("schedd: serving on %s (scheduler=%s vms=%d shards=%d batch=%d queue=%d)",
+		ln.Addr(), cfg.Scheduler, opt.vms, cfg.Shards, cfg.BatchSize, cfg.QueueCap)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

@@ -90,7 +90,7 @@ func metricValue(t *testing.T, body, name string) float64 {
 func TestScheddEndToEnd(t *testing.T) {
 	base, stop := startDaemon(t,
 		"-scheduler", "hbo", "-vms", "8", "-dcs", "2",
-		"-batch", "10", "-flush", "5ms", "-workers", "2")
+		"-batch", "10")
 
 	if code, _ := httpGet(t, base+"/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
@@ -174,15 +174,15 @@ func TestScheddEndToEnd(t *testing.T) {
 	}
 }
 
-// TestScheddSIGTERMDrains delivers a real SIGTERM to the process while work
-// is still coalescing and asserts the daemon drains instead of dropping it:
-// run exits nil, which requires every flushed batch — including the final
-// partial one — to have executed to completion. (Per-cloudlet terminal
+// TestScheddSIGTERMDrains delivers a real SIGTERM to the process right
+// after its work is accepted and asserts the daemon drains instead of
+// dropping it: run exits nil, which requires every batch — including one
+// still queued or mapping — to have executed to completion. (Per-cloudlet terminal
 // states are asserted at the service layer in internal/service.)
 func TestScheddSIGTERMDrains(t *testing.T) {
 	opt, err := parseFlags([]string{
 		"-addr", "127.0.0.1:0", "-scheduler", "base",
-		"-vms", "6", "-batch", "50", "-flush", "20ms",
+		"-vms", "6", "-batch", "50",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestScheddSIGTERMDrains(t *testing.T) {
 		t.Fatalf("accepted %v", ack.IDs)
 	}
 
-	// SIGTERM with the batch still coalescing (flush interval 20ms).
+	// SIGTERM at once, while the batch may still be queued or mapping.
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

@@ -362,7 +362,10 @@ func newRun() *run {
 }
 
 // reset prepares r for one search of ctx under cfg, with classes the VM
-// partition of ctx.VMs.
+// partition of ctx.VMs. A dense run always has the η^β cache: dense means
+// n·m ≤ MaxMatrixCells, and the class count K ≤ m, so the n·K execution
+// matrix fits the same bound and is materialized. Only the vector layout
+// may compute η^β on demand.
 func (r *run) reset(cfg Config, ctx *sched.Context, classes *objective.Classes) {
 	r.cfg, r.ctx = cfg, ctx
 	r.n, r.m = len(ctx.Cloudlets), len(ctx.VMs)
@@ -563,24 +566,14 @@ func (r *run) construct(lo, hi int, rnd *rand.Rand, sc *antScratch) float64 {
 func (r *run) pick(i int, tabu []bool, cum []float64, rnd interface{ Float64() float64 }) int {
 	cum = cum[:r.m]
 	var total float64
-	switch {
-	case r.dense && r.etaCls != nil:
+	if r.dense {
 		// Hot path: weightedCum masks, multiplies, and accumulates the
-		// whole candidate row in one pass over the cached b^α and η^β views.
+		// whole candidate row in one pass over the cached b^α and η^β views
+		// (a dense run always has etaCls; see reset).
 		ba := r.bAlpha[i*r.m : (i+1)*r.m]
 		eta := r.etaCls[i*r.k : (i+1)*r.k]
 		total = weightedCum(ba, eta, r.cls, tabu, cum)
-	case r.dense:
-		ba := r.bAlpha[i*r.m : (i+1)*r.m]
-		for j := 0; j < r.m; j++ {
-			if tabu[j] {
-				cum[j] = 0
-				continue
-			}
-			cum[j] = ba[j] * r.eta(i, j)
-		}
-		total = cumSum(cum, cum)
-	default:
+	} else {
 		for j := 0; j < r.m; j++ {
 			if tabu[j] {
 				cum[j] = 0

@@ -164,6 +164,16 @@ func (b *Broker) SubmitAllSchedule(cloudlets []*Cloudlet, vms []*VM, arrivals []
 // Finished returns completed cloudlets in completion order.
 func (b *Broker) Finished() []*Cloudlet { return b.finished }
 
+// TakeFinished returns the cloudlets completed since the previous call, in
+// completion order, and forgets them, so a broker that lives for many
+// batches holds only what it has not yet handed out. Finished then lists
+// only completions after the last take.
+func (b *Broker) TakeFinished() []*Cloudlet {
+	out := b.finished
+	b.finished = nil
+	return out
+}
+
 // Engine returns the broker's simulation engine.
 func (b *Broker) Engine() *sim.Engine { return b.eng }
 

@@ -114,6 +114,30 @@ func TestBrokerOnFinishHook(t *testing.T) {
 	}
 }
 
+// TakeFinished hands each completion out once and then forgets it.
+func TestBrokerTakeFinished(t *testing.T) {
+	env := testEnv(t, 2, 1000)
+	eng := sim.NewEngine()
+	b := NewBroker(eng, env, TimeSharedFactory)
+	b.Submit(NewCloudlet(0, 100, 1, 0, 0), env.VMs[0])
+	b.Submit(NewCloudlet(1, 200, 1, 0, 0), env.VMs[1])
+	eng.Run()
+	if got := b.TakeFinished(); len(got) != 2 || got[0].ID != 0 || got[1].ID != 1 {
+		t.Fatalf("first take: %v", got)
+	}
+	if got := b.TakeFinished(); len(got) != 0 {
+		t.Fatalf("second take returned %d cloudlets again", len(got))
+	}
+	b.Submit(NewCloudlet(2, 100, 1, 0, 0), env.VMs[0])
+	eng.Run()
+	if got := b.Finished(); len(got) != 1 || got[0].ID != 2 {
+		t.Fatalf("Finished after a take: %v", got)
+	}
+	if got := b.TakeFinished(); len(got) != 1 || got[0].ID != 2 {
+		t.Fatalf("third take: %v", got)
+	}
+}
+
 func TestBrokerDefaultFactory(t *testing.T) {
 	env := testEnv(t, 1, 1000)
 	eng := sim.NewEngine()

@@ -10,10 +10,8 @@ import (
 	"bioschedsim/internal/sim"
 )
 
-// ErrEmptyBatch reports a run or flush that carried no cloudlets. Callers
-// that coalesce submissions (the scheduling service's time-bounded batcher)
-// legitimately produce empty flushes and use errors.Is to distinguish this
-// from real failures.
+// ErrEmptyBatch reports a Run or Session.PlaceBatch call that carried no
+// cloudlets; callers use errors.Is to tell it from real failures.
 var ErrEmptyBatch = errors.New("online: empty cloudlet batch")
 
 // validArrival reports whether a is a usable arrival offset: finite and

@@ -11,19 +11,18 @@ import (
 // broker survive across many batches, so placements always see the fleet's
 // live residency and completion feedback accumulates in the policy instead
 // of resetting per run. This is the execution substrate of the scheduling
-// service (internal/service): each flushed batch is placed — per-arrival by
+// service (internal/service): each batch is placed — per-arrival by
 // an online policy, or wholesale from a batch scheduler's assignment — and
 // then Run drains the engine, advancing the shared simulated clock.
 //
-// A Session is not safe for concurrent use; callers serialize access (the
-// service holds one mutex around place/submit/run).
+// A Session is not safe for concurrent use; callers serialize access (each
+// service shard drives its session from one goroutine).
 type Session struct {
 	env      *cloud.Environment
 	eng      *sim.Engine
 	broker   *cloud.Broker
 	policy   Scheduler // nil when the session only receives pre-placed work
 	onFinish cloud.FinishFunc
-	drained  int // prefix of broker.Finished() already returned by Run
 }
 
 // NewSession validates env and binds a fresh engine and broker to it. policy
@@ -95,9 +94,8 @@ func (s *Session) Place(c *cloud.Cloudlet) (*cloud.VM, error) {
 	return vm, nil
 }
 
-// PlaceBatch places each cloudlet of a flushed batch in order. An empty
-// batch returns ErrEmptyBatch so callers can treat time-triggered empty
-// flushes as a no-op rather than a failure.
+// PlaceBatch places each cloudlet of a batch in order. An empty batch
+// returns ErrEmptyBatch.
 func (s *Session) PlaceBatch(cloudlets []*cloud.Cloudlet) error {
 	if len(cloudlets) == 0 {
 		return ErrEmptyBatch
@@ -112,7 +110,7 @@ func (s *Session) PlaceBatch(cloudlets []*cloud.Cloudlet) error {
 
 // SubmitPlaced hands an externally assigned (cloudlet, VM) pair to the
 // session's broker at the current time — the path batch schedulers use to
-// reuse one broker across flushes.
+// reuse one broker across batches.
 func (s *Session) SubmitPlaced(c *cloud.Cloudlet, vm *cloud.VM) error {
 	if c == nil || vm == nil {
 		return fmt.Errorf("online: nil cloudlet or VM in placement")
@@ -125,15 +123,10 @@ func (s *Session) SubmitPlaced(c *cloud.Cloudlet, vm *cloud.VM) error {
 }
 
 // Run drains every scheduled event and returns the cloudlets that finished
-// since the previous Run, in completion order. The returned slice aliases
-// the broker's history; callers must not mutate it.
+// since the previous Run, in completion order. The session keeps no
+// reference to them afterwards, so a session that serves batch after batch
+// for the life of a process holds only its unfinished work.
 func (s *Session) Run() []*cloud.Cloudlet {
 	s.eng.Run()
-	fin := s.broker.Finished()
-	out := fin[s.drained:]
-	s.drained = len(fin)
-	return out
+	return s.broker.TakeFinished()
 }
-
-// Finished returns every cloudlet the session has completed since creation.
-func (s *Session) Finished() []*cloud.Cloudlet { return s.broker.Finished() }

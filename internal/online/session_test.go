@@ -93,8 +93,9 @@ func TestSessionPlacesBatchesIncrementally(t *testing.T) {
 	if s.Now() < t1 {
 		t.Fatalf("clock went backwards: %v after %v", s.Now(), t1)
 	}
-	if got := len(s.Finished()); got != 20 {
-		t.Fatalf("session finished %d, want 20", got)
+	// Each cloudlet is handed out once: a Run with nothing new returns none.
+	if again := s.Run(); len(again) != 0 {
+		t.Fatalf("a Run after the second flush returned %d cloudlets again, want 0", len(again))
 	}
 	if finishedHook != 20 {
 		t.Fatalf("OnFinish fired %d times, want 20", finishedHook)

@@ -23,12 +23,10 @@ func benchSubmitFlush(b *testing.B, shards, submitters int) {
 		b.Fatal(err)
 	}
 	svc, err := New(env, Config{
-		Scheduler:     "base",
-		Shards:        shards,
-		BatchSize:     256,
-		FlushInterval: time.Millisecond,
-		QueueCap:      8192,
-		Workers:       4,
+		Scheduler: "base",
+		Shards:    shards,
+		BatchSize: 256,
+		QueueCap:  8192,
 	})
 	if err != nil {
 		b.Fatal(err)

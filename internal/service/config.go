@@ -1,28 +1,25 @@
 // Package service turns the repository's schedulers into a long-running
 // scheduling daemon: an HTTP/JSON front end accepts cloudlet submissions, a
 // deterministic load-aware dispatcher routes each cloudlet to one of N
-// shards, and every shard runs the full pipeline independently — a
-// work-conserving batcher coalesces its cloudlets, a worker pool maps each
-// flushed batch with a registered scheduler (batch algorithms from
-// internal/sched — ACO, HBO, RBS, GA, PSO, base, … — or per-arrival
-// policies from internal/online), and a persistent online.Session executes
-// placements on the shard's broker, whose simulated clock advances across
-// batches. Shards own disjoint contiguous VM ranges, so their executions
-// proceed concurrently without sharing mutable state; fleet-wide metrics are
-// produced by a deterministic merge over the per-shard figures.
+// shards, and every shard runs the full pipeline on one goroutine — it
+// takes whatever cloudlets are queued as a batch, maps the batch with a
+// registered scheduler (batch algorithms from internal/sched — ACO, HBO,
+// RBS, GA, PSO, base, … — or per-arrival policies from internal/online),
+// executes the placements on a persistent online.Session whose simulated
+// clock advances across batches, and repeats. Shards own disjoint
+// contiguous VM ranges, so their executions proceed concurrently without
+// sharing mutable state; fleet-wide metrics are produced by a deterministic
+// merge over the per-shard figures.
 //
 // The shape is the one production serving systems share: bounded per-shard
 // admission (429 + Retry-After under pressure), work-conserving batch
-// coalescing (hand off at once while idle; otherwise on N items or T
-// elapsed, whichever first), concurrent mapping with serialized
-// per-shard state mutation, graceful drain on shutdown, and a Prometheus
-// observability surface with both merged and per-shard series. See
-// DESIGN.md §7 and §11.
+// coalescing (a free shard maps whatever is queued, up to N items), graceful
+// drain on shutdown, and a Prometheus observability surface with both
+// merged and per-shard series. See DESIGN.md §7 and §11.
 package service
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"bioschedsim/internal/online"
@@ -32,13 +29,15 @@ import (
 // Defaults for Config zero values.
 const (
 	DefaultBatchSize       = 64
-	DefaultFlushInterval   = 50 * time.Millisecond
 	DefaultQueueCap        = 4096
-	DefaultWorkers         = 2
-	DefaultSchedWorkers    = 1
 	DefaultShards          = 1
 	DefaultStatusRetention = 1 << 20
 )
+
+// DefaultFlushInterval no longer configures the daemon: a shard maps a
+// partial batch as soon as it is free, so no batch waits on a timer. It is
+// kept as a latency scale for clients, whose SLO limits are set against it.
+const DefaultFlushInterval = 50 * time.Millisecond
 
 // Config sizes the daemon. The zero value of every field selects the
 // package default, so Config{Scheduler: "aco"} is a working configuration.
@@ -49,16 +48,9 @@ type Config struct {
 	// ("online-eft", "online-aco", …). Required.
 	Scheduler string
 
-	// BatchSize caps a batch. While none of a shard's batches is mapping,
-	// whatever has arrived goes to a mapper at once; while one is mapping,
-	// the next batch goes out to a second mapper as soon as it holds this
-	// many cloudlets.
+	// BatchSize caps a batch. A shard that is free takes every cloudlet
+	// already queued for it, up to this many, as its next batch.
 	BatchSize int
-
-	// FlushInterval is how long a partial batch waits for a second mapper
-	// while one of its shard's batches is mapping, counted from its first
-	// cloudlet. A batch on an idle shard does not wait.
-	FlushInterval time.Duration
 
 	// QueueCap bounds each shard's admission queue. Submissions beyond a
 	// target shard's bound are rejected with ErrQueueFull (HTTP 429), or
@@ -68,34 +60,18 @@ type Config struct {
 	// fleet keeps accepting.
 	QueueCap int
 
-	// Workers sizes each shard's batch-mapping worker pool. Mapping runs
-	// concurrently across a shard's batches; execution on the shard's broker
-	// is serialized, while distinct shards execute concurrently. Online
-	// policies are stateful, so each shard runs one effective mapper
-	// regardless of this setting.
-	Workers int
-
-	// SchedWorkers bounds the internal kernel pool of each mapper for
-	// schedulers that implement sched.WorkerTunable (aco, hbo, rbs, ga).
-	// The default is 1 (serial kernels): the daemon already runs
-	// Shards·Workers mappers concurrently, so widening each mapper's pool
-	// oversubscribes the host unless the other knobs are lowered to match —
-	// Validate rejects combinations that exceed the host's processor count.
-	// Assignments are bit-identical at every setting; only latency moves.
-	SchedWorkers int
-
 	// Shards partitions the VM fleet into this many contiguous, disjoint
-	// ranges, each driven by its own engine, broker, batcher, and admission
-	// gate. Cloudlets are routed to shards by a deterministic load-aware
+	// ranges, each driven by its own goroutine, engine, broker, and
+	// admission gate. Cloudlets are routed to shards by a deterministic load-aware
 	// dispatcher (least outstanding MI, seeded-hash tiebreak). At the default
 	// of 1 the daemon behaves exactly as an unsharded build: same seeds,
 	// same placements, same metric series.
 	Shards int
 
-	// Seed derives every random stream (per-worker scheduler randomness,
-	// online policy randomness, the dispatcher's tiebreak), keeping runs
-	// reproducible. Shard i's streams are offset by i·2³², so shard 0 draws
-	// the exact streams an unsharded daemon would.
+	// Seed derives every random stream (each shard's scheduler or online
+	// policy randomness, the dispatcher's tiebreak), keeping runs
+	// reproducible. Shard i's stream is seeded Seed + i·2³², so shard 0
+	// draws the exact stream an unsharded daemon would.
 	Seed int64
 
 	// StatusRetention caps the number of finished cloudlet records kept for
@@ -111,17 +87,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = DefaultFlushInterval
-	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = DefaultQueueCap
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = DefaultWorkers
-	}
-	if cfg.SchedWorkers <= 0 {
-		cfg.SchedWorkers = DefaultSchedWorkers
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = DefaultShards
@@ -133,9 +100,9 @@ func (cfg Config) withDefaults() Config {
 }
 
 // Validate is the single error path for daemon configuration: every rule —
-// scheduler registration, shard bounds against the fleet, and worker
-// oversubscription — is checked here, so New, the CLI, and tests all fail
-// with the same diagnostics. fleetSize is the number of VMs the daemon will
+// scheduler registration and shard bounds against the fleet — is checked
+// here, so New, the CLI, and tests all fail with the same diagnostics.
+// fleetSize is the number of VMs the daemon will
 // schedule onto. Call after withDefaults (as New does) or with every field
 // explicitly set.
 func (cfg Config) Validate(fleetSize int) error {
@@ -153,10 +120,6 @@ func (cfg Config) Validate(fleetSize int) error {
 	}
 	if fleetSize > 0 && cfg.Shards > fleetSize {
 		return fmt.Errorf("service: %d shards over a %d-VM fleet; every shard needs at least one VM", cfg.Shards, fleetSize)
-	}
-	if procs := runtime.GOMAXPROCS(0); cfg.SchedWorkers > 1 && cfg.Shards*cfg.Workers*cfg.SchedWorkers > procs {
-		return fmt.Errorf("service: Shards·Workers·SchedWorkers = %d·%d·%d oversubscribes GOMAXPROCS=%d; lower one of the knobs",
-			cfg.Shards, cfg.Workers, cfg.SchedWorkers, procs)
 	}
 	return nil
 }

@@ -59,7 +59,7 @@ func getBody(t *testing.T, url string) (int, string) {
 }
 
 func TestHTTPSubmitSingleAndBatch(t *testing.T) {
-	_, ts := startHTTP(t, Config{Scheduler: "base", BatchSize: 4, FlushInterval: 2 * time.Millisecond})
+	_, ts := startHTTP(t, Config{Scheduler: "base", BatchSize: 4})
 
 	resp, body := postJSON(t, ts.URL+"/v1/submit", `{"length": 1500, "file_size": 300}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -124,7 +124,7 @@ func TestHTTPSubmitRejectsMalformed(t *testing.T) {
 }
 
 func TestHTTPBackpressure429(t *testing.T) {
-	svc, ts := startHTTP(t, Config{Scheduler: "hold-plant", Workers: 1, BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4})
+	svc, ts := startHTTP(t, Config{Scheduler: "hold-plant", QueueCap: 4})
 	occupy(t, svc, newHoldGate(t))
 	resp, body := postJSON(t, ts.URL+"/v1/submit", `{"cloudlets": [{"length":1},{"length":1},{"length":1},{"length":1}]}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -234,7 +234,7 @@ func TestHTTPSchedulersEndpoint(t *testing.T) {
 }
 
 func TestHTTPMetricsSurface(t *testing.T) {
-	svc, ts := startHTTP(t, Config{Scheduler: "base", BatchSize: 8, FlushInterval: 2 * time.Millisecond})
+	svc, ts := startHTTP(t, Config{Scheduler: "base", BatchSize: 8})
 	if _, err := svc.Submit(specN(8)); err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +268,7 @@ func TestHTTPMetricsSurface(t *testing.T) {
 // stays below its per-shard cap, and /v1/status/{id} round-trips records
 // for cloudlets living on every shard.
 func TestHTTPShardedBackpressureAndStatus(t *testing.T) {
-	svc, ts := startHTTP(t, Config{
-		Scheduler: "hold-plant", Shards: 2, Workers: 1,
-		BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4,
-	})
+	svc, ts := startHTTP(t, Config{Scheduler: "hold-plant", Shards: 2, QueueCap: 4})
 	occupy(t, svc, newHoldGate(t))
 
 	// One heavy cloudlet claims a shard; the dispatcher then steers every
@@ -327,7 +324,7 @@ func TestHTTPShardedBackpressureAndStatus(t *testing.T) {
 }
 
 func TestHTTPShardedStatusEveryShard(t *testing.T) {
-	_, ts := startHTTP(t, Config{Scheduler: "base", Shards: 2, BatchSize: 8, FlushInterval: 2 * time.Millisecond})
+	_, ts := startHTTP(t, Config{Scheduler: "base", Shards: 2, BatchSize: 8})
 	resp, body := postJSON(t, ts.URL+"/v1/submit",
 		`{"cloudlets": [`+strings.Repeat(`{"length": 1000},`, 39)+`{"length": 1000}]}`)
 	if resp.StatusCode != http.StatusAccepted {

@@ -37,12 +37,11 @@ var (
 // cross-shard contention; the merged fleet-wide view is computed at scrape
 // time by promMetrics.
 type shardMetrics struct {
-	submitted    counter // accepted cloudlets routed to this shard
-	rejected     counter // cloudlets this shard was due when a request was refused
-	finished     counter // cloudlets executed to completion
-	failed       counter // cloudlets whose batch failed to map
-	batches      counter // non-empty flushes dispatched
-	emptyFlushes counter // empty flushes absorbed via online.ErrEmptyBatch
+	submitted counter // accepted cloudlets routed to this shard
+	rejected  counter // cloudlets this shard was due when a request was refused
+	finished  counter // cloudlets executed to completion
+	failed    counter // cloudlets whose batch failed to map
+	batches   counter // batches mapped
 
 	queueDepth func() float64 // live admission-queue occupancy
 	inflight   atomic.Int64   // batches currently mapping/executing
@@ -140,9 +139,6 @@ func (p *promMetrics) failedTotal() uint64 {
 }
 func (p *promMetrics) batchesTotal() uint64 {
 	return p.sum(func(m *shardMetrics) uint64 { return m.batches.Load() })
-}
-func (p *promMetrics) emptyFlushesTotal() uint64 {
-	return p.sum(func(m *shardMetrics) uint64 { return m.emptyFlushes.Load() })
 }
 
 func (p *promMetrics) queueDepthTotal() float64 {
@@ -256,10 +252,8 @@ func (p *promMetrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "schedd_finished_total %d\n", p.finishedTotal())
 	writeHeader(w, "schedd_failed_total", "Cloudlets whose batch failed to map.", "counter")
 	fmt.Fprintf(w, "schedd_failed_total %d\n", p.failedTotal())
-	writeHeader(w, "schedd_batches_total", "Non-empty batches flushed to the worker pools.", "counter")
+	writeHeader(w, "schedd_batches_total", "Batches mapped by the shards.", "counter")
 	fmt.Fprintf(w, "schedd_batches_total %d\n", p.batchesTotal())
-	writeHeader(w, "schedd_empty_flushes_total", "Empty flushes absorbed without error.", "counter")
-	fmt.Fprintf(w, "schedd_empty_flushes_total %d\n", p.emptyFlushesTotal())
 
 	writeHeader(w, "schedd_queue_depth", "Cloudlets currently held in the admission queues.", "gauge")
 	fmt.Fprintf(w, "schedd_queue_depth %g\n", p.queueDepthTotal())
@@ -279,7 +273,7 @@ func (p *promMetrics) WritePrometheus(w io.Writer) {
 	writeHeader(w, "schedd_run_imbalance", "Eq. 13 over every finished cloudlet, merged across shards.", "gauge")
 	fmt.Fprintf(w, "schedd_run_imbalance %g\n", run.Imbalance())
 
-	writeHeader(w, "schedd_batch_size", "Cloudlets per flushed batch.", "histogram")
+	writeHeader(w, "schedd_batch_size", "Cloudlets per batch.", "histogram")
 	writeHistogram(w, "schedd_batch_size", "", p.mergedBatchSize())
 
 	writeHeader(w, "schedd_scheduling_seconds", "Wall-clock scheduling time per batch, by scheduler.", "histogram")
@@ -296,7 +290,7 @@ func (p *promMetrics) WritePrometheus(w io.Writer) {
 		func(m *shardMetrics) uint64 { return m.finished.Load() })
 	p.writeShardCounter(w, "schedd_shard_failed_total", "Cloudlets failed by each shard.",
 		func(m *shardMetrics) uint64 { return m.failed.Load() })
-	p.writeShardCounter(w, "schedd_shard_batches_total", "Non-empty batches flushed by each shard.",
+	p.writeShardCounter(w, "schedd_shard_batches_total", "Batches mapped by each shard.",
 		func(m *shardMetrics) uint64 { return m.batches.Load() })
 
 	writeHeader(w, "schedd_shard_queue_depth", "Cloudlets held in each shard's admission queue.", "gauge")

@@ -23,12 +23,12 @@ var ErrDraining = errors.New("service: draining, not accepting submissions")
 // admission is an all-or-nothing counting gate over one shard's queue
 // bound: a multi-cloudlet request either gets slots for every cloudlet it
 // routes here or contributes to rejecting the request whole, so a request
-// is never half-accepted. Slots are held from acceptance until the
-// cloudlet's batch is handed to the shard's worker pool, so the bound
-// covers both the channel and the batcher's accumulation buffer: a
-// saturated pool stalls the batcher, the gate fills, and submitters see
-// ErrQueueFull. Because used ≥ channel occupancy at all times and the
-// channel's capacity equals the gate's, an acquired send never blocks.
+// is never half-accepted. Slots are held from acceptance until the shard
+// takes the cloudlet's batch off the queue to map it, so the bound covers
+// both the channel and a request held back for the next batch: while the
+// shard is busy mapping, the gate fills and submitters see ErrQueueFull.
+// Because used ≥ channel occupancy at all times and the channel's capacity
+// equals the gate's, an acquired send never blocks.
 type admission struct {
 	mu   sync.Mutex
 	used int

@@ -45,7 +45,8 @@ func (c CloudletSpec) Validate() error {
 	return nil
 }
 
-// submission is one accepted cloudlet travelling queue → batcher → worker.
+// submission is one accepted cloudlet travelling from the queue into its
+// shard's batch.
 type submission struct {
 	cloudlet *cloud.Cloudlet
 	deadline float64 // relative seconds; applied on the shard's session clock
@@ -53,8 +54,8 @@ type submission struct {
 
 // Service is the scheduling daemon core: a deterministic load-aware
 // dispatcher in front of cfg.Shards independent shard pipelines, each with
-// its own admission gate, coalescing batcher, mapping worker pool, and
-// persistent engine over a contiguous slice of the VM fleet. The status
+// its own admission gate, serving goroutine, and persistent engine over a
+// contiguous slice of the VM fleet. The status
 // store and cloudlet id space stay global, so clients address cloudlets the
 // same way regardless of which shard ran them.
 type Service struct {
@@ -73,7 +74,7 @@ type Service struct {
 	draining  atomic.Bool
 
 	nextID  atomic.Int64
-	batchNo atomic.Int64 // flush sequence, global across shards
+	batchNo atomic.Int64 // batch sequence, global across shards
 	wg      sync.WaitGroup
 }
 
@@ -211,7 +212,7 @@ func (s *Service) Submit(specs []CloudletSpec) ([]int, error) {
 		s.stat.add(id, target[i])
 		units[target[i]] = append(units[target[i]], &submission{cloudlet: c, deadline: spec.Deadline})
 	}
-	// Each shard's share of the request travels as one unit, so the batcher
+	// Each shard's share of the request travels as one unit, so the shard
 	// keeps it in one batch whenever it fits.
 	for idx, unit := range units {
 		if len(unit) == 0 {
@@ -224,9 +225,8 @@ func (s *Service) Submit(specs []CloudletSpec) ([]int, error) {
 	return ids, nil
 }
 
-// Drain stops admission, flushes every shard's queue (including a final
-// possibly empty batch per shard), waits for every in-flight batch to
-// finish executing, and returns. It is the SIGTERM path: after Drain
+// Drain stops admission, lets every shard map and execute what is queued,
+// waits for every in-flight batch to finish executing, and returns. It is the SIGTERM path: after Drain
 // returns nil, every accepted cloudlet has either finished or been marked
 // failed. ctx bounds the wait. Drain is idempotent; concurrent calls all
 // wait for the same shutdown.

@@ -63,7 +63,7 @@ func specN(n int) []CloudletSpec {
 }
 
 func TestServiceFlushBySize(t *testing.T) {
-	svc := startService(t, Config{Scheduler: "base", BatchSize: 8, FlushInterval: time.Hour})
+	svc := startService(t, Config{Scheduler: "base", BatchSize: 8})
 	ids, err := svc.Submit(specN(16)) // two full batches, no timer needed
 	if err != nil {
 		t.Fatal(err)
@@ -86,10 +86,10 @@ func TestServiceFlushBySize(t *testing.T) {
 	}
 }
 
-// A lone cloudlet on an idle shard goes to a mapper at once: it finishes
-// long before the hour-long FlushInterval, in a batch of its own.
+// A lone cloudlet on an idle shard is mapped at once, in a batch of its
+// own, however large BatchSize is.
 func TestServiceIdleShardFlushesAtOnce(t *testing.T) {
-	svc := startService(t, Config{Scheduler: "base", BatchSize: 1 << 20, FlushInterval: time.Hour})
+	svc := startService(t, Config{Scheduler: "base", BatchSize: 1 << 20})
 	ids, err := svc.Submit(specN(1))
 	if err != nil {
 		t.Fatal(err)
@@ -110,37 +110,47 @@ func TestServiceIdleShardFlushesAtOnce(t *testing.T) {
 	}
 }
 
-// While one batch is mapping, the next partial batch lingers: it reaches
-// the second worker FlushInterval after its first cloudlet, not before,
-// and a request's cloudlets travel in it together.
-func TestServiceLingerWaitsForSecondWorker(t *testing.T) {
-	const linger = 100 * time.Millisecond
-	svc := startService(t, Config{Scheduler: "hold-plant", Workers: 2, BatchSize: 1 << 20, FlushInterval: linger})
+// Requests queued while the shard maps form its next batches, with no
+// timer involved: each request stays whole, so with BatchSize 4 requests of
+// 2, 3 and 1 cloudlets map as a batch of 2 and then a batch of 3+1.
+func TestServiceQueuedRequestsFormNextBatch(t *testing.T) {
+	svc := startService(t, Config{Scheduler: "hold-plant", BatchSize: 4})
 	g := newHoldGate(t)
-	if _, err := svc.Submit(specN(1)); err != nil {
-		t.Fatal(err)
-	}
-	if n := g.wait(t); n != 1 {
-		t.Fatalf("first batch holds %d cloudlets, want 1", n)
-	}
-	start := time.Now()
-	if _, err := svc.Submit(specN(3)); err != nil {
-		t.Fatal(err)
-	}
-	n := g.wait(t)
-	if waited := time.Since(start); waited < linger {
-		t.Fatalf("partial batch reached the second worker after %v, before FlushInterval %v", waited, linger)
-	}
-	if n != 3 {
-		t.Fatalf("lingering batch holds %d cloudlets, want the whole 3-cloudlet request", n)
+	occupy(t, svc, g)
+	var reqs [][]int
+	for _, n := range []int{2, 3, 1} {
+		ids, err := svc.Submit(specN(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, ids)
 	}
 	g.open()
 	drain(t, svc)
-	if got, want := svc.prom.finishedTotal(), uint64(4); got != want {
-		t.Fatalf("finished = %d, want %d", got, want)
+
+	batchOf := func(id int) int {
+		rec, _ := svc.Status(id)
+		if rec.State != StateFinished {
+			t.Fatalf("cloudlet %d: %+v", id, rec)
+		}
+		return rec.Batch
 	}
-	if got := svc.prom.batchesTotal(); got != 2 {
-		t.Fatalf("batches = %d, want 2", got)
+	size := map[int]int{}
+	for _, ids := range reqs {
+		for _, id := range ids {
+			size[batchOf(id)]++
+		}
+	}
+	first, second := batchOf(reqs[0][0]), batchOf(reqs[1][0])
+	if first >= second || batchOf(reqs[2][0]) != second {
+		t.Fatalf("requests of 2, 3, 1 mapped in batches %d, %d, %d; want b, b' and b' with b < b'",
+			first, second, batchOf(reqs[2][0]))
+	}
+	if size[first] != 2 || size[second] != 4 || len(size) != 2 {
+		t.Fatalf("batch sizes %v, want 2 then 4", size)
+	}
+	if got := svc.prom.batchesTotal(); got != 3 {
+		t.Fatalf("batches = %d, want 3 (the held one, then 2, then 4)", got)
 	}
 }
 
@@ -179,7 +189,7 @@ func TestServiceUnknownSchedulerRejected(t *testing.T) {
 }
 
 func TestServiceOnlinePolicyEndToEnd(t *testing.T) {
-	svc := startService(t, Config{Scheduler: "online-eft", BatchSize: 16, FlushInterval: 5 * time.Millisecond})
+	svc := startService(t, Config{Scheduler: "online-eft", BatchSize: 16})
 	ids, err := svc.Submit(specN(40))
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +207,7 @@ func TestServiceOnlinePolicyEndToEnd(t *testing.T) {
 }
 
 func TestServiceDeadlinesRideTheSessionClock(t *testing.T) {
-	svc := startService(t, Config{Scheduler: "base", BatchSize: 4, FlushInterval: 5 * time.Millisecond})
+	svc := startService(t, Config{Scheduler: "base", BatchSize: 4})
 	// Generous deadline: every cloudlet should make it.
 	specs := []CloudletSpec{
 		{Length: 500, Deadline: 1e6},
@@ -229,23 +239,11 @@ func TestServiceDrainRejectsNewWork(t *testing.T) {
 	drain(t, svc)
 }
 
-func TestServiceEmptyFlushOnDrain(t *testing.T) {
-	svc := startService(t, Config{Scheduler: "base"})
-	drain(t, svc) // nothing was ever submitted: the final flush is empty
-	if got := svc.prom.emptyFlushesTotal(); got != 1 {
-		t.Fatalf("empty flushes = %d, want 1", got)
-	}
-	if got := svc.prom.failedTotal(); got != 0 {
-		t.Fatalf("empty flush misreported as failure: failed = %d", got)
-	}
-}
-
 func TestServiceBackpressure(t *testing.T) {
-	// With the shard's only worker held, a long flush interval and huge
-	// batch size park everything in the batcher's accumulation buffer;
-	// admission slots are held until hand-off, so the cap of 8 stays
-	// exhausted.
-	svc := startService(t, Config{Scheduler: "hold-plant", Workers: 1, BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 8})
+	// With the shard's mapper held, everything submitted stays queued;
+	// admission slots are held until the shard takes a batch, so the cap of
+	// 8 stays exhausted.
+	svc := startService(t, Config{Scheduler: "hold-plant", QueueCap: 8})
 	occupy(t, svc, newHoldGate(t))
 	if _, err := svc.Submit(specN(8)); err != nil {
 		t.Fatal(err)
@@ -301,11 +299,9 @@ func TestServiceRejectsRequestLargerThanQueue(t *testing.T) {
 // completes everything in flight.
 func TestServiceConcurrentSubmissionsRace(t *testing.T) {
 	svc := startService(t, Config{
-		Scheduler:     "base",
-		BatchSize:     32,
-		FlushInterval: 2 * time.Millisecond,
-		QueueCap:      256,
-		Workers:       4,
+		Scheduler: "base",
+		BatchSize: 32,
+		QueueCap:  256,
 	})
 	const submitters = 1200
 	var accepted, rejected atomic.Int64
@@ -366,7 +362,7 @@ func TestServiceBioInspiredSchedulerBatches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("aco mapping in -short mode")
 	}
-	svc := startService(t, Config{Scheduler: "aco", BatchSize: 25, FlushInterval: 5 * time.Millisecond, Workers: 2})
+	svc := startService(t, Config{Scheduler: "aco", BatchSize: 25})
 	ids, err := svc.Submit(specN(50))
 	if err != nil {
 		t.Fatal(err)
@@ -406,8 +402,7 @@ func TestStatusStoreRetention(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{Scheduler: "base"}.withDefaults()
 	if cfg.BatchSize != DefaultBatchSize || cfg.QueueCap != DefaultQueueCap ||
-		cfg.Workers != DefaultWorkers || cfg.FlushInterval != DefaultFlushInterval ||
-		cfg.StatusRetention != DefaultStatusRetention {
+		cfg.Shards != DefaultShards || cfg.StatusRetention != DefaultStatusRetention {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }
@@ -443,7 +438,7 @@ func TestAdmissionAllOrNothing(t *testing.T) {
 func ExampleService() {
 	fleet := workload.GenerateVMs(workload.HeterogeneousVMSpec(), 4, 1)
 	env, _ := workload.GenerateEnvironment(workload.HeterogeneousDatacenterSpec(1), fleet, 1)
-	svc, _ := New(env, Config{Scheduler: "base", BatchSize: 2, FlushInterval: time.Millisecond})
+	svc, _ := New(env, Config{Scheduler: "base", BatchSize: 2})
 	ids, _ := svc.Submit([]CloudletSpec{{Length: 1000}, {Length: 2000}})
 	_ = svc.Drain(context.Background())
 	rec, _ := svc.Status(ids[1])

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"bioschedsim/internal/cloud"
@@ -14,17 +12,17 @@ import (
 )
 
 // shardSeedStride offsets consecutive shards' random streams far enough
-// apart that per-worker seeds (seed + worker) can never collide across
-// shards. Shard 0's streams are exactly the unsharded daemon's.
+// apart that they can never collide. Shard 0's stream is exactly the
+// unsharded daemon's.
 const shardSeedStride = int64(1) << 32
 
 // shard is one independent slice of the daemon: a contiguous VM range, its
-// own admission gate, work-conserving batcher, mapping worker pool, and a
-// persistent online.Session whose broker and simulated clock survive across
-// batches. Shards share nothing mutable — each has its own engine, its own
-// execution lock, and its own metric counters — so N shards execute
-// genuinely concurrently and a hot shard's backpressure never stalls the
-// others.
+// own admission gate, and one goroutine that coalesces, maps and executes
+// its batches on a persistent online.Session whose broker and simulated
+// clock survive across batches. Shards share nothing mutable — each has its
+// own engine, mapper, random stream and metric counters — so N shards
+// execute genuinely concurrently and a hot shard's backpressure never
+// stalls the others.
 type shard struct {
 	index int
 	svc   *Service
@@ -33,24 +31,13 @@ type shard struct {
 	adm *admission
 	// pending carries one request's cloudlets for this shard per unit.
 	pending chan []*submission
-	// batches hands batches to the mapping workers. It is unbuffered, so a
-	// send succeeds only when a worker is free; idle wakes the batcher when
-	// a worker finishes one (prom.inflight counts the batches in workers).
-	batches chan []*submission
-	idle    chan struct{}
 
-	// execMu serializes every touch of this shard's session (placement for
-	// online policies, broker submission, engine runs). Batch mapping runs
-	// outside it, so cfg.Workers schedulers can search concurrently while
-	// exactly one batch executes per shard.
-	execMu sync.Mutex
-	// guarded by: execMu
+	// The serve goroutine owns the session, the mapper and its stream, so
+	// none of them needs a lock. mapper is nil for online policies, which
+	// place through the session.
 	session *online.Session
-
-	// Batch-mode state: one scheduler instance and rand per worker, since
-	// registry schedulers are not safe for concurrent Schedule calls.
-	mappers []sched.Scheduler
-	rands   []*rand.Rand
+	mapper  sched.Scheduler
+	rand    *rand.Rand
 
 	prom *shardMetrics
 }
@@ -65,8 +52,6 @@ func newShard(svc *Service, index int, vms []*cloud.VM) (*shard, error) {
 		vms:     vms,
 		adm:     &admission{cap: cfg.QueueCap},
 		pending: make(chan []*submission, cfg.QueueCap),
-		batches: make(chan []*submission),
-		idle:    make(chan struct{}, 1),
 	}
 	sh.prom = newShardMetrics(sh.adm.depth)
 
@@ -79,16 +64,12 @@ func newShard(svc *Service, index int, vms []*cloud.VM) (*shard, error) {
 			return nil, err
 		}
 	} else {
-		sh.mappers = make([]sched.Scheduler, cfg.Workers)
-		sh.rands = make([]*rand.Rand, cfg.Workers)
-		for i := range sh.mappers {
-			m, err := sched.New(cfg.Scheduler, sched.WithWorkers(cfg.SchedWorkers))
-			if err != nil {
-				return nil, err
-			}
-			sh.mappers[i] = m
-			sh.rands[i] = rand.New(rand.NewSource(seed + int64(i)))
+		m, err := sched.New(cfg.Scheduler)
+		if err != nil {
+			return nil, err
 		}
+		sh.mapper = m
+		sh.rand = rand.New(rand.NewSource(seed))
 	}
 	session, err := online.NewSubsetSession(svc.env, vms, policy, cloud.TimeSharedFactory)
 	if err != nil {
@@ -102,125 +83,62 @@ func newShard(svc *Service, index int, vms []*cloud.VM) (*shard, error) {
 	return sh, nil
 }
 
-// start launches the shard's batcher and worker goroutines on the service's
-// wait group.
+// start launches the shard's serve goroutine on the service's wait group.
 func (sh *shard) start() {
-	svc := sh.svc
-	svc.wg.Add(1 + svc.cfg.Workers)
-	go func() { defer svc.wg.Done(); sh.batchLoop() }()
-	for i := 0; i < svc.cfg.Workers; i++ {
-		i := i
-		go func() { defer svc.wg.Done(); sh.workerLoop(i) }()
-	}
+	sh.svc.wg.Add(1)
+	go func() { defer sh.svc.wg.Done(); sh.serve() }()
 }
 
-// batchLoop coalesces the shard's pending requests into batches by
-// Nagle's rule. While none of the shard's batches is mapping, a non-empty
-// batch goes to a worker at once, so a lone cloudlet on an idle shard never
-// waits for company. While a batch is mapping, the next one keeps filling
-// and goes out when it holds cfg.BatchSize cloudlets or cfg.FlushInterval
-// after its first cloudlet, whichever comes first — and then only to a free
-// worker, since the hand-off channel is unbuffered. Under load batches thus
-// grow by themselves, and FlushInterval bounds how long a partial batch
-// waits for a second mapper. A request's cloudlets for this shard arrive as
-// one unit and join a single batch whenever they fit in cfg.BatchSize; a
-// unit that does not fit waits for the next batch, and one larger than
-// cfg.BatchSize is split. When the pending channel closes (drain), the loop
-// hands off whatever it holds — possibly an empty batch, which the
-// execution path absorbs via online.ErrEmptyBatch — and closes the batch
-// channel to stop the workers.
-func (sh *shard) batchLoop() {
-	defer close(sh.batches)
-	cfg := sh.svc.cfg
-	var (
-		batch, carry []*submission
-		in           = sh.pending
-		lingering    bool // the linger timer runs for the current batch
-		expired      bool // the current batch has lingered FlushInterval
-	)
-	linger := time.NewTimer(time.Hour)
-	stopLinger(linger)
-	defer linger.Stop()
+// serve is the shard's only goroutine. It blocks for the first pending
+// unit, takes every unit already queued without blocking, up to
+// cfg.BatchSize cloudlets, releases their admission slots, and maps and
+// executes the batch; then it repeats. A lone cloudlet on an idle shard is
+// thus mapped at once, and under load batches grow by themselves to
+// whatever queued while the previous one ran. A request's cloudlets for
+// this shard arrive as one unit and join a batch only whole; a unit that
+// does not fit opens the next batch, and one larger than cfg.BatchSize is
+// split. When pending closes (drain), serve finishes what is queued and
+// returns.
+func (sh *shard) serve() {
+	size := sh.svc.cfg.BatchSize
+	var carry []*submission
 	for {
-		// Move the carried request into the batch when it fits whole, or
-		// split it when it alone exceeds a batch.
-		if len(carry) > 0 && (len(batch) == 0 || len(batch)+len(carry) <= cfg.BatchSize) {
-			n := min(len(carry), cfg.BatchSize)
-			batch = append(batch, carry[:n]...)
-			carry = carry[n:]
-		}
-		if in == nil && len(carry) == 0 {
-			// Drain: hand off the remainder unconditionally — empty flushes
-			// exercise the typed-empty-batch path by design.
-			sh.prom.inflight.Add(1)
-			sh.batches <- batch
-			sh.adm.release(len(batch))
-			return
-		}
-		idle := sh.prom.inflight.Load() == 0
-		if len(batch) > 0 && !idle && !lingering {
-			linger.Reset(cfg.FlushInterval)
-			lingering = true
-		}
-		var out chan<- []*submission
-		if len(batch) > 0 && (idle || expired || len(carry) > 0 || len(batch) >= cfg.BatchSize) {
-			out = sh.batches
-		}
-		var recv <-chan []*submission
 		if len(carry) == 0 {
-			recv = in
-		}
-		select {
-		case unit, ok := <-recv:
+			unit, ok := <-sh.pending
 			if !ok {
-				in = nil
-				continue
+				return
 			}
 			carry = unit
-		case out <- batch:
-			sh.prom.inflight.Add(1)
-			sh.adm.release(len(batch))
-			batch = nil
-			if lingering {
-				stopLinger(linger)
-				lingering, expired = false, false
+		}
+		n := min(len(carry), size)
+		batch := carry[:n:n] // capped: appending never writes into carry
+		carry = carry[n:]
+	fill:
+		for len(batch) < size {
+			select {
+			case unit, ok := <-sh.pending:
+				if !ok {
+					break fill
+				}
+				if len(batch)+len(unit) > size {
+					carry = unit
+					break fill
+				}
+				batch = append(batch, unit...)
+			default:
+				break fill
 			}
-		case <-linger.C:
-			expired = true
-		case <-sh.idle:
 		}
-	}
-}
-
-// stopLinger stops t and discards a tick it may already have sent, so the
-// next Reset starts from a clean channel.
-func stopLinger(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// workerLoop maps and executes flushed batches until the batch channel
-// closes, and wakes the batcher after each one so a waiting partial batch
-// can go out as soon as the shard is idle.
-func (sh *shard) workerLoop(worker int) {
-	for batch := range sh.batches {
-		sh.runBatch(worker, batch)
+		sh.adm.release(len(batch))
+		sh.prom.inflight.Add(1)
+		sh.runBatch(batch)
 		sh.prom.inflight.Add(-1)
-		select {
-		case sh.idle <- struct{}{}:
-		default: // a wake-up is already pending
-		}
 	}
 }
 
-// runBatch drives one flushed batch through mapping and execution, and
-// records its metrics. Empty flushes are absorbed via the typed
-// online.ErrEmptyBatch and counted, never treated as failures.
-func (sh *shard) runBatch(worker int, subs []*submission) {
+// runBatch drives one batch through mapping and execution, and records its
+// metrics. A batch that fails to map marks its cloudlets failed.
+func (sh *shard) runBatch(subs []*submission) {
 	cls := make([]*cloud.Cloudlet, len(subs))
 	ids := make([]int, len(subs))
 	for i, sub := range subs {
@@ -230,12 +148,8 @@ func (sh *shard) runBatch(worker int, subs []*submission) {
 	batchNo := int(sh.svc.batchNo.Add(1))
 	sh.svc.stat.scheduling(ids, batchNo)
 
-	finished, schedTime, err := sh.mapAndExecute(worker, subs, cls)
+	finished, schedTime, err := sh.mapAndExecute(subs, cls)
 	if err != nil {
-		if errors.Is(err, online.ErrEmptyBatch) {
-			sh.prom.emptyFlushes.Inc()
-			return
-		}
 		sh.prom.failed.Add(uint64(len(subs)))
 		sh.svc.stat.fail(ids, err.Error())
 		return
@@ -243,15 +157,12 @@ func (sh *shard) runBatch(worker int, subs []*submission) {
 	sh.svc.prom.observeBatch(sh.prom, sh.svc.cfg.Scheduler, schedTime, metrics.CollectRunStats(finished))
 }
 
-// mapAndExecute performs the mode-specific mapping step and the serialized
-// execution step on this shard's session, returning the batch's finished
-// cloudlets and the wall-clock scheduling time.
-func (sh *shard) mapAndExecute(worker int, subs []*submission, cls []*cloud.Cloudlet) ([]*cloud.Cloudlet, time.Duration, error) {
-	if sh.mappers == nil {
-		// Online mode: placement is stateful and must see live residency,
-		// so the whole step runs under the session lock.
-		sh.execMu.Lock()
-		defer sh.execMu.Unlock()
+// mapAndExecute performs the mode-specific mapping step and the execution
+// step on this shard's session, returning the batch's finished cloudlets
+// and the wall-clock scheduling time.
+func (sh *shard) mapAndExecute(subs []*submission, cls []*cloud.Cloudlet) ([]*cloud.Cloudlet, time.Duration, error) {
+	if sh.mapper == nil {
+		// Online mode: placement is stateful and sees live residency.
 		sh.applyDeadlines(subs)
 		start := time.Now()
 		if err := sh.session.PlaceBatch(cls); err != nil {
@@ -261,21 +172,14 @@ func (sh *shard) mapAndExecute(worker int, subs []*submission, cls []*cloud.Clou
 		return sh.session.Run(), schedTime, nil
 	}
 
-	// Batch mode: the expensive search runs outside the session lock so
-	// workers overlap; only broker submission and the engine run serialize.
-	if len(cls) == 0 {
-		sh.execMu.Lock()
-		defer sh.execMu.Unlock()
-		return nil, 0, sh.session.PlaceBatch(nil)
-	}
 	ctx := &sched.Context{
 		Cloudlets:   cls,
 		VMs:         append([]*cloud.VM(nil), sh.vms...),
 		Datacenters: sh.svc.env.Datacenters,
-		Rand:        sh.rands[worker],
+		Rand:        sh.rand,
 	}
 	start := time.Now()
-	assignments, err := sh.schedule(worker, ctx)
+	assignments, err := sh.schedule(ctx)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -284,8 +188,6 @@ func (sh *shard) mapAndExecute(worker int, subs []*submission, cls []*cloud.Clou
 	}
 	schedTime := time.Since(start)
 
-	sh.execMu.Lock()
-	defer sh.execMu.Unlock()
 	sh.applyDeadlines(subs)
 	for _, a := range assignments {
 		if err := sh.session.SubmitPlaced(a.Cloudlet, a.VM); err != nil {
@@ -295,23 +197,22 @@ func (sh *shard) mapAndExecute(worker int, subs []*submission, cls []*cloud.Clou
 	return sh.session.Run(), schedTime, nil
 }
 
-// schedule runs the worker's batch mapper and turns a panic in it into an
+// schedule runs the shard's batch mapper and turns a panic in it into an
 // error, so a faulty scheduler fails only the batch it was mapping: the
 // cloudlets are marked failed with the panic text, schedd_failed_total
 // counts them, and the shard goes on serving.
-func (sh *shard) schedule(worker int, ctx *sched.Context) (as []sched.Assignment, err error) {
+func (sh *shard) schedule(ctx *sched.Context) (as []sched.Assignment, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("scheduler %s panicked: %v", sh.svc.cfg.Scheduler, p)
 		}
 	}()
-	return sh.mappers[worker].Schedule(ctx)
+	return sh.mapper.Schedule(ctx)
 }
 
 // applyDeadlines converts relative SLA bounds to the shard session's
-// absolute simulated clock at hand-off time. Caller holds execMu.
+// absolute simulated clock at hand-off time.
 func (sh *shard) applyDeadlines(subs []*submission) {
-	//schedlint:ignore lockheld caller-holds contract: both mapAndExecute call sites enter with execMu held
 	now := sh.session.Now()
 	for _, sub := range subs {
 		if sub.deadline > 0 {

@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,7 +49,7 @@ func mustBase() sched.Scheduler {
 // holdPlant is a batch scheduler that maps like "base", but only once the
 // installed holdGate lets it: each call reports its batch size on the
 // gate's held channel and then blocks until the gate opens. Tests use it to
-// keep a shard's mapping workers busy for exactly as long as they need.
+// keep a shard's mapper busy for exactly as long as they need.
 type holdPlant struct{ base sched.Scheduler }
 
 // holdGate is the switch a test installs for every holdPlant instance.
@@ -103,16 +102,12 @@ func (g *holdGate) wait(t testing.TB) int {
 	}
 }
 
-// occupy saturates every shard of a one-worker-per-shard service: it
-// submits one cloudlet per shard, waits until the plant holds each shard's
-// batch, and waits until the batchers have released the held cloudlets'
-// admission slots. Every later submission then stays in its shard's queue
-// until the gate opens.
+// occupy saturates every shard: it submits one cloudlet per shard, waits
+// until the plant holds each shard's batch, and waits until the shards have
+// released the held cloudlets' admission slots. Every later submission then
+// stays in its shard's queue until the gate opens.
 func occupy(t testing.TB, svc *Service, g *holdGate) {
 	t.Helper()
-	if svc.cfg.Workers != 1 {
-		t.Fatalf("occupy needs Workers: 1, got %d", svc.cfg.Workers)
-	}
 	specs := make([]CloudletSpec, len(svc.shards))
 	for i := range specs {
 		specs[i] = CloudletSpec{Length: 1}
@@ -170,19 +165,17 @@ func TestDispatcherDeterministicLeastWork(t *testing.T) {
 func TestConfigValidateSinglePath(t *testing.T) {
 	bad := map[string]Config{
 		"no scheduler":      {},
-		"unknown scheduler": {Scheduler: "no-such-alg", Shards: 1, Workers: 1, SchedWorkers: 1},
-		"zero shards":       {Scheduler: "base", Shards: 0, Workers: 1, SchedWorkers: 1},
-		"negative shards":   {Scheduler: "base", Shards: -2, Workers: 1, SchedWorkers: 1},
-		"shards over fleet": {Scheduler: "base", Shards: 9, Workers: 1, SchedWorkers: 1},
-		"oversubscribed": {Scheduler: "base", Shards: 4, Workers: 4,
-			SchedWorkers: 16 * runtime.GOMAXPROCS(0)},
+		"unknown scheduler": {Scheduler: "no-such-alg", Shards: 1},
+		"zero shards":       {Scheduler: "base", Shards: 0},
+		"negative shards":   {Scheduler: "base", Shards: -2},
+		"shards over fleet": {Scheduler: "base", Shards: 9},
 	}
 	for name, cfg := range bad {
 		if err := cfg.Validate(8); err == nil {
 			t.Errorf("%s: accepted by Validate: %+v", name, cfg)
 		}
 	}
-	ok := Config{Scheduler: "base", Shards: 4, Workers: 2, SchedWorkers: 1}
+	ok := Config{Scheduler: "base", Shards: 4}
 	if err := ok.Validate(8); err != nil {
 		t.Fatalf("valid sharded config rejected: %v", err)
 	}
@@ -198,7 +191,7 @@ func TestConfigValidateSinglePath(t *testing.T) {
 }
 
 func TestServiceShardedEndToEnd(t *testing.T) {
-	svc := startService(t, Config{Scheduler: "base", Shards: 2, BatchSize: 8, FlushInterval: 2 * time.Millisecond})
+	svc := startService(t, Config{Scheduler: "base", Shards: 2, BatchSize: 8})
 	ids, err := svc.Submit(specN(60))
 	if err != nil {
 		t.Fatal(err)
@@ -255,13 +248,10 @@ func TestServiceShardedEndToEnd(t *testing.T) {
 }
 
 func TestServiceShardedPerShardBackpressure(t *testing.T) {
-	// Each shard's only worker is held, so no queued batch is handed off:
-	// admission slots stay taken and each shard's gate (cap 4) fills
+	// Each shard's mapper is held, so no queued cloudlet is taken off the
+	// queue: admission slots stay taken and each shard's gate (cap 4) fills
 	// independently.
-	svc := startService(t, Config{
-		Scheduler: "hold-plant", Shards: 2, Workers: 1,
-		BatchSize: 1 << 20, FlushInterval: time.Hour, QueueCap: 4,
-	})
+	svc := startService(t, Config{Scheduler: "hold-plant", Shards: 2, QueueCap: 4})
 	occupy(t, svc, newHoldGate(t))
 	// The heavy cloudlet claims one shard; every light cloudlet after it
 	// routes to the other, least-loaded shard.
@@ -308,8 +298,7 @@ func TestServiceShardedPerShardBackpressure(t *testing.T) {
 func TestServiceShardedConcurrentRace(t *testing.T) {
 	svc := startService(t, Config{
 		Scheduler: "base", Shards: 4,
-		BatchSize: 16, FlushInterval: 2 * time.Millisecond,
-		QueueCap: 64, Workers: 2,
+		BatchSize: 16, QueueCap: 64,
 	})
 	const submitters = 800
 	var accepted, rejected atomic.Int64
@@ -352,15 +341,13 @@ func TestServiceShardedConcurrentRace(t *testing.T) {
 	if got := svc.prom.finishedTotal(); got != uint64(accepted.Load()) {
 		t.Fatalf("merged finished %d != accepted %d", got, accepted.Load())
 	}
-	// Drain flushed each of the 4 shards exactly once at close; idle shards
-	// absorb theirs as typed empty batches.
 	if got := svc.prom.failedTotal(); got != 0 {
 		t.Fatalf("failed = %d, want 0", got)
 	}
 }
 
 func TestServiceShardedOnlinePolicy(t *testing.T) {
-	svc := startService(t, Config{Scheduler: "online-eft", Shards: 2, BatchSize: 8, FlushInterval: 2 * time.Millisecond})
+	svc := startService(t, Config{Scheduler: "online-eft", Shards: 2, BatchSize: 8})
 	ids, err := svc.Submit(specN(30))
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +371,7 @@ func TestServiceShardedOnlinePolicy(t *testing.T) {
 // finishing work after the panics, and after drain every accepted
 // cloudlet is either finished or failed.
 func TestServiceShardedSchedulerPanicFailsOnlyItsBatch(t *testing.T) {
-	svc := startService(t, Config{Scheduler: "shard-panic-plant", Shards: 2, BatchSize: 8, FlushInterval: 2 * time.Millisecond})
+	svc := startService(t, Config{Scheduler: "shard-panic-plant", Shards: 2, BatchSize: 8})
 	if svc.shards[0].vms[0].ID != 0 {
 		t.Fatalf("shard 0 starts at VM %d; the plant keys on VM 0", svc.shards[0].vms[0].ID)
 	}

@@ -8,8 +8,8 @@
 # (capacity-planning engine vs analytic M/M/1 and M/M/c mean waits within
 # documented bands, both seeded plants caught) — a full-module race pass plus
 # explicit race gates for the parallel kernels (aco/hbo/rbs/ga/objective)
-# and the daemon (internal/service at 2/4 shards, and its work-conserving
-# batcher), and a short fuzz
+# and the daemon (internal/service at 2/4 shards, its serve loop, and the
+# offline replay of served batches), and a short fuzz
 # smoke over the untrusted-input boundaries (the daemon's JSON submit
 # decoder, the CSV workload trace parser, the columnar binary trace
 # reader/converter, schedlint's suppression-directive parser, the ACO
@@ -112,9 +112,10 @@ go test -race ./...
 go test -race -run 'WorkerCountInvariant|ConcurrentScheduleRace' ./internal/aco ./internal/hbo ./internal/rbs ./internal/ga ./internal/objective
 # Explicit race gate over the sharded daemon: concurrent submitters across
 # 4 shards, per-shard backpressure, and the HTTP round-trips under -race,
-# plus the work-conserving batcher: a lone cloudlet on an idle shard maps
-# at once, and a partial batch waits FlushInterval for a second mapper.
-go test -race -run 'TestServiceSharded|TestHTTPSharded|TestServiceIdleShardFlushesAtOnce|TestServiceLingerWaitsForSecondWorker' ./internal/service
+# plus each shard's serve loop: a lone cloudlet on an idle shard maps at
+# once, requests queued while the shard maps form its next batch whole,
+# and served batches replay offline bit-identically at 1 and 2 shards.
+go test -race -run 'TestServiceSharded|TestHTTPSharded|TestServiceIdleShardFlushesAtOnce|TestServiceQueuedRequestsFormNextBatch|TestServiceServedBatchesReplayOffline' ./internal/service
 
 go test -run='^$' -fuzz=FuzzDecodeSubmit -fuzztime=5s ./internal/service
 go test -run='^$' -fuzz=FuzzReadTrace -fuzztime=5s ./internal/workload
