@@ -64,13 +64,21 @@ type Cloudlet struct {
 
 // NewCloudlet returns a cloudlet with the given identity and static demands.
 func NewCloudlet(id int, length float64, pes int, fileSize, outputSize float64) *Cloudlet {
+	c := MakeCloudlet(id, length, pes, fileSize, outputSize)
+	return &c
+}
+
+// MakeCloudlet is NewCloudlet by value, for callers that lay many cloudlets
+// out in one slice (one allocation for a whole trace block) and hand out
+// pointers into it.
+func MakeCloudlet(id int, length float64, pes int, fileSize, outputSize float64) Cloudlet {
 	if length <= 0 {
 		panic(fmt.Sprintf("cloud: cloudlet %d with non-positive length %v", id, length))
 	}
 	if pes <= 0 {
 		panic(fmt.Sprintf("cloud: cloudlet %d with non-positive PEs %d", id, pes))
 	}
-	return &Cloudlet{
+	return Cloudlet{
 		ID:         id,
 		Length:     length,
 		PEs:        pes,

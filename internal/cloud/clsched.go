@@ -19,7 +19,9 @@ type CloudletScheduler interface {
 	Name() string
 	// Submit hands a cloudlet to the VM at the engine's current time.
 	Submit(*Cloudlet)
-	// Resident returns the number of cloudlets queued or running.
+	// Resident returns the number of cloudlets queued or running. The
+	// package's schedulers also keep it on the bound VM, where
+	// VM.QueuedOrRunning reads it without an interface call.
 	Resident() int
 	// Drain interrupts every resident cloudlet and returns them with their
 	// progress retained (remaining work updated to the current instant).
@@ -79,7 +81,7 @@ func (s *TimeShared) Submit(c *Cloudlet) {
 	c.SubmitTime = now
 	c.StartTime = now
 	s.resident = append(s.resident, c)
-	s.reschedule()
+	s.reschedule() // its first collect sets the VM's residency
 }
 
 // shareMIPS returns the per-cloudlet execution rate right now.
@@ -167,6 +169,7 @@ func (s *TimeShared) Drain() []*Cloudlet {
 		s.resident[i] = nil
 	}
 	s.resident = s.resident[:0]
+	s.vm.setResident(s, len(s.resident))
 	for _, c := range out {
 		c.interrupt()
 	}
@@ -193,6 +196,7 @@ func (s *TimeShared) collect() {
 		s.resident[i] = nil
 	}
 	s.resident = kept
+	s.vm.setResident(s, len(s.resident))
 	if len(finished) == 0 {
 		return
 	}
@@ -269,6 +273,7 @@ func (s *SpaceShared) Submit(c *Cloudlet) {
 		s.queue, s.head = s.queue[:n], 0
 	}
 	s.queue = append(s.queue, c)
+	s.vm.setResident(s, s.Resident())
 	s.dispatch()
 }
 
@@ -335,6 +340,7 @@ func (s *SpaceShared) finish(run *spaceRun) {
 	c := run.c
 	s.freePEs += run.pes
 	s.retire(run)
+	s.vm.setResident(s, s.Resident())
 	c.remaining = 0
 	c.Status = CloudletFinished
 	c.FinishTime = s.eng.Now()
@@ -367,6 +373,7 @@ func (s *SpaceShared) Drain() []*Cloudlet {
 	out = append(out, s.queue[s.head:]...)
 	clear(s.queue)
 	s.queue, s.head = s.queue[:0], 0
+	s.vm.setResident(s, s.Resident())
 	for _, c := range out {
 		c.interrupt()
 	}

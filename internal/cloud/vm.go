@@ -19,6 +19,7 @@ type VM struct {
 
 	Host      *Host             // set by allocation
 	scheduler CloudletScheduler // execution engine for resident cloudlets
+	resident  int               // the bound scheduler's Resident(), kept by it
 }
 
 // NewVM returns a VM with the given identity and capacity.
@@ -44,17 +45,26 @@ func (v *VM) Datacenter() *Datacenter {
 // binds one.
 func (v *VM) Scheduler() CloudletScheduler { return v.scheduler }
 
-// bind attaches a cloudlet scheduler; called by the broker at run start.
-func (v *VM) bind(s CloudletScheduler) { v.scheduler = s }
+// bind attaches a cloudlet scheduler and seeds the residency field from
+// it; called by the broker at run start.
+func (v *VM) bind(s CloudletScheduler) { v.scheduler, v.resident = s, s.Resident() }
+
+// setResident records n as the VM's residency if s is still its bound
+// scheduler: a scheduler the VM was rebound away from must not overwrite
+// its successor's count.
+func (v *VM) setResident(s CloudletScheduler, n int) {
+	if v.scheduler == s {
+		v.resident = n
+	}
+}
 
 // QueuedOrRunning returns the number of cloudlets currently resident on the
-// VM (queued plus executing). Schedulers that balance on load read this.
-func (v *VM) QueuedOrRunning() int {
-	if v.scheduler == nil {
-		return 0
-	}
-	return v.scheduler.Resident()
-}
+// VM (queued plus executing), 0 before a scheduler is bound. Schedulers
+// that balance on load read this once per VM per arrival, so it is a field
+// read: the bound scheduler assigns the field from its own count at every
+// step that changes that count, and a scheduler the VM has been rebound
+// away from no longer writes it.
+func (v *VM) QueuedOrRunning() int { return v.resident }
 
 // EstimateExecTime returns the idealized execution time of a cloudlet on
 // this VM assuming it runs alone: length / capacity, plus input staging time

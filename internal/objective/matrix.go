@@ -355,8 +355,8 @@ func classesOf(vms []*cloud.VM, withCost bool) *Classes {
 }
 
 // ExecTimes fills buf (len ≥ K) with Eq. 6's d for cloudlet c on each class
-// and returns buf[:K]. Per-arrival policies use this to price a cloudlet
-// against a whole fleet with K formula evaluations instead of m. The fill
+// and returns buf[:K]. The matrix fills each cloudlet's row from it with K
+// formula evaluations instead of m. The fill
 // reads the class capacity and bandwidth views, bit-identical to ExecTime
 // per entry.
 func (cl *Classes) ExecTimes(c *cloud.Cloudlet, buf []float64) []float64 {

@@ -11,50 +11,22 @@
 // allocation (the paper's [16]), where VMs advertise profitability and
 // foragers follow the waggle dance; OnlineRBS walks the VM groups exactly
 // as Algorithm 3 does, which is already an online procedure.
+//
+// A placement runs once per arrival, so the load-aware policies price the
+// fleet in one pass: each VM's residency is a field read
+// (cloud.VM.QueuedOrRunning) and its Eq. 6 estimate is computed in place,
+// with no per-fleet cache to validate, and the stochastic policies reuse
+// their roulette row, so Place allocates nothing.
 package online
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"bioschedsim/internal/cloud"
-	"bioschedsim/internal/objective"
 )
-
-// fleetClasses caches the VM exec-equivalence partition of the current fleet
-// so per-arrival policies price a cloudlet with K Eq. 6 evaluations (one per
-// distinct VM class) instead of one per VM. The partition rebuilds lazily
-// whenever the fleet slice changes (autoscaling, decommissioning).
-type fleetClasses struct {
-	fleet []*cloud.VM
-	cls   *objective.Classes
-	buf   []float64
-}
-
-func (f *fleetClasses) ensure(vms []*cloud.VM) {
-	if len(f.fleet) == len(vms) {
-		same := true
-		for i := range vms {
-			if f.fleet[i] != vms[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
-	}
-	f.cls = objective.ClassesOf(vms)
-	f.buf = make([]float64, f.cls.K)
-	f.fleet = append(f.fleet[:0], vms...)
-}
-
-// execTimes returns c's per-class Eq. 6 estimates and the VM→class map.
-func (f *fleetClasses) execTimes(c *cloud.Cloudlet, vms []*cloud.VM) ([]float64, []int32) {
-	f.ensure(vms)
-	return f.cls.ExecTimes(c, f.buf), f.cls.Index
-}
 
 // Scheduler places one arriving cloudlet at a time. Implementations may
 // keep state across placements (cursors, pheromone, profitability) and
@@ -117,10 +89,8 @@ func (*LeastLoaded) Place(c *cloud.Cloudlet, vms []*cloud.VM) (*cloud.VM, error)
 
 // EarliestFinish places each arrival on the VM minimizing the estimated
 // completion time given current residency: (resident+1) · d(c, vm) under
-// processor sharing.
-type EarliestFinish struct {
-	fleet fleetClasses
-}
+// processor sharing. Ties go to the earliest VM in fleet order.
+type EarliestFinish struct{}
 
 // NewEarliestFinish returns an online earliest-finish placer.
 func NewEarliestFinish() *EarliestFinish { return &EarliestFinish{} }
@@ -129,12 +99,11 @@ func NewEarliestFinish() *EarliestFinish { return &EarliestFinish{} }
 func (*EarliestFinish) Name() string { return "online-eft" }
 
 // Place implements Scheduler.
-func (s *EarliestFinish) Place(c *cloud.Cloudlet, vms []*cloud.VM) (*cloud.VM, error) {
-	times, cls := s.fleet.execTimes(c, vms)
+func (*EarliestFinish) Place(c *cloud.Cloudlet, vms []*cloud.VM) (*cloud.VM, error) {
 	best := vms[0]
 	bestETA := math.Inf(1)
-	for i, vm := range vms {
-		eta := float64(vm.QueuedOrRunning()+1) * times[cls[i]]
+	for _, vm := range vms {
+		eta := float64(vm.QueuedOrRunning()+1) * vm.EstimateExecTime(c)
 		if eta < bestETA {
 			best, bestETA = vm, eta
 		}
@@ -195,8 +164,8 @@ type ACO struct {
 	Q     float64 // deposit constant (paper Table II: 100)
 	rand  *rand.Rand
 
-	tau   map[*cloud.VM]float64
-	fleet fleetClasses
+	tau     map[*cloud.VM]float64
+	weights []float64 // Place's roulette row, reused across arrivals
 }
 
 // NewACO returns an online ACO placer with Table II parameters; rnd must be
@@ -213,8 +182,7 @@ func (s *ACO) Place(c *cloud.Cloudlet, vms []*cloud.VM) (*cloud.VM, error) {
 	if s.rand == nil {
 		return nil, fmt.Errorf("online: ACO requires a random source")
 	}
-	times, cls := s.fleet.execTimes(c, vms)
-	weights := make([]float64, len(vms))
+	s.weights = slices.Grow(s.weights[:0], len(vms))[:len(vms)]
 	total := 0.0
 	for i, vm := range vms {
 		tau := s.tau[vm]
@@ -222,16 +190,16 @@ func (s *ACO) Place(c *cloud.Cloudlet, vms []*cloud.VM) (*cloud.VM, error) {
 			tau = 1
 		}
 		// Congestion-aware heuristic: idealized time inflated by residency.
-		d := float64(vm.QueuedOrRunning()+1) * times[cls[i]]
+		d := float64(vm.QueuedOrRunning()+1) * vm.EstimateExecTime(c)
 		w := math.Pow(tau, s.Alpha) * math.Pow(1/d, s.Beta)
-		weights[i] = w
+		s.weights[i] = w
 		total += w
 	}
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
 		return vms[0], nil
 	}
 	x := s.rand.Float64() * total
-	for i, w := range weights {
+	for i, w := range s.weights {
 		x -= w
 		if x < 0 && w > 0 {
 			return vms[i], nil
@@ -267,7 +235,8 @@ type HBO struct {
 	ScoutFraction float64 // fraction of arrivals exploring randomly
 	rand          *rand.Rand
 
-	profit map[*cloud.VM]float64 // exponentially-averaged MI per second
+	profit  map[*cloud.VM]float64 // exponentially-averaged MI per second
+	weights []float64             // Place's roulette row, reused across arrivals
 }
 
 // NewHBO returns an online honey-bee placer with a 10% scout rate.
@@ -286,7 +255,7 @@ func (s *HBO) Place(c *cloud.Cloudlet, vms []*cloud.VM) (*cloud.VM, error) {
 	if s.rand.Float64() < s.ScoutFraction {
 		return vms[s.rand.Intn(len(vms))], nil // scout
 	}
-	weights := make([]float64, len(vms))
+	s.weights = slices.Grow(s.weights[:0], len(vms))[:len(vms)]
 	total := 0.0
 	for i, vm := range vms {
 		p := s.profit[vm]
@@ -294,14 +263,14 @@ func (s *HBO) Place(c *cloud.Cloudlet, vms []*cloud.VM) (*cloud.VM, error) {
 			p = vm.Capacity() // optimistic prior: advertised speed
 		}
 		w := p / float64(vm.QueuedOrRunning()+1)
-		weights[i] = w
+		s.weights[i] = w
 		total += w
 	}
 	if total <= 0 {
 		return vms[s.rand.Intn(len(vms))], nil
 	}
 	x := s.rand.Float64() * total
-	for i, w := range weights {
+	for i, w := range s.weights {
 		x -= w
 		if x < 0 && w > 0 {
 			return vms[i], nil

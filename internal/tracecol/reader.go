@@ -178,6 +178,9 @@ func decodeBlockInto(p BlockProvider, b int, dst []workload.TraceEntry) error {
 	}
 	idR := &byteReader{buf: ids, ctx: r.ctx + " id column"}
 	pesR := &byteReader{buf: pes, ctx: r.ctx + " pes column"}
+	// One allocation holds the whole block's cloudlets; each entry points
+	// into it.
+	block := make([]cloud.Cloudlet, n)
 	var prevID int64
 	for i := 0; i < n; i++ {
 		dz, err := idR.uvarint("id delta")
@@ -204,7 +207,8 @@ func decodeBlockInto(p BlockProvider, b int, dst []workload.TraceEntry) error {
 		if err := validateRow(i, id, length, int(pv), fileSize, outputSize, arrival, deadline); err != nil {
 			return err
 		}
-		c := cloud.NewCloudlet(id, length, int(pv), fileSize, outputSize)
+		c := &block[i]
+		*c = cloud.MakeCloudlet(id, length, int(pv), fileSize, outputSize)
 		c.Deadline = deadline
 		dst[i] = workload.TraceEntry{Cloudlet: c, Arrival: arrival}
 	}

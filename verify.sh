@@ -14,8 +14,9 @@
 # decoder, the CSV workload trace parser, the columnar binary trace
 # reader/converter, schedlint's suppression-directive parser, the ACO
 # roulette's binary search and unrolled weight row, the capacity-plan
-# spec parser, the kernel's arrival streams against a ScheduleAt loop, and
-# the kernel's event heap against a reference model).
+# spec parser, the kernel's arrival streams against a ScheduleAt loop, the
+# kernel's event heap against a reference model, and the one-pass online
+# EFT placement against its class-cache oracle).
 #
 # Any schedlint finding fails the gate; an audited //schedlint:ignore
 # directive is the only suppression.
@@ -144,5 +145,9 @@ go test -run='^$' -fuzz=FuzzReschedule -fuzztime=5s ./internal/sim
 # and survives a marshal→reparse round trip (NaN/Inf rates and bogus SLO
 # targets must be rejected, never half-configured).
 go test -run='^$' -fuzz=FuzzPlanSpec -fuzztime=5s ./internal/plan
+# Online EFT: on fuzzed fleets (mixed Bw including 0, repeated capacities,
+# a single VM) with fuzzed residencies and cloudlets, exact ties included,
+# the one-pass Place picks the same VM as the per-class oracle it replaced.
+go test -run='^$' -fuzz=FuzzEFTPlace -fuzztime=5s ./internal/online
 
 bench_smoke
