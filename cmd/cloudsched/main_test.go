@@ -216,3 +216,27 @@ func TestCmdGenTraceColumnar(t *testing.T) {
 		t.Error("-columnar without -out accepted")
 	}
 }
+
+// TestCmdNegativeCountsAreErrors: a negative count on the command line is
+// an error from the workload generators, not a makeslice panic.
+func TestCmdNegativeCountsAreErrors(t *testing.T) {
+	trace := t.TempDir() + "/trace.csv"
+	if err := cmdGenTrace([]string{"-n", "4", "-out", trace}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cmd  func([]string) error
+		args []string
+	}{
+		{cmdRun, []string{"-vms", "-2"}},
+		{cmdRun, []string{"-cloudlets", "-2"}},
+		{cmdRun, []string{"-scenario", "homogeneous", "-vms", "-2"}},
+		{cmdGenTrace, []string{"-n", "-3"}},
+		{cmdGenTrace, []string{"-n", "4", "-deadline-slack", "2", "-vms", "-2"}},
+		{cmdReplay, []string{"-trace", trace, "-vms", "-2"}},
+	} {
+		if err := tc.cmd(tc.args); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%v: got %v, want a negative-count error", tc.args, err)
+		}
+	}
+}

@@ -54,11 +54,11 @@ func cmdReplay(args []string) error {
 	}
 	cls, arrivals := workload.Split(entries)
 
-	fleet := workload.GenerateVMs(workload.HeterogeneousVMSpec(), *vms, *seed)
-	env, err := workload.GenerateEnvironment(workload.HeterogeneousDatacenterSpec(*dcs), fleet, *seed)
+	scn, err := workload.Heterogeneous(*vms, 0, *dcs, *seed)
 	if err != nil {
 		return err
 	}
+	env := scn.Env
 	policy, err := onlinePolicy(*policyName, int64(*seed))
 	if err != nil {
 		return err
@@ -112,9 +112,12 @@ func cmdGenTrace(args []string) error {
 		return err
 	}
 	if *slack > 0 {
-		fleet := workload.GenerateVMs(workload.HeterogeneousVMSpec(), *vms, *seed)
+		scn, err := workload.Heterogeneous(*vms, 0, 1, *seed)
+		if err != nil {
+			return err
+		}
 		cls, _ := workload.Split(entries)
-		if err := workload.AssignDeadlines(cls, fleet, *slack); err != nil {
+		if err := workload.AssignDeadlines(cls, scn.Env.VMs, *slack); err != nil {
 			return err
 		}
 		// Deadlines are relative to batch start; offset by each arrival so

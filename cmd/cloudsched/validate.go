@@ -72,7 +72,14 @@ func checkMM1() error {
 		arrivals[i] = at
 		cloudlets[i] = cloud.NewCloudlet(i, length, 1, 0, 0)
 	}
-	eng.ScheduleStream(arrivals, sim.PriorityAcquire, func(i int) { broker.Submit(cloudlets[i], vm) })
+	var c *cloud.Cloudlet
+	submit := func() { broker.Submit(c, vm) }
+	order := sim.OrderArrivals(arrivals)
+	for p := range arrivals {
+		i := order.Index(p)
+		c = cloudlets[i]
+		eng.FireAt(arrivals[i], sim.PriorityAcquire, submit)
+	}
 	eng.Run()
 	var wait float64
 	for _, c := range broker.Finished() {

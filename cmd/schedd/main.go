@@ -78,16 +78,20 @@ func parseFlags(args []string) (*options, error) {
 
 // buildEnv generates the daemon's fleet from the paper's scenario tables.
 func buildEnv(opt *options) (*cloud.Environment, error) {
+	var scn *workload.Scenario
+	var err error
 	switch opt.scenario {
 	case "heterogeneous":
-		fleet := workload.GenerateVMs(workload.HeterogeneousVMSpec(), opt.vms, opt.seed)
-		return workload.GenerateEnvironment(workload.HeterogeneousDatacenterSpec(opt.dcs), fleet, opt.seed)
+		scn, err = workload.Heterogeneous(opt.vms, 0, opt.dcs, opt.seed)
 	case "homogeneous":
-		fleet := workload.GenerateVMs(workload.HomogeneousVMSpec(), opt.vms, opt.seed)
-		return workload.GenerateEnvironment(workload.HomogeneousDatacenterSpec(1), fleet, opt.seed)
+		scn, err = workload.Homogeneous(opt.vms, 0, opt.seed)
 	default:
 		return nil, fmt.Errorf("schedd: unknown scenario %q (want homogeneous or heterogeneous)", opt.scenario)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return scn.Env, nil
 }
 
 // Connection deadlines. A client gets readHeaderTimeout to send its request

@@ -234,3 +234,17 @@ func TestHTTPServerHasDeadlines(t *testing.T) {
 			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
 	}
 }
+
+// TestNegativeFleetIsAnError: a negative -vms is an error from the
+// workload generators before anything listens, not a makeslice panic.
+func TestNegativeFleetIsAnError(t *testing.T) {
+	for _, args := range [][]string{{"-vms", "-1"}, {"-scenario", "homogeneous", "-vms", "-1"}} {
+		opt, err := parseFlags(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(context.Background(), opt, nil); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%v: got %v, want a negative-count error", args, err)
+		}
+	}
+}

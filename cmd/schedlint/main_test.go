@@ -267,7 +267,7 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, rule := range []string{"detrand", "simclock", "floateq", "noprint", "mutexcopy"} {
+	for _, rule := range []string{"detrand", "simclock", "floateq", "noprint"} {
 		if !strings.Contains(stdout.String(), rule) {
 			t.Errorf("-list output missing rule %s:\n%s", rule, stdout.String())
 		}

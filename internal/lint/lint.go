@@ -22,7 +22,6 @@
 //   - noprint:   no fmt.Print*/println, log.Print*/Fatal*/Panic*, or
 //     os.Stdout/os.Stderr writes in library packages; output goes through
 //     internal/report.
-//   - mutexcopy: no by-value copies of types that contain a sync lock.
 //   - randshare: no *rand.Rand / xrand.Source value captured by a goroutine
 //     closure or a worker-pool callback (objective.ParallelFor and friends);
 //     derive a per-index child stream instead (PR 5 determinism model).

@@ -69,17 +69,6 @@ func fixtureCases() []fixtureCase {
 			},
 		},
 		{
-			name:  "mutexcopy",
-			rules: []string{"mutexcopy"},
-			want: map[string][]string{
-				"internal/foo/fixture.go:20": {"mutexcopy"},
-				"internal/foo/fixture.go:25": {"mutexcopy"},
-				"internal/foo/fixture.go:31": {"mutexcopy"},
-				"internal/foo/fixture.go:38": {"mutexcopy"},
-				"internal/foo/fixture.go:46": {"mutexcopy"},
-			},
-		},
-		{
 			name:  "randshare",
 			rules: []string{"randshare"},
 			want: map[string][]string{
@@ -259,7 +248,7 @@ func TestUnknownRule(t *testing.T) {
 }
 
 func TestRuleNamesStable(t *testing.T) {
-	want := []string{"detrand", "simclock", "floateq", "noprint", "mutexcopy", "randshare", "lockheld", "goroleak"}
+	want := []string{"detrand", "simclock", "floateq", "noprint", "randshare", "lockheld", "goroleak"}
 	if got := RuleNames(); !reflect.DeepEqual(got, want) {
 		t.Errorf("rule registry changed: got %v want %v (names are suppression/CLI API)", got, want)
 	}

@@ -50,7 +50,10 @@ var simclockExempt = []string{
 
 // registry holds every rule in canonical order. Rule names are part of the
 // suppression and -rules surface; treat them as API. New rules append —
-// renaming or reordering breaks committed suppressions.
+// renaming or reordering breaks committed suppressions. A removed rule's
+// name becomes unknown to -rules and to suppressions, and the SARIF
+// ruleIndex of every rule after it drops by one (consumers should key on
+// ruleId).
 var registry = []Rule{
 	{
 		Name:  "detrand",
@@ -75,12 +78,6 @@ var registry = []Rule{
 		Doc:   "no fmt.Print*/print/println, log.Print*/Fatal*/Panic*, or os.Stdout/os.Stderr writes in library packages; render through internal/report or an injected io.Writer",
 		Scope: func(rel string) bool { return underDir(rel, "internal") },
 		Check: checkNoPrint,
-	},
-	{
-		Name:  "mutexcopy",
-		Doc:   "no by-value copies of types containing a sync lock (params, results, assignments, range variables)",
-		Scope: func(rel string) bool { return true },
-		Check: checkMutexCopy,
 	},
 	{
 		Name:  "randshare",

@@ -9,8 +9,8 @@ package lint
 //
 //   - detrand/simclock/noprint: resolving the qualifier of rand.X / time.X /
 //     fmt.X to the right package,
-//   - mutexcopy: knowing that sync.Mutex and friends are lock-carrying named
-//     struct types, so containment in user structs is visible,
+//   - lockheld/goroleak: resolving sync.Mutex, RWMutex, WaitGroup and Cond
+//     and their Lock/Unlock/Wait methods,
 //   - floateq: float-typed results of common stdlib calls (time.Duration's
 //     Seconds, rand.Float64, math.Abs, ...) so comparisons involving them
 //     still get a concrete float type.
@@ -26,13 +26,13 @@ type Locker interface {
 	Unlock()
 }
 
-type Mutex struct{ state int32 }
+type Mutex struct{}
 
 func (m *Mutex) Lock()         {}
 func (m *Mutex) Unlock()       {}
 func (m *Mutex) TryLock() bool { return false }
 
-type RWMutex struct{ w Mutex }
+type RWMutex struct{}
 
 func (rw *RWMutex) Lock()           {}
 func (rw *RWMutex) Unlock()         {}
@@ -42,13 +42,13 @@ func (rw *RWMutex) TryLock() bool   { return false }
 func (rw *RWMutex) TryRLock() bool  { return false }
 func (rw *RWMutex) RLocker() Locker { return nil }
 
-type WaitGroup struct{ state uint64 }
+type WaitGroup struct{}
 
 func (wg *WaitGroup) Add(delta int) {}
 func (wg *WaitGroup) Done()         {}
 func (wg *WaitGroup) Wait()         {}
 
-type Once struct{ done uint32 }
+type Once struct{}
 
 func (o *Once) Do(f func()) {}
 
@@ -57,7 +57,7 @@ type Pool struct{ New func() any }
 func (p *Pool) Get() any  { return nil }
 func (p *Pool) Put(x any) {}
 
-type Map struct{ mu Mutex }
+type Map struct{}
 
 func (m *Map) Load(key any) (any, bool)                  { return nil, false }
 func (m *Map) Store(key, value any)                      {}

@@ -5,6 +5,11 @@
 // and places each one the moment it arrives, using only the fleet's
 // current state — the "local knowledge" the paper's introduction calls for.
 //
+// There is one driver, Session. Run replays an arrival list through one
+// session: it delivers each arrival in (time, index) order with
+// sim.Engine.FireAt and places it there with Session.Place. The scheduling
+// service places each batch through its shard's long-lived session.
+//
 // Three of the online policies are the natural per-arrival forms of the
 // paper's algorithms: OnlineACO keeps a per-VM pheromone trail reinforced
 // by completion feedback; OnlineHBO is Nakrani & Tovey's honey-bee server

@@ -38,8 +38,13 @@ type Result struct {
 // state); arrivals need not be sorted but every element must be finite and
 // non-negative, and len(arrivals)==len(cloudlets). An empty batch returns
 // ErrEmptyBatch.
+//
+// Run is a loop over one Session: it delivers each arrival in stable
+// (time, index) order with sim.Engine.FireAt, places it there with
+// Session.Place, and drains the session at the end.
 func Run(env *cloud.Environment, scheduler Scheduler, cloudlets []*cloud.Cloudlet, arrivals []float64, factory cloud.SchedulerFactory) (*Result, error) {
-	if err := env.Validate(); err != nil {
+	s, err := NewSession(env, scheduler, factory)
+	if err != nil {
 		return nil, err
 	}
 	if len(cloudlets) == 0 {
@@ -53,40 +58,25 @@ func Run(env *cloud.Environment, scheduler Scheduler, cloudlets []*cloud.Cloudle
 			return nil, fmt.Errorf("online: invalid arrival %v at index %d (want finite, non-negative)", a, i)
 		}
 	}
-	eng := sim.NewEngine()
-	broker := cloud.NewBroker(eng, env, factory)
 
-	learner, _ := scheduler.(Feedback)
-	if learner != nil {
-		broker.OnFinish(func(c *cloud.Cloudlet) {
-			learner.Completed(c, c.ExecTime())
-		})
-	}
-
+	var c *cloud.Cloudlet
 	var placeErr error
-	eng.ScheduleStream(arrivals, sim.PriorityAcquire, func(i int) {
+	place := func() { _, placeErr = s.Place(c) }
+	order := sim.OrderArrivals(arrivals)
+	for p := range arrivals {
+		i := order.Index(p)
+		c = cloudlets[i]
+		s.eng.FireAt(arrivals[i], sim.PriorityAcquire, place)
 		if placeErr != nil {
-			return
+			return nil, fmt.Errorf("online: placing cloudlet %d: %w", c.ID, placeErr)
 		}
-		c := cloudlets[i]
-		vm, err := scheduler.Place(c, env.VMs)
-		if err != nil {
-			placeErr = fmt.Errorf("online: placing cloudlet %d: %w", c.ID, err)
-			eng.Stop()
-			return
-		}
-		broker.Submit(c, vm)
-	})
-	eng.Run()
-	if placeErr != nil {
-		return nil, placeErr
 	}
-	finished := broker.Finished()
+	finished := s.Run()
 	if len(finished) != len(cloudlets) {
 		return nil, fmt.Errorf("online: %d of %d cloudlets unfinished", len(cloudlets)-len(finished), len(cloudlets))
 	}
 
-	res := &Result{Finished: finished, EngineEvents: eng.Fired()}
+	res := &Result{Finished: finished, EngineEvents: s.eng.Fired()}
 	res.SimTime = metrics.SimulationTime(finished)
 	res.Imbalance = metrics.TimeImbalance(finished)
 	res.Cost = metrics.ProcessingCost(finished)

@@ -10,10 +10,12 @@ import (
 // Session is a long-lived incremental scheduling context: one engine and one
 // broker survive across many batches, so placements always see the fleet's
 // live residency and completion feedback accumulates in the policy instead
-// of resetting per run. This is the execution substrate of the scheduling
-// service (internal/service): each batch is placed — per-arrival by
-// an online policy, or wholesale from a batch scheduler's assignment — and
-// then Run drains the engine, advancing the shared simulated clock.
+// of resetting per run. It is the one online driver. Run delivers a
+// trace's arrivals to a session one by one (sim.Engine.FireAt, then Place)
+// and drains it once at the end; the scheduling service
+// (internal/service) places each batch — per arrival by an online policy,
+// or wholesale from a batch scheduler's assignment — and then drains the
+// session, advancing the shared simulated clock.
 //
 // A Session is not safe for concurrent use; callers serialize access (each
 // service shard drives its session from one goroutine).
@@ -94,16 +96,39 @@ func (s *Session) Place(c *cloud.Cloudlet) (*cloud.VM, error) {
 	return vm, nil
 }
 
+// PlaceError reports a batch placement that stopped at one cloudlet. The
+// Placed cloudlets before it sit in the session and finish when it runs;
+// it and the rest of the batch were never submitted.
+type PlaceError struct {
+	Cloudlet int // ID of the cloudlet that could not be placed
+	Placed   int // cloudlets of the batch placed before it
+	Err      error
+}
+
+func (e *PlaceError) Error() string {
+	return fmt.Sprintf("online: placing cloudlet %d (batch index %d): %v", e.Cloudlet, e.Placed, e.Err)
+}
+
+func (e *PlaceError) Unwrap() error { return e.Err }
+
 // PlaceBatch places each cloudlet of a batch in order. An empty batch
-// returns ErrEmptyBatch.
-func (s *Session) PlaceBatch(cloudlets []*cloud.Cloudlet) error {
+// returns ErrEmptyBatch. A placement that fails, or a policy that panics,
+// stops the batch with a *PlaceError; the session stays usable.
+func (s *Session) PlaceBatch(cloudlets []*cloud.Cloudlet) (err error) {
 	if len(cloudlets) == 0 {
 		return ErrEmptyBatch
 	}
-	for i, c := range cloudlets {
-		if _, err := s.Place(c); err != nil {
-			return fmt.Errorf("online: placing cloudlet %d (batch index %d): %w", c.ID, i, err)
+	placed := 0
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PlaceError{Cloudlet: cloudlets[placed].ID, Placed: placed, Err: fmt.Errorf("placement panicked: %v", p)}
 		}
+	}()
+	for _, c := range cloudlets {
+		if _, err := s.Place(c); err != nil {
+			return &PlaceError{Cloudlet: c.ID, Placed: placed, Err: err}
+		}
+		placed++
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bioschedsim/internal/cloud"
@@ -249,5 +250,71 @@ func TestSubsetSessionRejectsForeignVMs(t *testing.T) {
 	}
 	if _, err := NewSubsetSession(env, nil, NewRoundRobin(), cloud.TimeSharedFactory); err == nil {
 		t.Fatal("empty subset accepted")
+	}
+}
+
+// TestRunEmptyFleetIsAnError: Run over a fleet with no VMs is the
+// session's empty-fleet error for every registered policy, never a panic
+// inside Place, whose contract promises a non-empty fleet.
+func TestRunEmptyFleetIsAnError(t *testing.T) {
+	env, cls := hetEnv(t, 2, 4, 31)
+	env.VMs = nil
+	for _, name := range PolicyNames() {
+		policy, err := NewPolicy(name, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Run(env, policy, cls, uniformArrivals(len(cls), 1), cloud.TimeSharedFactory)
+		if err == nil || !strings.Contains(err.Error(), "session over empty fleet") {
+			t.Errorf("%s: Run on an empty fleet returned %v, want the empty-fleet error", name, err)
+		}
+	}
+}
+
+// panicPlant places like its inner policy but panics on its k-th Place.
+type panicPlant struct {
+	Scheduler
+	k, calls int
+}
+
+func (p *panicPlant) Place(c *cloud.Cloudlet, vms []*cloud.VM) (*cloud.VM, error) {
+	if p.calls++; p.calls == p.k {
+		panic("plant: k-th placement")
+	}
+	return p.Scheduler.Place(c, vms)
+}
+
+// TestPlaceBatchContainsPolicyPanic: a policy that panics mid-batch stops
+// PlaceBatch with a *PlaceError naming the cloudlet and counting the ones
+// placed before it. Those finish when the session runs, the rest were never
+// submitted, and the session goes on placing later batches.
+func TestPlaceBatchContainsPolicyPanic(t *testing.T) {
+	const k = 4
+	env, cls := hetEnv(t, 3, 10, 17)
+	s, err := NewSession(env, &panicPlant{Scheduler: NewRoundRobin(), k: k}, cloud.TimeSharedFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.PlaceBatch(cls)
+	var pe *PlaceError
+	if !errors.As(err, &pe) || pe.Cloudlet != cls[k-1].ID || pe.Placed != k-1 {
+		t.Fatalf("PlaceBatch returned %v, want a *PlaceError at cloudlet %d after %d placed", err, cls[k-1].ID, k-1)
+	}
+	if !strings.Contains(err.Error(), "plant: k-th placement") {
+		t.Fatalf("error %q does not carry the panic", err)
+	}
+	if got := s.Run(); len(got) != k-1 {
+		t.Fatalf("%d cloudlets finished after the panic, want the %d placed before it", len(got), k-1)
+	}
+	for _, c := range cls[k-1:] {
+		if c.VM != nil {
+			t.Fatalf("unplaced cloudlet %d reached VM %d", c.ID, c.VM.ID)
+		}
+	}
+	if err := s.PlaceBatch(cls[k:]); err != nil {
+		t.Fatalf("session unusable after a contained panic: %v", err)
+	}
+	if got := s.Run(); len(got) != len(cls)-k {
+		t.Fatalf("next batch finished %d, want %d", len(got), len(cls)-k)
 	}
 }

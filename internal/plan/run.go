@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -130,24 +129,19 @@ func draw(spec *Spec, opts *RunOptions) (offsets, lengths []float64, rec Recorde
 // later position), so the pops, and the recorder's samples, come in the
 // DES's order.
 func serveQueue(slots int, mips float64, offsets, lengths []float64, warmup int, rec Recorder) {
-	order := make([]int, len(offsets))
-	for i := range order {
-		order[i] = i
-	}
-	if !slices.IsSorted(offsets) {
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(offsets[a], offsets[b]) })
-	}
+	order := sim.OrderArrivals(offsets)
 	h := make(serverHeap, slots)
 	for i := range h {
 		h[i] = running{finish: math.Inf(-1), pos: -1}
 	}
 	observeTop := func() {
-		if top := h[0]; top.pos >= 0 && order[top.pos] >= warmup {
-			arrival := offsets[order[top.pos]]
+		if top := h[0]; top.pos >= 0 && order.Index(top.pos) >= warmup {
+			arrival := offsets[order.Index(top.pos)]
 			rec.Observe(top.start-arrival, top.finish-arrival)
 		}
 	}
-	for pos, job := range order {
+	for pos := range offsets {
+		job := order.Index(pos)
 		observeTop()
 		start := max(offsets[job], h[0].finish)
 		h[0] = running{start + lengths[job]/mips, start, pos}
@@ -267,7 +261,6 @@ func simulate(spec *Spec, fleet int, offsets, lengths []float64, rec Recorder, n
 			rec.Observe(float64(c.StartTime)-arrival, float64(c.FinishTime)-arrival)
 		}
 	})
-	eng.ScheduleStream(offsets, sim.PriorityAcquire, func(i int) { d.arrive(cloudlets[i]) })
 
 	var scaler *elastic.Autoscaler
 	if e := spec.Elastic; e != nil {
@@ -293,6 +286,14 @@ func simulate(spec *Spec, fleet int, offsets, lengths []float64, rec Recorder, n
 		scaler.Start()
 	}
 
+	var c *cloud.Cloudlet
+	arrive := func() { d.arrive(c) }
+	order := sim.OrderArrivals(offsets)
+	for p := range offsets {
+		i := order.Index(p)
+		c = cloudlets[i]
+		eng.FireAt(offsets[i], sim.PriorityAcquire, arrive)
+	}
 	eng.Run()
 
 	if got := len(broker.Finished()); got != n {

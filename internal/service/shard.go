@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -71,16 +72,26 @@ func newShard(svc *Service, index int, vms []*cloud.VM) (*shard, error) {
 		sh.mapper = m
 		sh.rand = rand.New(rand.NewSource(seed))
 	}
-	session, err := online.NewSubsetSession(svc.env, vms, policy, cloud.TimeSharedFactory)
-	if err != nil {
+	if err := sh.bind(policy); err != nil {
 		return nil, err
 	}
-	sh.session = session
+	return sh, nil
+}
+
+// bind gives the shard a fresh session over its VMs, placed by policy (nil
+// for a batch mapper) and wired into the status store and the shard's
+// counters.
+func (sh *shard) bind(policy online.Scheduler) error {
+	session, err := online.NewSubsetSession(sh.svc.env, sh.vms, policy, cloud.TimeSharedFactory)
+	if err != nil {
+		return err
+	}
 	session.OnFinish(func(c *cloud.Cloudlet) {
-		svc.stat.finish(c)
+		sh.svc.stat.finish(c)
 		sh.prom.finished.Inc()
 	})
-	return sh, nil
+	sh.session = session
+	return nil
 }
 
 // start launches the shard's serve goroutine on the service's wait group.
@@ -137,7 +148,9 @@ func (sh *shard) serve() {
 }
 
 // runBatch drives one batch through mapping and execution, and records its
-// metrics. A batch that fails to map marks its cloudlets failed.
+// metrics. A batch that fails to map marks its cloudlets failed, except
+// those an online policy placed before the failure: they finish, so each
+// cloudlet ends in exactly one terminal state.
 func (sh *shard) runBatch(subs []*submission) {
 	cls := make([]*cloud.Cloudlet, len(subs))
 	ids := make([]int, len(subs))
@@ -150,7 +163,11 @@ func (sh *shard) runBatch(subs []*submission) {
 
 	finished, schedTime, err := sh.mapAndExecute(subs, cls)
 	if err != nil {
-		sh.prom.failed.Add(uint64(len(subs)))
+		var pe *online.PlaceError
+		if errors.As(err, &pe) {
+			ids = ids[pe.Placed:]
+		}
+		sh.prom.failed.Add(uint64(len(ids)))
 		sh.svc.stat.fail(ids, err.Error())
 		return
 	}
@@ -166,6 +183,7 @@ func (sh *shard) mapAndExecute(subs []*submission, cls []*cloud.Cloudlet) ([]*cl
 		sh.applyDeadlines(subs)
 		start := time.Now()
 		if err := sh.session.PlaceBatch(cls); err != nil {
+			sh.session.Run() // what was placed before the failure finishes now
 			return nil, 0, err
 		}
 		schedTime := time.Since(start)

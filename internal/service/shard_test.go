@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"bioschedsim/internal/cloud"
+	"bioschedsim/internal/online"
 	"bioschedsim/internal/sched"
 )
 
@@ -425,5 +427,62 @@ func TestServiceShardedSchedulerPanicFailsOnlyItsBatch(t *testing.T) {
 	svc.WriteMetrics(&sb)
 	if want := fmt.Sprintf("schedd_failed_total %d\n", failed); !strings.Contains(sb.String(), want) {
 		t.Errorf("metrics output missing %q", want)
+	}
+}
+
+// kthPanicPolicy places like its inner online policy but panics on its
+// k-th Place.
+type kthPanicPolicy struct {
+	online.Scheduler
+	k, calls int
+}
+
+const kthPanicText = "plant: k-th online placement"
+
+func (p *kthPanicPolicy) Place(c *cloud.Cloudlet, vms []*cloud.VM) (*cloud.VM, error) {
+	if p.calls++; p.calls == p.k {
+		panic(kthPanicText)
+	}
+	return p.Scheduler.Place(c, vms)
+}
+
+// TestServiceOnlinePolicyPanicFailsOnlyUnplaced: an online policy that
+// panics in the middle of a batch fails only the cloudlets it had not
+// placed. The ones placed before the panic finish even though no batch
+// follows, and after drain every accepted cloudlet is in exactly one
+// terminal state: accepted = finished + failed.
+func TestServiceOnlinePolicyPanicFailsOnlyUnplaced(t *testing.T) {
+	// 20 cloudlets map as batches of 8, 8 and 4; the plant panics placing
+	// the 18th, the second of the last batch.
+	const k = 18
+	svc := startService(t, Config{Scheduler: "online-rr", BatchSize: 8})
+	if err := svc.shards[0].bind(&kthPanicPolicy{Scheduler: online.NewRoundRobin(), k: k}); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := svc.Submit(specN(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, svc)
+
+	for i, id := range ids {
+		rec, ok := svc.Status(id)
+		if !ok {
+			t.Fatalf("cloudlet %d has no status", id)
+		}
+		want := StateFinished
+		if i >= k-1 {
+			want = StateFailed
+			if !strings.Contains(rec.Error, kthPanicText) || !strings.Contains(rec.Error, fmt.Sprintf("placing cloudlet %d", ids[k-1])) {
+				t.Errorf("cloudlet %d failed with %q, want the panic text and the cloudlet it hit", id, rec.Error)
+			}
+		}
+		if rec.State != want {
+			t.Errorf("cloudlet %d (position %d) is %s, want %s", id, i, rec.State, want)
+		}
+	}
+	finished, failed := svc.prom.finishedTotal(), svc.prom.failedTotal()
+	if finished != k-1 || failed != uint64(len(ids)-k+1) {
+		t.Errorf("accepted %d, finished %d, failed %d; want %d finished and the rest failed", len(ids), finished, failed, k-1)
 	}
 }

@@ -10,13 +10,11 @@ import (
 // Engine drives a single simulation run. It is single-threaded by design:
 // run one Engine per goroutine for parallel experiments.
 type Engine struct {
-	now     Time
-	events  eventHeap
-	seq     uint64
-	fired   uint64
-	stopped bool
-	tracer  Tracer
-	backlog int // stream members scheduled but not yet queued
+	now    Time
+	events eventHeap
+	seq    uint64
+	fired  uint64
+	tracer Tracer
 }
 
 // Option configures an Engine.
@@ -42,9 +40,9 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events scheduled but not yet fired, every
-// unfired stream member included. Cancelled events are not counted.
-func (e *Engine) Pending() int { return len(e.events) + e.backlog }
+// Pending returns the number of events scheduled but not yet fired.
+// Cancelled events are not counted.
+func (e *Engine) Pending() int { return len(e.events) }
 
 // Schedule registers fn to run after delay with the given priority and
 // returns the Event handle (usable with Cancel and Reschedule). Negative
@@ -98,79 +96,62 @@ func (e *Engine) checkTime(t Time) {
 	}
 }
 
-// ScheduleStream registers fn(i) to run at times[i] for every i, in exactly
-// the order that len(times) consecutive ScheduleAt calls would fire them,
-// but queues only the stream's next member: the rest wait in times, so an
-// arrival list costs the event list one entry, not one per arrival. The
-// stream keeps times; the caller must not modify it until the last member
-// has fired. Times need not be sorted. An empty slice is a no-op.
-//
-// Member i takes the sequence number the i-th ScheduleAt call would have
-// taken, so ties with every other event resolve as they would under
-// ScheduleAt. Stream members cannot be cancelled.
-func (e *Engine) ScheduleStream(times []Time, priority int, fn func(i int)) {
-	if len(times) == 0 {
-		return
-	}
-	sorted := true
-	for i, t := range times {
-		e.checkTime(t)
-		sorted = sorted && (i == 0 || times[i-1] <= t)
-	}
-	if fn == nil {
-		panic("sim: ScheduleStream with nil callback")
-	}
-	s := &stream{eng: e, times: times, fn: fn, base: e.seq}
-	s.ev = Event{priority: priority, fn: s.fire}
-	if !sorted {
-		s.order = make([]int, len(times))
-		for i := range s.order {
-			s.order[i] = i
+// FireAt delivers one arrival: it fires every queued event that sorts
+// before (t, priority), moves the clock to t, and runs fn there ahead of any
+// event already queued at that same (t, priority). fn is counted in Fired
+// and shown to the tracer like a queued event, but it never enters the
+// event list. FireAt calls over a list of arrivals, in the order
+// OrderArrivals returns, fire exactly what ScheduleAt calls for all of
+// them, made before anything else was queued, would fire.
+func (e *Engine) FireAt(t Time, priority int, fn func()) {
+	e.checkTime(t)
+	for len(e.events) > 0 {
+		// Stop at the first event not before (t, priority); t <= time
+		// here means the times are equal.
+		if next := e.events[0]; t < next.time || t <= next.time && next.priority >= priority {
+			break
 		}
-		slices.SortStableFunc(s.order, func(a, b int) int { return cmp.Compare(times[a], times[b]) })
+		e.Step()
 	}
-	e.seq += uint64(len(times))
-	e.backlog += len(times) - 1
-	s.push()
+	e.now = t
+	if e.tracer != nil {
+		e.tracer.Fire(&Event{time: t, priority: priority})
+	}
+	fn()
+	e.fired++
 }
 
-// stream is one ScheduleStream registration. Its members fire in (time,
-// index) order; only the member at position next is ever queued, and it is
-// queued as ev, one Event reused for the whole stream.
-type stream struct {
-	eng   *Engine
-	times []Time
-	order []int // firing position → index; nil when times is sorted
-	fn    func(int)
-	base  uint64 // member i has seq base+1+i
-	next  int
-	ev    Event
+// ArrivalOrder is a delivery order for a list of arrival times: position
+// p delivers the arrival at index Index(p). A nil ArrivalOrder is the
+// identity.
+type ArrivalOrder []int
+
+// OrderArrivals returns the stable (time, index) order of times, the order
+// a FireAt loop must deliver them in. It allocates nothing when times is
+// already sorted.
+func OrderArrivals(times []Time) ArrivalOrder {
+	if slices.IsSorted(times) {
+		return nil
+	}
+	order := make(ArrivalOrder, len(times))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(times[a], times[b]) })
+	return order
 }
 
-// push queues the member at position next.
-func (s *stream) push() {
-	i := s.next
-	if s.order != nil {
-		i = s.order[i]
+// Index returns the index of the arrival delivered at position p.
+func (o ArrivalOrder) Index(p int) int {
+	if o == nil {
+		return p
 	}
-	s.ev.time, s.ev.seq = s.times[i], s.base+1+uint64(i)
-	s.eng.events.push(&s.ev)
-}
-
-// fire runs the queued member after queueing its successor, which can
-// never precede it.
-func (s *stream) fire() {
-	i := int(s.ev.seq - s.base - 1)
-	if s.next++; s.next < len(s.times) {
-		s.eng.backlog--
-		s.push()
-	}
-	s.fn(i)
+	return o[p]
 }
 
 // Step fires the next event, if any, and reports whether one fired.
 func (e *Engine) Step() bool {
-	if e.stopped || len(e.events) == 0 {
+	if len(e.events) == 0 {
 		return false
 	}
 	ev := e.events.pop()
@@ -183,8 +164,8 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called, and returns
-// the final simulated time.
+// Run executes events until the queue drains and returns the final
+// simulated time.
 func (e *Engine) Run() Time {
 	for e.Step() {
 	}
@@ -195,9 +176,6 @@ func (e *Engine) Run() Time {
 // deadline, and returns it. Events scheduled beyond the deadline stay queued.
 func (e *Engine) RunUntil(deadline Time) Time {
 	for {
-		if e.stopped {
-			return e.now
-		}
 		next := e.events.peek()
 		if next == nil || next.time > deadline {
 			break
@@ -209,10 +187,3 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	return e.now
 }
-
-// Stop halts the run loop after the current event. Pending events remain
-// queued; a stopped engine never fires again.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop was called.
-func (e *Engine) Stopped() bool { return e.stopped }

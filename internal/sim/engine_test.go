@@ -123,29 +123,6 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i), PriorityDefault, func() {
-			count++
-			if count == 4 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 4 {
-		t.Fatalf("count after Stop: %d", count)
-	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() false after Stop")
-	}
-	if e.Step() {
-		t.Fatal("Step after Stop fired an event")
-	}
-}
-
 func TestEngineScheduleNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -4,12 +4,13 @@
 // float64 (this repository uses seconds, converting to the paper's
 // milliseconds/hours at the reporting layer), events are closures scheduled at
 // absolute times, and ties are broken first by an integer priority and then
-// by insertion order, so runs are fully deterministic. An arrival list is
-// registered as one stream that keeps only its next member in the event
-// list, so the list holds live work, not the whole trace. The future event
-// list is one indexed binary heap: every queued event knows its position, so
-// cancelling removes it at once and a long-lived event (a VM's completion
-// timer) is re-keyed in place instead of being replaced.
+// by insertion order, so runs are fully deterministic. Arrivals are not
+// queued: the driver delivers each one with Engine.FireAt, in the stable
+// (time, index) order OrderArrivals gives, so the event list holds live
+// work, not the whole trace. The future event list is one indexed binary
+// heap: every queued event knows its position, so cancelling removes it at
+// once and a long-lived event (a VM's completion timer) is re-keyed in
+// place instead of being replaced.
 package sim
 
 // Time is simulated time since the start of the run (seconds by convention

@@ -76,8 +76,7 @@ type kernel interface {
 	scheduleAt(t Time, priority int, handle int)
 	reschedule(handle int, t Time)
 	cancel(handle int)
-	scheduleStream(times []Time, priority int, stream int)
-	stop()
+	fireAt(t Time, priority int, arrival int)
 	step() bool
 	runUntil(t Time)
 	now() Time
@@ -85,24 +84,24 @@ type kernel interface {
 	pending() int
 }
 
-// handleTag and streamTag name what fired in the log.
-func handleTag(h int) int         { return -1 - h }
-func streamTag(stream, i int) int { return stream<<8 | i }
+// handleTag names a scheduled event in the log; an arrival delivered by
+// FireAt is logged under its non-negative arrival number.
+func handleTag(h int) int { return -1 - h }
 
 // reschedScript replays one byte-driven scenario of ScheduleAt,
-// Reschedule (of queued, fired and cancelled events), Cancel,
-// ScheduleStream, Step, RunUntil and Stop on a kernel, top level and from
-// inside callbacks. Every decision reads the next byte, so two kernels see
-// the same decisions exactly when they fire the same events in order.
+// Reschedule (of queued, fired and cancelled events) and Cancel, top level
+// and from inside callbacks, and of FireAt, Step and RunUntil at top
+// level. Every decision reads the next byte, so two kernels see the same
+// decisions exactly when they fire the same events in order.
 type reschedScript struct {
-	data    []byte
-	pos     int
-	k       kernel
-	log     []fired
-	states  []checkpoint
-	handles int
-	streams int
-	budget  int // events the callbacks may still schedule or re-arm
+	data     []byte
+	pos      int
+	k        kernel
+	log      []fired
+	states   []checkpoint
+	handles  int
+	arrivals int
+	budget   int // events the callbacks may still schedule or re-arm
 }
 
 func (s *reschedScript) next() int {
@@ -132,7 +131,7 @@ func (s *reschedScript) record(t Time, priority int, seq uint64, tag int) {
 }
 
 // act is every callback: it may schedule, re-arm itself or another
-// handle, cancel, or stop.
+// handle, or cancel.
 func (s *reschedScript) act(tag int) {
 	op := s.next() % 8
 	if op >= 1 && op <= 4 {
@@ -152,10 +151,6 @@ func (s *reschedScript) act(tag int) {
 		s.k.reschedule(s.handle(), s.at())
 	case op == 5 && s.handles > 0:
 		s.k.cancel(s.handle())
-	case op == 6:
-		if s.next()%4 == 0 {
-			s.k.stop()
-		}
 	}
 }
 
@@ -175,22 +170,13 @@ func (s *reschedScript) run(k kernel) {
 			s.k.reschedule(s.handle(), s.at())
 		case op == 2 && s.handles > 0:
 			s.k.cancel(s.handle())
-		case op == 3:
-			n, priority := s.next()%8, s.priority()
-			times := make([]Time, n)
-			for i := range times {
-				times[i] = s.at()
-			}
-			s.k.scheduleStream(times, priority, s.streams)
-			s.streams++
+		case op == 3 || op == 6:
+			s.k.fireAt(s.at(), s.priority(), s.arrivals)
+			s.arrivals++
 		case op == 4:
 			s.k.step()
 		case op == 5:
 			s.k.runUntil(s.at())
-		case op == 6:
-			if s.next()%4 == 0 {
-				s.k.stop()
-			}
 		}
 		s.checkpoint()
 	}
@@ -224,10 +210,9 @@ func (k *engineKernel) scheduleAt(t Time, priority int, h int) {
 }
 func (k *engineKernel) reschedule(h int, t Time) { k.e.Reschedule(k.handles[h], t) }
 func (k *engineKernel) cancel(h int)             { k.e.Cancel(k.handles[h]) }
-func (k *engineKernel) scheduleStream(times []Time, priority int, stream int) {
-	k.e.ScheduleStream(times, priority, func(i int) { k.fire(streamTag(stream, i)) })
+func (k *engineKernel) fireAt(t Time, priority int, arrival int) {
+	k.e.FireAt(t, priority, func() { k.fire(arrival) })
 }
-func (k *engineKernel) stop()           { k.e.Stop() }
 func (k *engineKernel) step() bool      { return k.e.Step() }
 func (k *engineKernel) runUntil(t Time) { k.e.RunUntil(t) }
 func (k *engineKernel) now() Time       { return k.e.Now() }
@@ -245,14 +230,14 @@ type refEvent struct {
 
 // refKernel is the reference model: a flat slice scanned for the minimum
 // (time, priority, seq), with lazily cancelled entries. Reschedule is
-// Cancel followed by a fresh entry; a stream is one entry per member with
-// consecutive seqs.
+// Cancel followed by a fresh entry; FireAt steps while the earliest entry
+// sorts before (t, priority) and then fires the arrival, which never gets
+// an entry or a seq.
 type refKernel struct {
 	s       *reschedScript
 	clock   Time
 	seq     uint64
 	nfired  uint64
-	stopped bool
 	events  []*refEvent
 	handles []*refEvent
 }
@@ -272,12 +257,19 @@ func (k *refKernel) reschedule(h int, t Time) {
 	k.handles[h] = k.add(t, k.handles[h].priority, handleTag(h))
 }
 func (k *refKernel) cancel(h int) { k.handles[h].live = false }
-func (k *refKernel) scheduleStream(times []Time, priority int, stream int) {
-	for i, t := range times {
-		k.add(t, priority, streamTag(stream, i))
+func (k *refKernel) fireAt(t Time, priority int, arrival int) {
+	for {
+		ev := k.earliest()
+		if ev == nil || ev.time > t || ev.time == t && ev.priority >= priority {
+			break
+		}
+		k.step()
 	}
+	k.clock = t
+	k.s.record(t, priority, 0, arrival)
+	k.s.act(arrival)
+	k.nfired++
 }
-func (k *refKernel) stop() { k.stopped = true }
 
 // earliest scans for the minimum live entry, or nil.
 func (k *refKernel) earliest() *refEvent {
@@ -295,7 +287,7 @@ func (k *refKernel) earliest() *refEvent {
 
 func (k *refKernel) step() bool {
 	ev := k.earliest()
-	if k.stopped || ev == nil {
+	if ev == nil {
 		return false
 	}
 	ev.live = false
@@ -307,13 +299,13 @@ func (k *refKernel) step() bool {
 }
 
 func (k *refKernel) runUntil(t Time) {
-	for !k.stopped {
+	for {
 		if ev := k.earliest(); ev == nil || ev.time > t {
 			break
 		}
 		k.step()
 	}
-	if !k.stopped && k.clock < t {
+	if k.clock < t {
 		k.clock = t
 	}
 }

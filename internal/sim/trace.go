@@ -3,7 +3,8 @@ package sim
 // Tracer observes events as the engine fires them. Tracing is on the hot
 // path, so implementations should be cheap; the engine skips the call
 // entirely when no tracer is attached. The *Event is valid only during
-// Fire: a stream reuses one Event for all of its members.
+// Fire; for an arrival delivered by FireAt it is a description that was
+// never queued.
 type Tracer interface {
 	Fire(*Event)
 }

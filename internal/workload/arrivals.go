@@ -37,10 +37,12 @@ func finiteRate(v float64) bool {
 	return v > 0 && !math.IsInf(v, 1) && !math.IsNaN(v)
 }
 
-// checkN rejects negative batch sizes with the historical message.
-func checkN(n int) error {
+// checkCount rejects a negative count of what before anything is sized by
+// it: the scenario builders, SyntheticTraceFrom and the arrival processes
+// all check their counts here.
+func checkCount(what string, n int) error {
 	if n < 0 {
-		return fmt.Errorf("workload: negative arrival count %d", n)
+		return fmt.Errorf("workload: negative %s count %d", what, n)
 	}
 	return nil
 }
@@ -78,7 +80,7 @@ func (p Poisson) Validate() error {
 
 // Offsets implements ArrivalProcess.
 func (p Poisson) Offsets(n int, seed uint64) ([]float64, error) {
-	if err := checkN(n); err != nil {
+	if err := checkCount("arrival", n); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
@@ -151,7 +153,7 @@ func (p MMPP) Validate() error {
 
 // Offsets implements ArrivalProcess.
 func (p MMPP) Offsets(n int, seed uint64) ([]float64, error) {
-	if err := checkN(n); err != nil {
+	if err := checkCount("arrival", n); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
@@ -220,7 +222,7 @@ func (p Diurnal) Validate() error {
 
 // Offsets implements ArrivalProcess.
 func (p Diurnal) Offsets(n int, seed uint64) ([]float64, error) {
-	if err := checkN(n); err != nil {
+	if err := checkCount("arrival", n); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {

@@ -191,6 +191,9 @@ func SyntheticTrace(spec CloudletSpec, n int, rate float64, seed uint64) ([]Trac
 // from proc's own stream, so the poisson case is bit-identical to the
 // historical SyntheticTrace.
 func SyntheticTraceFrom(spec CloudletSpec, n int, proc ArrivalProcess, seed uint64) ([]TraceEntry, error) {
+	if err := checkCount("cloudlet", n); err != nil {
+		return nil, err
+	}
 	cls := GenerateCloudlets(spec, n, seed)
 	arrivals, err := proc.Offsets(n, seed)
 	if err != nil {

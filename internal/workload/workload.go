@@ -238,32 +238,30 @@ func (s *Scenario) Context() *sched.Context {
 // Tables III–IV): nVMs identical VMs in one datacenter, nCloudlets
 // identical cloudlets.
 func Homogeneous(nVMs, nCloudlets int, seed uint64) (*Scenario, error) {
-	vms := GenerateVMs(HomogeneousVMSpec(), nVMs, seed)
-	env, err := GenerateEnvironment(HomogeneousDatacenterSpec(1), vms, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Scenario{
-		Name:      fmt.Sprintf("homogeneous/vms=%d/cloudlets=%d", nVMs, nCloudlets),
-		Env:       env,
-		Cloudlets: GenerateCloudlets(HomogeneousCloudletSpec(), nCloudlets, seed),
-		Seed:      seed,
-	}, nil
+	return scenario(fmt.Sprintf("homogeneous/vms=%d/cloudlets=%d", nVMs, nCloudlets),
+		HomogeneousVMSpec(), HomogeneousCloudletSpec(), HomogeneousDatacenterSpec(1), nVMs, nCloudlets, seed)
 }
 
 // Heterogeneous materializes the paper's heterogeneous scenario (§VI-B,
 // Tables V–VII): VM MIPS in [500,4000], cloudlet lengths in [1000,20000],
 // nDCs datacenters with prices drawn from Table VII's ranges.
 func Heterogeneous(nVMs, nCloudlets, nDCs int, seed uint64) (*Scenario, error) {
-	vms := GenerateVMs(HeterogeneousVMSpec(), nVMs, seed)
-	env, err := GenerateEnvironment(HeterogeneousDatacenterSpec(nDCs), vms, seed)
+	return scenario(fmt.Sprintf("heterogeneous/vms=%d/cloudlets=%d/dcs=%d", nVMs, nCloudlets, nDCs),
+		HeterogeneousVMSpec(), HeterogeneousCloudletSpec(), HeterogeneousDatacenterSpec(nDCs), nVMs, nCloudlets, seed)
+}
+
+// scenario draws nVMs VMs and nCloudlets cloudlets from the specs and
+// places the VMs in dc's datacenters.
+func scenario(name string, vm VMSpec, cl CloudletSpec, dc DatacenterSpec, nVMs, nCloudlets int, seed uint64) (*Scenario, error) {
+	if err := checkCount("VM", nVMs); err != nil {
+		return nil, err
+	}
+	if err := checkCount("cloudlet", nCloudlets); err != nil {
+		return nil, err
+	}
+	env, err := GenerateEnvironment(dc, GenerateVMs(vm, nVMs, seed), seed)
 	if err != nil {
 		return nil, err
 	}
-	return &Scenario{
-		Name:      fmt.Sprintf("heterogeneous/vms=%d/cloudlets=%d/dcs=%d", nVMs, nCloudlets, nDCs),
-		Env:       env,
-		Cloudlets: GenerateCloudlets(HeterogeneousCloudletSpec(), nCloudlets, seed),
-		Seed:      seed,
-	}, nil
+	return &Scenario{Name: name, Env: env, Cloudlets: GenerateCloudlets(cl, nCloudlets, seed), Seed: seed}, nil
 }

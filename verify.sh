@@ -14,8 +14,9 @@
 # decoder, the CSV workload trace parser, the columnar binary trace
 # reader/converter, schedlint's suppression-directive parser, the ACO
 # roulette's binary search and unrolled weight row, the capacity-plan
-# spec parser, the kernel's arrival streams against a ScheduleAt loop, the
-# kernel's event heap against a reference model, and the one-pass online
+# spec parser, the kernel's FireAt arrival delivery against arrivals
+# registered up front by ScheduleAt, the kernel's event heap against a
+# reference model, and the one-pass online
 # EFT placement against its class-cache oracle).
 #
 # Any schedlint finding fails the gate; an audited //schedlint:ignore
@@ -131,13 +132,14 @@ go test -run='^$' -fuzz=FuzzSuppressDirective -fuzztime=5s ./internal/lint
 # on contract-valid prefix sums, and the unrolled weight row with its plain
 # loop bit for bit on arbitrary float bit patterns (any-NaN matches any-NaN).
 go test -run='^$' -fuzz=FuzzRoulette -fuzztime=5s ./internal/aco
-# Arrival streams: on arbitrary scenarios ScheduleStream fires the same
-# (time, priority, seq, index) sequence and leaves the same Now/Fired/Pending
-# as a ScheduleAt loop.
-go test -run='^$' -fuzz=FuzzScheduleStream -fuzztime=5s ./internal/sim
+# Arrival delivery: on arbitrary scenarios a FireAt loop over the arrivals
+# in (time, index) order fires the same (time, priority, index) sequence and
+# leaves the same Now/Fired/Pending after every delivery as the same
+# arrivals registered up front by ScheduleAt.
+go test -run='^$' -fuzz=FuzzFireAt -fuzztime=5s ./internal/sim
 # Indexed event heap: byte-chosen ScheduleAt, Reschedule (of queued, fired
-# and cancelled events), Cancel, ScheduleStream, Stop and RunUntil steps fire
-# the same sequence and leave the same Now/Fired/Pending as a flat-slice
+# and cancelled events), Cancel, FireAt, Step and RunUntil steps fire the
+# same sequence and leave the same Now/Fired/Pending as a flat-slice
 # reference model with lazily cancelled entries.
 go test -run='^$' -fuzz=FuzzReschedule -fuzztime=5s ./internal/sim
 # Capacity-plan spec boundary: arbitrary JSON through plan.ParseSpec never
