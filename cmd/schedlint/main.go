@@ -1,8 +1,9 @@
 // Command schedlint runs the repository's static-analysis rules
 // (internal/lint): determinism of randomness (including interprocedural
 // rand-stream flow), simulated-clock discipline, float-equality safety,
-// library print hygiene, lock-copy and lock-hold checks, and goroutine-join
-// accounting.
+// library print hygiene, lock-hold checks, and goroutine-join accounting.
+// Standard-library types come from the go command's export data, so the go
+// command must be on PATH.
 //
 // Usage:
 //
@@ -12,9 +13,10 @@
 // whole tree (the default). -json and -sarif emit machine-readable reports
 // (schema lint.SchemaVersion). Any finding fails the run; an audited
 // //schedlint:ignore directive is the only suppression. Exit codes: 0 clean,
-// 1 findings, 2 usage or load error — suitable for CI gates (verify.sh runs
-// `go run ./cmd/schedlint ./...`; CI additionally uploads the -sarif report
-// for inline PR annotations).
+// 1 findings, 2 usage or load error (an import that is neither in the module
+// nor in the standard library is a load error) — suitable for CI gates
+// (verify.sh runs `go run ./cmd/schedlint ./...`; CI additionally uploads the
+// -sarif report for inline PR annotations).
 package main
 
 import (

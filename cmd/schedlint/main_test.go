@@ -252,6 +252,34 @@ func TestJSONSARIFExclusive(t *testing.T) {
 	}
 }
 
+// TestUnresolvableImportExitCode: an import that is neither in the module
+// nor in the standard library fails the load (exit 2, naming the package),
+// even when it sits behind a module-internal import the pattern does not
+// name, rather than degrading to an empty package the rules cannot see into.
+func TestUnresolvableImportExitCode(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":                  "module seeded.example/repo\n\ngo 1.22\n",
+		"internal/sched/sched.go": "package sched\n\nimport \"seeded.example/repo/internal/util\"\n\nvar X = util.Y\n",
+		"internal/util/util.go":   "package util\n\nimport \"no/such/pkg\"\n\nvar Y = pkg.Z\n",
+	} {
+		file := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-C", dir, "./internal/sched"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit code = %d, want 2; stdout: %s stderr: %s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `"no/such/pkg"`) {
+		t.Errorf("stderr should name the unresolvable package: %q", stderr.String())
+	}
+}
+
 func TestUnknownRuleExitCode(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-rules", "bogus"}, &stdout, &stderr); code != 2 {

@@ -111,36 +111,6 @@ func (b *Broker) SubmitAt(c *Cloudlet, vm *VM, delay sim.Time) {
 	b.eng.Schedule(delay, sim.PriorityAcquire, func() { vm.Scheduler().Submit(c) })
 }
 
-// SubmitAllStaged submits an assignment with network staging delays: each
-// cloudlet reaches its VM after the topology's transfer time of its input
-// file from sourceNode to the VM's datacenter (matched by datacenter name).
-func (b *Broker) SubmitAllStaged(cloudlets []*Cloudlet, vms []*VM, topo *NetworkTopology, sourceNode string) error {
-	if len(cloudlets) != len(vms) {
-		return fmt.Errorf("cloud: assignment length mismatch: %d cloudlets, %d VMs", len(cloudlets), len(vms))
-	}
-	if topo == nil {
-		return b.SubmitAll(cloudlets, vms)
-	}
-	for i, c := range cloudlets {
-		if c == nil || vms[i] == nil {
-			return fmt.Errorf("cloud: nil entry in assignment at index %d", i)
-		}
-		dc := vms[i].Datacenter()
-		if dc == nil {
-			return fmt.Errorf("cloud: VM %d has no datacenter for staging", vms[i].ID)
-		}
-		delay, err := topo.TransferTime(sourceNode, dc.Name, c.FileSize)
-		if err != nil {
-			return err
-		}
-		if math.IsInf(delay, 1) {
-			return fmt.Errorf("cloud: datacenter %q unreachable from %q", dc.Name, sourceNode)
-		}
-		b.SubmitAt(c, vms[i], delay)
-	}
-	return nil
-}
-
 // SubmitAllSchedule submits an assignment with explicit per-cloudlet
 // arrival times (simulated seconds from now), modelling dynamic workload
 // arrival instead of the paper's batch-at-zero submission.
@@ -153,8 +123,8 @@ func (b *Broker) SubmitAllSchedule(cloudlets []*Cloudlet, vms []*VM, arrivals []
 		if c == nil || vms[i] == nil {
 			return fmt.Errorf("cloud: nil entry in assignment at index %d", i)
 		}
-		if arrivals[i] < 0 {
-			return fmt.Errorf("cloud: negative arrival %v at index %d", arrivals[i], i)
+		if a := arrivals[i]; !(a >= 0) || math.IsInf(a, 1) {
+			return fmt.Errorf("cloud: invalid arrival %v at index %d (want finite, non-negative)", a, i)
 		}
 		b.SubmitAt(c, vms[i], arrivals[i])
 	}

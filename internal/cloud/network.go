@@ -13,9 +13,9 @@ import (
 // each chosen path.
 //
 // The paper's experiments run with networking effects "negligible", so the
-// topology is optional: a nil topology means zero staging delay. When one
-// is attached (Broker.SubmitAllStaged), each cloudlet's submission to its
-// VM is delayed by the path latency plus its input-file transfer time.
+// topology is optional. Where one is used, TransferTime gives the delay of a
+// cloudlet's submission to its VM: the path latency plus its input-file
+// transfer time.
 type NetworkTopology struct {
 	names  map[string]int
 	labels []string

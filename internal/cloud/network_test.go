@@ -200,60 +200,6 @@ func TestTopologyDelayMetricProperties(t *testing.T) {
 	}
 }
 
-func TestSubmitAllStagedDelaysStarts(t *testing.T) {
-	env := testEnv(t, 2, 1000)
-	topo, err := NewStarTopology("broker", []string{"dc0", "dc1"}, 0.5, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine()
-	b := NewBroker(eng, env, TimeSharedFactory)
-	cls := []*Cloudlet{
-		NewCloudlet(0, 100, 1, 500, 0), // 0.5s latency + 0.5s transfer = 1.0s
-		NewCloudlet(1, 100, 1, 0, 0),   // latency only
-	}
-	if err := b.SubmitAllStaged(cls, []*VM{env.VMs[0], env.VMs[1]}, topo, "broker"); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if !almost(cls[0].SubmitTime, 1.0, 1e-9) {
-		t.Fatalf("staged submit 0: %v", cls[0].SubmitTime)
-	}
-	if !almost(cls[1].SubmitTime, 0.5, 1e-9) {
-		t.Fatalf("staged submit 1: %v", cls[1].SubmitTime)
-	}
-	if len(b.Finished()) != 2 {
-		t.Fatalf("finished: %d", len(b.Finished()))
-	}
-}
-
-func TestSubmitAllStagedNilTopology(t *testing.T) {
-	env := testEnv(t, 1, 1000)
-	eng := sim.NewEngine()
-	b := NewBroker(eng, env, TimeSharedFactory)
-	c := NewCloudlet(0, 100, 1, 0, 0)
-	if err := b.SubmitAllStaged([]*Cloudlet{c}, []*VM{env.VMs[0]}, nil, "broker"); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if c.SubmitTime != 0 {
-		t.Fatalf("nil topology should submit immediately, got %v", c.SubmitTime)
-	}
-}
-
-func TestSubmitAllStagedUnreachable(t *testing.T) {
-	env := testEnv(t, 1, 1000)
-	topo := NewNetworkTopology()
-	topo.AddNode("broker")
-	topo.AddNode("dc0") // no link
-	eng := sim.NewEngine()
-	b := NewBroker(eng, env, TimeSharedFactory)
-	err := b.SubmitAllStaged([]*Cloudlet{NewCloudlet(0, 100, 1, 10, 0)}, []*VM{env.VMs[0]}, topo, "broker")
-	if err == nil {
-		t.Fatal("unreachable datacenter accepted")
-	}
-}
-
 func TestSubmitAllSchedule(t *testing.T) {
 	env := testEnv(t, 1, 1000)
 	eng := sim.NewEngine()
@@ -280,7 +226,9 @@ func TestSubmitAllScheduleErrors(t *testing.T) {
 	if err := b.SubmitAllSchedule([]*Cloudlet{c}, []*VM{env.VMs[0]}, nil); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if err := b.SubmitAllSchedule([]*Cloudlet{c}, []*VM{env.VMs[0]}, []sim.Time{-1}); err == nil {
-		t.Fatal("negative arrival accepted")
+	for _, a := range []sim.Time{-1, math.NaN(), math.Inf(1)} {
+		if err := b.SubmitAllSchedule([]*Cloudlet{c}, []*VM{env.VMs[0]}, []sim.Time{a}); err == nil {
+			t.Fatalf("arrival %v accepted", a)
+		}
 	}
 }

@@ -36,6 +36,11 @@ func meanY(res *Result, alg string) float64 {
 	return stats.Summarize(ys).Mean
 }
 
+func medianY(res *Result, alg string) float64 {
+	_, ys := res.Series(alg)
+	return stats.Summarize(ys).Median
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig6c-count", "fig6d"}
 	have := map[string]bool{}
@@ -118,10 +123,12 @@ func TestFig6bSchedulingTimeOrdering(t *testing.T) {
 	opts := hetOpts()
 	opts.Workers, opts.Repeats = 1, 5
 	res := runFig(t, "fig6b", opts)
-	base, rbs, hbo, aco := meanY(res, "base"), meanY(res, "rbs"), meanY(res, "hbo"), meanY(res, "aco")
-	if !(base <= rbs*1.5+1e-6) { // base and rbs are both near-zero
-		t.Fatalf("base %v not cheapest (rbs %v)", base, rbs)
+	// base and rbs both take ~10-20 µs per point, so one preempted call
+	// moves their cross-point mean; compare them on the median instead.
+	if base, rbs := medianY(res, "base"), medianY(res, "rbs"); !(base <= rbs*1.5+1e-6) {
+		t.Fatalf("base median %v not cheapest (rbs median %v)", base, rbs)
 	}
+	rbs, hbo, aco := meanY(res, "rbs"), meanY(res, "hbo"), meanY(res, "aco")
 	if !(hbo < aco) {
 		t.Fatalf("ordering violated: hbo %v should be below aco %v", hbo, aco)
 	}

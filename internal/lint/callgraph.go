@@ -153,8 +153,8 @@ func resolveCall(p *Package, call *ast.CallExpr) (callee *types.Func, pkg, name 
 }
 
 // classifyFunc splits a resolved function into a module-internal callee or a
-// standard-library sink. Functions from placeholder packages (no source, no
-// stub) still carry their import path, which is what sink predicates match.
+// standard-library sink, identified by its import path and member name,
+// which is what sink predicates match.
 func classifyFunc(fn *types.Func, p *Package) (*types.Func, string, string) {
 	fp := fn.Pkg()
 	if fp == nil {
@@ -177,7 +177,7 @@ func isModulePath(path string, p *Package) bool {
 }
 
 // node returns the graph node for fn, or nil for functions without bodies
-// in the module (external, stubbed, or interface methods).
+// in the module (standard-library or interface methods).
 func (g *CallGraph) node(fn *types.Func) *funcNode {
 	return g.nodes[canonical(fn)]
 }

@@ -1,7 +1,7 @@
-// Package lint is schedlint's analysis engine: a zero-dependency static
-// analyzer (go/parser + go/ast + go/token + go/types only) that enforces the
-// repository's determinism, simulated-clock, float-safety, and concurrency
-// invariants.
+// Package lint is schedlint's analysis engine: a static analyzer built on the
+// standard library's go/* packages alone (no golang.org/x/tools) that
+// enforces the repository's determinism, simulated-clock, float-safety, and
+// concurrency invariants.
 //
 // The paper's comparisons are only reproducible when every scheduler run is a
 // pure function of its inputs and seed. That discipline is threaded through
@@ -31,7 +31,8 @@
 //     (sync.WaitGroup, channel, or context).
 //
 // The engine is interprocedural: the loader type-checks every module package
-// once into one shared universe, a static call graph links them
+// once into one shared universe, against the standard library's real types
+// (the go command's export data), a static call graph links them
 // (conservative on dynamic dispatch), and a lightweight dataflow layer
 // distinguishes values created inside a concurrency scope from values
 // captured across it.
@@ -143,7 +144,7 @@ func newAnalysis(pkgs []*Package) *Analysis {
 }
 
 // RelOf resolves a loaded types.Package back to its module-root-relative
-// directory. ok is false for standard-library stubs and placeholders.
+// directory. ok is false for standard-library packages and placeholders.
 func (a *Analysis) RelOf(tp *types.Package) (string, bool) {
 	p, ok := a.byTypes[tp]
 	if !ok {

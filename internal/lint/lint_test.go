@@ -49,10 +49,11 @@ func fixtureCases() []fixtureCase {
 			name:  "floateq",
 			rules: []string{"floateq"},
 			want: map[string][]string{
-				"internal/objective/fixture.go:12": {"floateq"},
-				"internal/objective/fixture.go:13": {"floateq"},
-				"internal/objective/fixture.go:18": {"floateq"},
-				"internal/objective/fixture.go:23": {"floateq"},
+				"internal/objective/fixture.go:12":  {"floateq"},
+				"internal/objective/fixture.go:13":  {"floateq"},
+				"internal/objective/fixture.go:18":  {"floateq"},
+				"internal/objective/fixture.go:23":  {"floateq"},
+				"internal/objective/stdcalls.go:12": {"floateq"},
 			},
 		},
 		{

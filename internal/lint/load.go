@@ -1,12 +1,16 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"sort"
@@ -32,13 +36,12 @@ type Package struct {
 	Info *types.Info
 }
 
-// loader resolves and type-checks module packages without any external
-// tooling. Module-internal imports are loaded recursively from source;
-// standard-library imports resolve to the embedded stubs (stubs.go) or, for
-// packages no rule inspects, to empty placeholder packages. Swallowing the
-// resulting "undeclared name" errors is deliberate: every rule works from
-// qualified-identifier resolution and module-local type information, both of
-// which survive partial type-checking.
+// loader resolves and type-checks module packages. Module-internal imports
+// are loaded recursively from source, because the call graph needs their
+// ASTs; standard-library imports are read from the go command's export data
+// (the same build-cache files go vet reads), located by one go list run per
+// loader. An import found in neither fails the load: a rule that cannot see
+// a package's types must not pass silently.
 //
 // Every package is parsed and type-checked exactly once per loader: targets
 // and dependencies share one memoized universe (pkgs), so analyzing N
@@ -50,9 +53,13 @@ type loader struct {
 	fset    *token.FileSet
 	modPath string // module path from go.mod
 	modRoot string // absolute directory containing go.mod
+	std     types.Importer
 	pkgs    map[string]*Package
 	loading map[string]bool
 	fakes   map[string]*types.Package
+	// unresolved is the first import found neither in the module nor in
+	// the standard library; it fails the whole load.
+	unresolved error
 }
 
 // allLoaded returns every package the loader has materialized — targets and
@@ -93,14 +100,51 @@ func newLoader(dir string) (*loader, error) {
 	if err != nil {
 		return nil, err
 	}
+	exports, err := stdExports(root)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(importPath string) (io.ReadCloser, error) {
+		file, ok := exports[importPath]
+		if !ok {
+			return nil, fmt.Errorf("neither in module %s nor in the standard library", modPath)
+		}
+		return os.Open(file)
+	})
 	return &loader{
-		fset:    token.NewFileSet(),
+		fset:    fset,
 		modPath: modPath,
 		modRoot: root,
+		std:     std,
 		pkgs:    make(map[string]*Package),
 		loading: make(map[string]bool),
 		fakes:   make(map[string]*types.Package),
 	}, nil
+}
+
+// stdExports maps every standard-library package the module depends on to
+// its export data file, building what the cache lacks. One go list run
+// serves the whole loader; -e keeps a broken package from hiding the rest.
+func stdExports(modRoot string) (map[string]string, error) {
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps",
+		"-f", "{{if .Standard}}{{.ImportPath}}\t{{.Export}}{{end}}", "./...")
+	cmd.Dir = modRoot
+	out, err := cmd.Output()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return nil, fmt.Errorf("go list: %w: %s", err, strings.TrimSpace(string(ee.Stderr)))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("go list: %w", err)
+	}
+	exports := make(map[string]string)
+	for _, line := range strings.Split(string(out), "\n") {
+		if importPath, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+			exports[importPath] = file
+		}
+	}
+	return exports, nil
 }
 
 // modulePath extracts the module declaration from a go.mod file.
@@ -222,7 +266,11 @@ func isSourceFile(e os.DirEntry) bool {
 func (l *loader) load(importPath string) (*Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.loadLocked(importPath)
+	p, err := l.loadLocked(importPath)
+	if l.unresolved != nil {
+		return nil, l.unresolved
+	}
+	return p, err
 }
 
 // loadLocked does the real load under l.mu (the import callback re-enters it
@@ -265,10 +313,10 @@ func (l *loader) loadLocked(importPath string) (*Package, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{
-		Importer:    (*stubImporter)(l),
+		Importer:    (*moduleImporter)(l),
 		FakeImportC: true,
-		// Partial type information is expected (stubbed imports); rules are
-		// written to tolerate it, so type errors are swallowed.
+		// A broken module-internal import leaves partial type information;
+		// rules are written to tolerate it, so type errors are swallowed.
 		Error: func(error) {},
 	}
 	tpkg, _ := conf.Check(importPath, l.fset, files, info)
@@ -285,17 +333,17 @@ func (l *loader) loadLocked(importPath string) (*Package, error) {
 	return p, nil
 }
 
-// stubImporter resolves imports during type-checking: module-internal
-// packages load from source, stubbed standard-library packages type-check
-// from the embedded sources, and everything else becomes an empty named
-// placeholder.
-type stubImporter loader
+// moduleImporter resolves imports during type-checking: module-internal
+// packages load from source and everything else from the standard library's
+// export data. An import found in neither is recorded in l.unresolved.
+type moduleImporter loader
 
-func (im *stubImporter) Import(importPath string) (*types.Package, error) {
+func (im *moduleImporter) Import(importPath string) (*types.Package, error) {
+	return im.ImportFrom(importPath, "", 0)
+}
+
+func (im *moduleImporter) ImportFrom(importPath, dir string, _ types.ImportMode) (*types.Package, error) {
 	l := (*loader)(im)
-	if importPath == "unsafe" {
-		return types.Unsafe, nil
-	}
 	if importPath == l.modPath || strings.HasPrefix(importPath, l.modPath+"/") {
 		p, err := l.loadLocked(importPath)
 		if err != nil {
@@ -305,26 +353,11 @@ func (im *stubImporter) Import(importPath string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	if src, ok := stdStubs[importPath]; ok {
-		return l.stub(importPath, src), nil
+	p, err := l.std.Import(importPath)
+	if err != nil && l.unresolved == nil {
+		l.unresolved = fmt.Errorf("package %s: cannot resolve import %q: %v", l.importPathFor(dir), importPath, err)
 	}
-	return l.fake(importPath), nil
-}
-
-// stub type-checks an embedded standard-library stub once and caches it.
-func (l *loader) stub(importPath, src string) *types.Package {
-	if p, ok := l.fakes[importPath]; ok {
-		return p
-	}
-	f, err := parser.ParseFile(l.fset, "stub:"+importPath, src, parser.SkipObjectResolution)
-	if err != nil {
-		panic(fmt.Sprintf("lint: bad embedded stub for %s: %v", importPath, err))
-	}
-	conf := types.Config{Importer: (*stubImporter)(l), Error: func(error) {}}
-	p, _ := conf.Check(importPath, l.fset, []*ast.File{f}, nil)
-	p.MarkComplete()
-	l.fakes[importPath] = p
-	return p
+	return p, err
 }
 
 // fake returns an empty placeholder package whose name is the last path

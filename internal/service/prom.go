@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,31 +46,18 @@ type shardMetrics struct {
 	inflight   atomic.Int64   // batches currently mapping/executing
 
 	batchSize *metrics.Histogram
+	schedSecs *metrics.Histogram // wall-clock scheduling time per batch
 
-	mu        sync.Mutex
-	schedSecs map[string]*metrics.Histogram // per-scheduler scheduling time
-	run       metrics.RunStats              // cumulative Eq. 12/13 aggregate
+	mu  sync.Mutex
+	run metrics.RunStats // cumulative Eq. 12/13 aggregate
 }
 
 func newShardMetrics(queueDepth func() float64) *shardMetrics {
 	return &shardMetrics{
 		queueDepth: queueDepth,
 		batchSize:  metrics.NewHistogram(batchSizeBuckets),
-		schedSecs:  map[string]*metrics.Histogram{},
+		schedSecs:  metrics.NewHistogram(schedSecsBuckets),
 	}
-}
-
-// schedulingHist returns (creating on first use) the scheduling-time
-// histogram for the named scheduler.
-func (m *shardMetrics) schedulingHist(scheduler string) *metrics.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.schedSecs[scheduler]
-	if !ok {
-		h = metrics.NewHistogram(schedSecsBuckets)
-		m.schedSecs[scheduler] = h
-	}
-	return h
 }
 
 // runStats returns the shard's cumulative run aggregate.
@@ -88,14 +74,15 @@ func (m *shardMetrics) runStats() metrics.RunStats {
 // sum, histograms merge bucket-wise, and the cumulative Eq. 12/13 figures
 // come from folding per-shard RunStats in ascending shard order.
 type promMetrics struct {
-	shards []*shardMetrics
+	shards    []*shardMetrics
+	scheduler string // the daemon's one mapping algorithm, the histogram's label
 
 	lastSimTime   gauge // Eq. 12 of the last executed batch, simulated seconds
 	lastImbalance gauge // Eq. 13 of the last executed batch
 }
 
-func newPromMetrics(shards []*shard) *promMetrics {
-	p := &promMetrics{shards: make([]*shardMetrics, len(shards))}
+func newPromMetrics(shards []*shard, scheduler string) *promMetrics {
+	p := &promMetrics{shards: make([]*shardMetrics, len(shards)), scheduler: scheduler}
 	for i, sh := range shards {
 		p.shards[i] = sh.prom
 	}
@@ -105,10 +92,10 @@ func newPromMetrics(shards []*shard) *promMetrics {
 // observeBatch records one executed batch's figures on its shard and the
 // shared last-batch gauges: the batch size, the scheduler's mapping time,
 // and Eq. 12/13 over the batch's finished cloudlets.
-func (p *promMetrics) observeBatch(sm *shardMetrics, scheduler string, schedTime time.Duration, stats metrics.RunStats) {
+func (p *promMetrics) observeBatch(sm *shardMetrics, schedTime time.Duration, stats metrics.RunStats) {
 	sm.batches.Inc()
 	sm.batchSize.Observe(float64(stats.Count))
-	sm.schedulingHist(scheduler).Observe(schedTime.Seconds())
+	sm.schedSecs.Observe(schedTime.Seconds())
 	sm.mu.Lock()
 	sm.run = sm.run.Merge(stats)
 	sm.mu.Unlock()
@@ -167,46 +154,14 @@ func (p *promMetrics) runStatsMerged() metrics.RunStats {
 	return merged
 }
 
-// mergedBatchSize merges every shard's batch-size histogram.
-func (p *promMetrics) mergedBatchSize() *metrics.Histogram {
-	merged := metrics.NewHistogram(batchSizeBuckets)
+// merged folds one histogram per shard, picked by f, bucket-wise into the
+// fleet-wide histogram.
+func (p *promMetrics) merged(bounds []float64, f func(*shardMetrics) *metrics.Histogram) *metrics.Histogram {
+	merged := metrics.NewHistogram(bounds)
 	for _, sm := range p.shards {
-		merged.Merge(sm.batchSize)
+		merged.Merge(f(sm))
 	}
 	return merged
-}
-
-// mergedSchedSecs merges every shard's per-scheduler scheduling-time
-// histograms, returning scheduler names in sorted order with their merged
-// histograms.
-func (p *promMetrics) mergedSchedSecs() ([]string, []*metrics.Histogram) {
-	nameSet := map[string]bool{}
-	for _, sm := range p.shards {
-		sm.mu.Lock()
-		for name := range sm.schedSecs {
-			nameSet[name] = true
-		}
-		sm.mu.Unlock()
-	}
-	names := make([]string, 0, len(nameSet))
-	for name := range nameSet {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	hists := make([]*metrics.Histogram, len(names))
-	for i, name := range names {
-		merged := metrics.NewHistogram(schedSecsBuckets)
-		for _, sm := range p.shards {
-			sm.mu.Lock()
-			h := sm.schedSecs[name]
-			sm.mu.Unlock()
-			if h != nil {
-				merged.Merge(h)
-			}
-		}
-		hists[i] = merged
-	}
-	return names, hists
 }
 
 func writeHeader(w io.Writer, name, help, typ string) {
@@ -274,13 +229,12 @@ func (p *promMetrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "schedd_run_imbalance %g\n", run.Imbalance())
 
 	writeHeader(w, "schedd_batch_size", "Cloudlets per batch.", "histogram")
-	writeHistogram(w, "schedd_batch_size", "", p.mergedBatchSize())
+	writeHistogram(w, "schedd_batch_size", "",
+		p.merged(batchSizeBuckets, func(m *shardMetrics) *metrics.Histogram { return m.batchSize }))
 
 	writeHeader(w, "schedd_scheduling_seconds", "Wall-clock scheduling time per batch, by scheduler.", "histogram")
-	names, hists := p.mergedSchedSecs()
-	for i, name := range names {
-		writeHistogram(w, "schedd_scheduling_seconds", fmt.Sprintf("scheduler=%q", name), hists[i])
-	}
+	writeHistogram(w, "schedd_scheduling_seconds", fmt.Sprintf("scheduler=%q", p.scheduler),
+		p.merged(schedSecsBuckets, func(m *shardMetrics) *metrics.Histogram { return m.schedSecs }))
 
 	p.writeShardCounter(w, "schedd_shard_submitted_total", "Cloudlets accepted by each shard.",
 		func(m *shardMetrics) uint64 { return m.submitted.Load() })

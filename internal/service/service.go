@@ -106,7 +106,7 @@ func New(env *cloud.Environment, cfg Config) (*Service, error) {
 		}
 		s.shards[i] = sh
 	}
-	s.prom = newPromMetrics(s.shards)
+	s.prom = newPromMetrics(s.shards, cfg.Scheduler)
 
 	s.accepting.Store(true)
 	for _, sh := range s.shards {

@@ -171,7 +171,7 @@ func (sh *shard) runBatch(subs []*submission) {
 		sh.svc.stat.fail(ids, err.Error())
 		return
 	}
-	sh.svc.prom.observeBatch(sh.prom, sh.svc.cfg.Scheduler, schedTime, metrics.CollectRunStats(finished))
+	sh.svc.prom.observeBatch(sh.prom, schedTime, metrics.CollectRunStats(finished))
 }
 
 // mapAndExecute performs the mode-specific mapping step and the execution

@@ -57,6 +57,8 @@ go build ./...
 go vet ./...
 # Every committed Go file must be gofmt-clean.
 test -z "$(gofmt -l $(git ls-files '*.go'))"
+# schedlint reads the standard library's types from the same build-cache
+# export data go vet has just built, so it stays after vet.
 go run ./cmd/schedlint ./...
 
 # Full suite with coverage. The run's own per-package summary feeds the
