@@ -27,10 +27,12 @@
 // τ_ij = g·b_ij with a global decay scalar g, which makes Eq. 9's
 // evaporation O(1) instead of O(n·m) and lets Eq. 5's sampling skip the
 // per-cell τ^α power entirely: g^α is a common factor of every candidate
-// weight, so it cancels in the roulette normalization and only b^α — cached
-// and refreshed on deposit — is needed. The sampled distribution is
-// mathematically identical to the direct form (individual draws may differ
-// in the last float ulp).
+// weight, so it cancels in the roulette normalization and only b^α·η^β is
+// needed. The dense layout caches that product per cell and refreshes it on
+// deposit, so a pick masks and prefix-sums one row. The sampled
+// distribution is mathematically identical to the direct form (individual
+// draws may differ in the last float ulp). Every power goes through
+// objective.Pow, which is math.Pow bit for bit at about half the cost.
 //
 // Tour construction is the hot path and fans out over Config.Workers: each
 // ant owns the xrand child stream indexed by (iteration, ant) and writes
@@ -270,7 +272,7 @@ const minParallelCells = 1 << 12
 //
 // Both layouts store τ factored as g·b (see the package comment): evaporate
 // touches only g, deposits touch only the cells of the deposited tours, and
-// picks read the cached b^α without any math.Pow.
+// dense picks read the cached weight row b^α·η^β without any power.
 type run struct {
 	cfg     Config
 	ctx     *sched.Context
@@ -289,9 +291,9 @@ type run struct {
 	etaCls, etaBuf []float64
 
 	g        float64   // global pheromone decay scalar
-	ba0      float64   // τ(0)^α, every cell's initial cached power
+	ba0      float64   // τ(0)^α, every cell's initial b^α
 	b        []float64 // dense: base pheromone per (cloudlet, VM), row-major
-	bAlpha   []float64 // dense: cached b^α, refreshed on deposit
+	w        []float64 // dense: cached Eq. 5 weight b^α·η^β, refreshed on deposit
 	bVM      []float64 // vector: base pheromone per VM
 	bVMAlpha []float64 // vector: cached b^α, refreshed once per iteration
 
@@ -379,7 +381,7 @@ func (r *run) reset(cfg Config, ctx *sched.Context, classes *objective.Classes) 
 	r.cls = classes.Index
 	r.etaCls = nil
 	if r.mx.Cached() {
-		// η^β rows are independent; math.Pow per cell is exactly the kind of
+		// η^β rows are independent; a power per cell is exactly the kind of
 		// work that fans out cleanly.
 		r.etaBuf = grow(r.etaBuf, r.n*r.k)
 		r.etaCls = r.etaBuf
@@ -388,10 +390,10 @@ func (r *run) reset(cfg Config, ctx *sched.Context, classes *objective.Classes) 
 	r.tour = grow(r.tour, r.n)
 
 	r.dense = int64(r.n)*int64(r.m) <= cfg.MaxMatrixCells
-	r.ba0 = math.Pow(cfg.InitialTau, cfg.Alpha)
+	r.ba0 = objective.Pow(cfg.InitialTau, cfg.Alpha)
 	if r.dense {
 		r.b = grow(r.b, r.n*r.m)
-		r.bAlpha = grow(r.bAlpha, r.n*r.m)
+		r.w = grow(r.w, r.n*r.m)
 		objective.ParallelFor(r.workers, r.n, r.tauRowFn)
 	} else {
 		r.bVM = grow(r.bVM, r.m)
@@ -412,23 +414,33 @@ func (r *run) fillEtaRow(i int) {
 }
 
 // fillTauRow sets cloudlet i's dense pheromone row to τ(0) and its cached
-// power to τ(0)^α.
+// weights to τ(0)^α·η^β.
 func (r *run) fillTauRow(i int) {
 	row := r.b[i*r.m : (i+1)*r.m]
-	rowA := r.bAlpha[i*r.m : (i+1)*r.m]
-	for idx := range row {
-		row[idx] = r.cfg.InitialTau
-		rowA[idx] = r.ba0
+	w := r.w[i*r.m : (i+1)*r.m]
+	eta := r.etaCls[i*r.k : (i+1)*r.k]
+	for j := range row {
+		row[j] = r.cfg.InitialTau
+		w[j] = r.ba0 * eta[r.cls[j]]
 	}
 }
 
+// setWeight refreshes dense cell (i, j)'s cached weight from its base
+// pheromone: the same b^α·η^β operands a pick would multiply, so caching
+// the product moves no bit.
+func (r *run) setWeight(i, j int) {
+	idx := i*r.m + j
+	r.w[idx] = objective.Pow(r.b[idx], r.cfg.Alpha) * r.etaCls[i*r.k+int(r.cls[j])]
+}
+
 // etaPow returns η^β = (1/d)^β with the degenerate d≤0 case clamped so the
-// weight stays finite-ready for the roulette's overflow fallback.
+// weight stays finite-ready for the roulette's overflow fallback. Table II's
+// β = 0.99 takes objective.Pow's fast path.
 func etaPow(d, beta float64) float64 {
 	if d <= 0 {
 		d = math.SmallestNonzeroFloat64
 	}
-	return math.Pow(1/d, beta)
+	return objective.Pow(1/d, beta)
 }
 
 // eta returns the cached (or on-demand) η_ij^β.
@@ -493,7 +505,7 @@ func (r *run) search() []int {
 		if !r.dense {
 			// The vector layout refreshes its K≪n·m cached powers in one pass.
 			for j := range r.bVM {
-				r.bVMAlpha[j] = math.Pow(r.bVM[j], r.cfg.Alpha)
+				r.bVMAlpha[j] = objective.Pow(r.bVM[j], r.cfg.Alpha)
 			}
 		}
 	}
@@ -567,21 +579,17 @@ func (r *run) pick(i int, tabu []bool, cum []float64, rnd interface{ Float64() f
 	cum = cum[:r.m]
 	var total float64
 	if r.dense {
-		// Hot path: weightedCum masks, multiplies, and accumulates the
-		// whole candidate row in one pass over the cached b^α and η^β views
-		// (a dense run always has etaCls; see reset).
-		ba := r.bAlpha[i*r.m : (i+1)*r.m]
-		eta := r.etaCls[i*r.k : (i+1)*r.k]
-		total = weightedCum(ba, eta, r.cls, tabu, cum)
+		// Hot path: one masked prefix sum over the cached weight row.
+		total = maskedCum(r.w[i*r.m:(i+1)*r.m], tabu, cum)
 	} else {
+		// The vector layout forms the weights in cum itself; tabu VMs skip
+		// the η^β power, and the mask zeroes their stale entries.
 		for j := 0; j < r.m; j++ {
-			if tabu[j] {
-				cum[j] = 0
-				continue
+			if !tabu[j] {
+				cum[j] = r.bVMAlpha[j] * r.eta(i, j)
 			}
-			cum[j] = r.bVMAlpha[j] * r.eta(i, j)
 		}
-		total = cumSum(cum, cum)
+		total = maskedCum(cum, tabu, cum)
 	}
 	if total <= 0 || math.IsInf(total, 1) || math.IsNaN(total) {
 		// Degenerate weights (all under/overflowed): fall back to the first
@@ -615,9 +623,11 @@ func (r *run) evaporate() {
 		return
 	}
 	if r.dense {
-		for idx := range r.b {
-			r.b[idx] *= r.g
-			r.bAlpha[idx] = math.Pow(r.b[idx], r.cfg.Alpha)
+		for i := 0; i < r.n; i++ {
+			for j := 0; j < r.m; j++ {
+				r.b[i*r.m+j] *= r.g
+				r.setWeight(i, j)
+			}
 		}
 	} else {
 		for j := range r.bVM {
@@ -641,9 +651,8 @@ func (r *run) depositChunk(lo, hi int, delta float64) {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		idx := i*r.m + r.tour[i]
-		r.b[idx] += du
-		r.bAlpha[idx] = math.Pow(r.b[idx], r.cfg.Alpha)
+		r.b[i*r.m+r.tour[i]] += du
+		r.setWeight(i, r.tour[i])
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"bioschedsim/internal/cloud"
 	"bioschedsim/internal/sched"
 	"bioschedsim/internal/schedtest"
+	"bioschedsim/internal/workload"
 )
 
 func TestDefaultConfigMatchesTableII(t *testing.T) {
@@ -295,6 +296,29 @@ func BenchmarkScheduleSmallBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Schedule(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScheduleHeterogeneous prices one paper-scale Fig. 6 batch: the
+// Table II scheduler on 5 000 heterogeneous cloudlets over 4 datacenters,
+// at the sweep's smallest, middle and largest fleets. It is the offline
+// schedule stage of the paper-het benchmark.
+func BenchmarkScheduleHeterogeneous(b *testing.B) {
+	for _, m := range []int{50, 550, 950} {
+		b.Run(fmt.Sprint(m), func(b *testing.B) {
+			scn, err := workload.Heterogeneous(m, 5000, 4, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := Default()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Schedule(scn.Context()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package aco
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -19,18 +20,48 @@ func searchCumLinear(cum []float64, x float64) int {
 	return len(cum)
 }
 
-// weightedCumLoop is the plain loop weightedCum unrolls.
-func weightedCumLoop(ba, eta []float64, cls []int32, tabu []bool, cum []float64) float64 {
+// maskedCumLoop is the plain loop maskedCum unrolls.
+func maskedCumLoop(w []float64, tabu []bool, cum []float64) float64 {
 	var acc float64
 	for j := range cum {
-		var w float64
+		var wj float64
 		if !tabu[j] {
-			w = ba[j] * eta[cls[j]]
+			wj = w[j]
 		}
-		acc += w
+		acc += wj
 		cum[j] = acc
 	}
 	return acc
+}
+
+// prefixSum is maskedCum with no VM tabu.
+func prefixSum(cum, w []float64) float64 { return maskedCum(w, make([]bool, len(w)), cum) }
+
+// checkMaskedCum holds maskedCum to its plain loop, bit for bit, both into a
+// separate cum and in place (cum aliasing w, as the vector layout calls it).
+func checkMaskedCum(t *testing.T, name string, w []float64, tabu []bool) {
+	t.Helper()
+	want := make([]float64, len(w))
+	wantTotal := maskedCumLoop(w, tabu, want)
+	got := make([]float64, len(w))
+	inPlace := append([]float64(nil), w...)
+	for _, c := range []struct {
+		mode  string
+		total float64
+		cum   []float64
+	}{
+		{"separate", maskedCum(w, tabu, got), got},
+		{"in place", maskedCum(inPlace, tabu, inPlace), inPlace},
+	} {
+		if !sameBits(wantTotal, c.total) {
+			t.Fatalf("%s (%s): maskedCum total = %v, plain loop %v", name, c.mode, c.total, wantTotal)
+		}
+		for j := range want {
+			if !sameBits(want[j], c.cum[j]) {
+				t.Fatalf("%s (%s): maskedCum cum[%d] = %v, plain loop %v", name, c.mode, j, c.cum[j], want[j])
+			}
+		}
+	}
 }
 
 // sameBits is bit identity, except that any NaN matches any NaN: Go does not
@@ -54,8 +85,9 @@ func decodeFloats(data []byte) []float64 {
 
 // FuzzRoulette checks searchCum against the linear scan on cum arrays
 // sanitized to its contract (prefix sums of finite non-negative weights, so
-// non-decreasing and NaN-free; probes non-NaN), and the unrolled weightedCum
-// against the plain loop, bit for bit, on arbitrary bit patterns.
+// non-decreasing and NaN-free; probes non-NaN), and the unrolled maskedCum
+// against the plain loop, bit for bit, on arbitrary bit patterns and tabu
+// masks.
 func FuzzRoulette(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("AAAAAAAA"))
@@ -74,7 +106,7 @@ func FuzzRoulette(f *testing.F) {
 			w[i] = x
 		}
 		cum := make([]float64, n)
-		total := cumSum(cum, w)
+		total := prefixSum(cum, w)
 		probes := []float64{-1, 0, total / 2, total, total * 2}
 		for _, x := range xs {
 			if !math.IsNaN(x) {
@@ -87,27 +119,11 @@ func FuzzRoulette(f *testing.F) {
 			}
 		}
 
-		k := 1 + n%5
-		eta := make([]float64, k)
-		copy(eta, xs)
-		cls := make([]int32, n)
 		tabu := make([]bool, n)
-		for i := range cls {
-			cls[i] = int32(int(data[i]) % k)
+		for i := range tabu {
 			tabu[i] = data[i]&0x80 != 0
 		}
-		want := make([]float64, n)
-		got := make([]float64, n)
-		wantTotal := weightedCumLoop(xs, eta, cls, tabu, want)
-		gotTotal := weightedCum(xs, eta, cls, tabu, got)
-		if !sameBits(wantTotal, gotTotal) {
-			t.Fatalf("weightedCum total = %v, plain loop %v", gotTotal, wantTotal)
-		}
-		for i := range want {
-			if !sameBits(want[i], got[i]) {
-				t.Fatalf("weightedCum cum[%d] = %v, plain loop %v", i, got[i], want[i])
-			}
-		}
+		checkMaskedCum(t, "fuzz", xs, tabu)
 	})
 }
 
@@ -124,7 +140,7 @@ func TestSearchCumPlateaus(t *testing.T) {
 			}
 		}
 		cum := make([]float64, n)
-		total := cumSum(cum, w)
+		total := prefixSum(cum, w)
 		probes := append([]float64{-1, 0, total, math.Inf(1)}, cum...)
 		for _, x := range probes {
 			if got, want := searchCum(cum, x), searchCumLinear(cum, x); got != want {
@@ -134,40 +150,22 @@ func TestSearchCumPlateaus(t *testing.T) {
 	}
 }
 
-// TestWeightedCumMatchesPlainLoop holds the unrolled weightedCum to the plain
+// TestMaskedCumMatchesPlainLoop holds the unrolled maskedCum to the plain
 // loop, bit for bit, at every unroll tail and at fleet-scale lengths, in the
 // magnitude regimes Eq. 5's weights can reach: ordinary, denormal and
 // near-overflow (where the running total goes to +Inf).
-func TestWeightedCumMatchesPlainLoop(t *testing.T) {
+func TestMaskedCumMatchesPlainLoop(t *testing.T) {
 	scales := map[string]float64{"uniform": 1e3, "denormal": 1e-310, "huge": 1e300}
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 31, 32, 33, 97, 1009, 4093} {
 		for name, scale := range scales {
 			rnd := xrand.New(17, uint64(n))
-			k := 1 + n%7
-			eta := make([]float64, k)
-			for i := range eta {
-				eta[i] = 0.5 + rnd.Float64()
-			}
-			ba := make([]float64, n)
-			cls := make([]int32, n)
+			w := make([]float64, n)
 			tabu := make([]bool, n)
-			for j := range ba {
-				ba[j] = rnd.Float64() * scale
-				cls[j] = int32(rnd.Intn(k))
+			for j := range w {
+				w[j] = rnd.Float64() * scale
 				tabu[j] = rnd.Intn(3) == 0
 			}
-			want := make([]float64, n)
-			got := make([]float64, n)
-			wantTotal := weightedCumLoop(ba, eta, cls, tabu, want)
-			gotTotal := weightedCum(ba, eta, cls, tabu, got)
-			if !sameBits(wantTotal, gotTotal) {
-				t.Fatalf("n=%d %s: weightedCum total = %v, plain loop %v", n, name, gotTotal, wantTotal)
-			}
-			for j := range want {
-				if !sameBits(want[j], got[j]) {
-					t.Fatalf("n=%d %s: weightedCum cum[%d] = %v, plain loop %v", n, name, j, got[j], want[j])
-				}
-			}
+			checkMaskedCum(t, fmt.Sprintf("n=%d %s", n, name), w, tabu)
 		}
 	}
 }
@@ -187,7 +185,7 @@ func benchFloats(n int, seed uint64) []float64 {
 func BenchmarkSearchCum(b *testing.B) {
 	w := benchFloats(benchN, 4)
 	cum := make([]float64, benchN)
-	total := cumSum(cum, w)
+	total := prefixSum(cum, w)
 	probes := benchFloats(256, 5)
 	for i := range probes {
 		probes[i] = probes[i] / 1e4 * total
@@ -200,21 +198,17 @@ func BenchmarkSearchCum(b *testing.B) {
 	}
 }
 
-func BenchmarkWeightedCum(b *testing.B) {
-	const k = 7                  // VM classes behind the benchN virtual machines
-	ba := benchFloats(benchN, 6) // per-VM pheromone^alpha
-	eta := benchFloats(k, 7)     // per-class heuristic^beta
+func BenchmarkMaskedCum(b *testing.B) {
+	w := benchFloats(benchN, 6) // one cloudlet's cached weight row
 	rnd := xrand.New(8, 0)
-	cls := make([]int32, benchN)
 	tabu := make([]bool, benchN)
-	for i := range cls {
-		cls[i] = int32(rnd.Intn(k))
+	for i := range tabu {
 		tabu[i] = rnd.Intn(8) == 0
 	}
 	cum := make([]float64, benchN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if weightedCum(ba, eta, cls, tabu, cum) <= 0 {
+		if maskedCum(w, tabu, cum) <= 0 {
 			b.Fatal("bad total")
 		}
 	}

@@ -88,16 +88,36 @@ func (b *Broker) Submit(c *Cloudlet, vm *VM) {
 }
 
 // SubmitAll submits a full assignment map (parallel slices) at the current
-// time. It returns an error on length mismatch or nil entries.
+// time. It returns an error on length mismatch, nil entries or an unbound
+// VM, and then submits nothing.
 func (b *Broker) SubmitAll(cloudlets []*Cloudlet, vms []*VM) error {
 	if len(cloudlets) != len(vms) {
 		return fmt.Errorf("cloud: assignment length mismatch: %d cloudlets, %d VMs", len(cloudlets), len(vms))
 	}
+	if err := checkAssignment(cloudlets, vms, nil); err != nil {
+		return err
+	}
 	for i, c := range cloudlets {
-		if c == nil || vms[i] == nil {
-			return fmt.Errorf("cloud: nil entry in assignment at index %d", i)
-		}
 		b.Submit(c, vms[i])
+	}
+	return nil
+}
+
+// checkAssignment checks every entry of an assignment before any of it is
+// submitted, so a bad entry never leaves the ones before it scheduled:
+// each cloudlet and VM must be non-nil, each VM bound to a cloudlet
+// scheduler, and each arrival, when arrivals is non-nil, finite and
+// non-negative.
+func checkAssignment(cloudlets []*Cloudlet, vms []*VM, arrivals []sim.Time) error {
+	for i, c := range cloudlets {
+		switch {
+		case c == nil || vms[i] == nil:
+			return fmt.Errorf("cloud: nil entry in assignment at index %d", i)
+		case vms[i].Scheduler() == nil:
+			return fmt.Errorf("cloud: VM %d at index %d has no bound scheduler", vms[i].ID, i)
+		case arrivals != nil && (!(arrivals[i] >= 0) || math.IsInf(arrivals[i], 1)):
+			return fmt.Errorf("cloud: invalid arrival %v at index %d (want finite, non-negative)", arrivals[i], i)
+		}
 	}
 	return nil
 }
@@ -113,19 +133,18 @@ func (b *Broker) SubmitAt(c *Cloudlet, vm *VM, delay sim.Time) {
 
 // SubmitAllSchedule submits an assignment with explicit per-cloudlet
 // arrival times (simulated seconds from now), modelling dynamic workload
-// arrival instead of the paper's batch-at-zero submission.
+// arrival instead of the paper's batch-at-zero submission. Like SubmitAll
+// it checks the whole assignment, arrivals included, before submitting
+// any of it.
 func (b *Broker) SubmitAllSchedule(cloudlets []*Cloudlet, vms []*VM, arrivals []sim.Time) error {
 	if len(cloudlets) != len(vms) || len(cloudlets) != len(arrivals) {
 		return fmt.Errorf("cloud: schedule length mismatch: %d cloudlets, %d VMs, %d arrivals",
 			len(cloudlets), len(vms), len(arrivals))
 	}
+	if err := checkAssignment(cloudlets, vms, arrivals); err != nil {
+		return err
+	}
 	for i, c := range cloudlets {
-		if c == nil || vms[i] == nil {
-			return fmt.Errorf("cloud: nil entry in assignment at index %d", i)
-		}
-		if a := arrivals[i]; !(a >= 0) || math.IsInf(a, 1) {
-			return fmt.Errorf("cloud: invalid arrival %v at index %d (want finite, non-negative)", a, i)
-		}
 		b.SubmitAt(c, vms[i], arrivals[i])
 	}
 	return nil

@@ -232,3 +232,44 @@ func TestSubmitAllScheduleErrors(t *testing.T) {
 		}
 	}
 }
+
+// A rejected assignment submits nothing: the entries before the bad one
+// must not be left scheduled, so the engine finishes no cloudlet.
+func TestSubmitAllRejectsWholeAssignment(t *testing.T) {
+	loose := NewVM(77, 1000, 1, 512, 500, 5000) // never bound
+	cases := []struct {
+		name   string
+		submit func(b *Broker, env *Environment, cls []*Cloudlet) error
+	}{
+		{"schedule/NaN arrival at index 1", func(b *Broker, env *Environment, cls []*Cloudlet) error {
+			return b.SubmitAllSchedule(cls, []*VM{env.VMs[0], env.VMs[0]}, []sim.Time{0, math.NaN()})
+		}},
+		{"schedule/nil VM at index 1", func(b *Broker, env *Environment, cls []*Cloudlet) error {
+			return b.SubmitAllSchedule(cls, []*VM{env.VMs[0], nil}, []sim.Time{0, 0})
+		}},
+		{"schedule/unbound VM at index 1", func(b *Broker, env *Environment, cls []*Cloudlet) error {
+			return b.SubmitAllSchedule(cls, []*VM{env.VMs[0], loose}, []sim.Time{0, 0})
+		}},
+		{"all/nil cloudlet at index 1", func(b *Broker, env *Environment, cls []*Cloudlet) error {
+			return b.SubmitAll([]*Cloudlet{cls[0], nil}, []*VM{env.VMs[0], env.VMs[0]})
+		}},
+		{"all/unbound VM at index 1", func(b *Broker, env *Environment, cls []*Cloudlet) error {
+			return b.SubmitAll(cls, []*VM{env.VMs[0], loose})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := testEnv(t, 1, 1000)
+			eng := sim.NewEngine()
+			b := NewBroker(eng, env, TimeSharedFactory)
+			cls := []*Cloudlet{NewCloudlet(0, 100, 1, 0, 0), NewCloudlet(1, 100, 1, 0, 0)}
+			if err := tc.submit(b, env, cls); err == nil {
+				t.Fatal("accepted")
+			}
+			eng.Run()
+			if got := len(b.Finished()); got != 0 {
+				t.Fatalf("rejected assignment still finished %d cloudlets", got)
+			}
+		})
+	}
+}

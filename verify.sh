@@ -13,7 +13,8 @@
 # smoke over the untrusted-input boundaries (the daemon's JSON submit
 # decoder, the CSV workload trace parser, the columnar binary trace
 # reader/converter, schedlint's suppression-directive parser, the ACO
-# roulette's binary search and unrolled weight row, the capacity-plan
+# roulette's binary search and unrolled masked prefix sum, the power kernel
+# behind ACO's weights against math.Pow, the capacity-plan
 # spec parser, the kernel's FireAt arrival delivery against arrivals
 # registered up front by ScheduleAt, the kernel's event heap against a
 # reference model, and the one-pass online
@@ -131,9 +132,14 @@ go test -run='^$' -fuzz=FuzzReadColumnar -fuzztime=5s ./internal/tracecol
 # //schedlint:ignore parser never panics and never silently disables a rule.
 go test -run='^$' -fuzz=FuzzSuppressDirective -fuzztime=5s ./internal/lint
 # ACO roulette: the binary upper-bound search must agree with a linear scan
-# on contract-valid prefix sums, and the unrolled weight row with its plain
-# loop bit for bit on arbitrary float bit patterns (any-NaN matches any-NaN).
+# on contract-valid prefix sums, and the unrolled masked prefix sum with its
+# plain loop bit for bit on arbitrary float bit patterns and tabu masks
+# (any-NaN matches any-NaN).
 go test -run='^$' -fuzz=FuzzRoulette -fuzztime=5s ./internal/aco
+# Power kernel: objective.Pow, which every ACO weight goes through, must be
+# math.Pow bit for bit on arbitrary (x, y) float pairs (any-NaN matches
+# any-NaN).
+go test -run='^$' -fuzz=FuzzPow -fuzztime=5s ./internal/objective
 # Arrival delivery: on arbitrary scenarios a FireAt loop over the arrivals
 # in (time, index) order fires the same (time, priority, index) sequence and
 # leaves the same Now/Fired/Pending after every delivery as the same
