@@ -29,12 +29,12 @@ import (
 // paperAlgorithms is the comparison set of the paper's figures.
 var paperAlgorithms = []string{"aco", "base", "hbo", "rbs"}
 
-// scheduleOnly benches just the mapping decision (Figs. 5, 6b). The
-// -workers flag (see bench_parallel_test.go) bounds the kernel pool of
-// WorkerTunable schedulers; results are bit-identical at every setting.
+// scheduleOnly benches just the mapping decision (Figs. 5, 6b). The kernel
+// pools are GOMAXPROCS wide, so -cpu sets their width (see
+// bench_parallel_test.go); results are bit-identical at every width.
 func scheduleOnly(b *testing.B, scenario *workload.Scenario, name string) {
 	b.Helper()
-	scheduler, err := sched.New(name, sched.WithWorkers(*benchWorkers))
+	scheduler, err := sched.New(name)
 	if err != nil {
 		b.Fatal(err)
 	}

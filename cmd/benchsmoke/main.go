@@ -1,15 +1,16 @@
-// Command benchsmoke gates `go test -bench` output of the worker-count
-// scaling benchmarks (bench_parallel_test.go) on the serial-vs-parallel
+// Command benchsmoke gates `go test -bench -cpu` output of the scaling
+// benchmarks (bench_parallel_test.go) on the serial-vs-parallel
 // comparison; `verify.sh bench-smoke` runs it.
 //
 // Usage:
 //
-//	go test . -run '^$' -bench 'ParallelFig5a|ParallelFig6b' -benchtime 200ms | benchsmoke
+//	go test . -run '^$' -bench 'ParallelFig5a|ParallelFig6b' -cpu 1,2,4,8 -benchtime 200ms | benchsmoke
 //
-// The gate fails when any benchmark family's best parallel run (minimum
-// ns/op over workers > 1) is more than -max-slowdown times its workers=1
-// run — a real serialization bug slows every width, while one noisy sample
-// cannot trip the smoke. Only large configs are gated: families whose
+// Every pool's width is GOMAXPROCS, so a family's curve is its runs across
+// the -cpu list. The gate fails when any family's best parallel run
+// (minimum ns/op over GOMAXPROCS > 1) is more than -max-slowdown times its
+// GOMAXPROCS=1 run — a real serialization bug slows every width, while one
+// noisy sample cannot trip the smoke. Only large configs are gated: families whose
 // serial run is under -min-serial-ns are micro-scale and noise-dominated
 // at smoke benchtimes, so they are reported but not judged. On a
 // single-core host a parallel pool cannot beat serial, so the gate only
@@ -32,12 +33,12 @@ import (
 
 // benchLine matches one result line of `go test -bench` output, e.g.
 //
-//	BenchmarkParallelFig5a/aco/workers-1-4   529   98729 ns/op
+//	BenchmarkParallelFig5a/aco-4   529   98729 ns/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op`)
 
 // result is one parsed benchmark line.
 type result struct {
-	Name    string // normalized: trailing -GOMAXPROCS suffix stripped
+	Name    string // as printed, with any -GOMAXPROCS suffix
 	NsPerOp float64
 }
 
@@ -49,15 +50,15 @@ type environment struct {
 	Cores             int
 }
 
-// curve is the worker-count sweep of one benchmark family
+// curve is the GOMAXPROCS sweep of one benchmark family
 // (e.g. BenchmarkParallelFig5a/aco).
 type curve struct {
 	Family  string
-	NsPerOp map[int]float64 // workers -> ns/op
+	NsPerOp map[int]float64 // GOMAXPROCS -> ns/op
 }
 
-// parseBench reads `go test -bench` output, returning normalized results
-// and whatever environment header lines were present.
+// parseBench reads `go test -bench` output, returning its results and
+// whatever environment header lines were present.
 func parseBench(r io.Reader) ([]result, environment, error) {
 	env := environment{Cores: runtime.GOMAXPROCS(0)}
 	var out []result
@@ -80,65 +81,45 @@ func parseBench(r io.Reader) ([]result, environment, error) {
 		if err != nil {
 			return nil, env, fmt.Errorf("bad ns/op in %q: %v", line, err)
 		}
-		out = append(out, result{Name: normalizeName(m[1]), NsPerOp: ns})
+		out = append(out, result{Name: m[1], NsPerOp: ns})
 	}
 	return out, env, sc.Err()
 }
 
-// gomaxprocsSuffix is the "-N" the bench runner appends to every name —
-// but only when GOMAXPROCS != 1, so a trailing "-N" on a workers-K leaf is
-// ambiguous and must be resolved against the leaf shape: "workers-1" on a
-// single-core host has no suffix to strip, "workers-1-4" does.
-var (
-	gomaxprocsSuffix      = regexp.MustCompile(`-\d+$`)
-	workersLeafWithSuffix = regexp.MustCompile(`(workers-\d+)-\d+$`)
-	workersLeafNoSuffix   = regexp.MustCompile(`workers-\d+$`)
-)
+// cpuSuffix is the "-N" the bench runner appends to every name when
+// GOMAXPROCS is N != 1; a name without it ran at GOMAXPROCS 1. The sweep
+// benches' leaves are algorithm names, so the suffix is never ambiguous.
+var cpuSuffix = regexp.MustCompile(`^(.+)-(\d+)$`)
 
-func normalizeName(name string) string {
-	if loc := workersLeafWithSuffix.FindStringSubmatchIndex(name); loc != nil {
-		return name[:loc[3]] // end of the workers-K group
+// splitRun splits a bench name into its family and the GOMAXPROCS width it
+// ran at.
+func splitRun(name string) (family string, width int) {
+	if m := cpuSuffix.FindStringSubmatch(name); m != nil {
+		if w, err := strconv.Atoi(m[2]); err == nil {
+			return m[1], w
+		}
 	}
-	if workersLeafNoSuffix.MatchString(name) {
-		return name
-	}
-	return gomaxprocsSuffix.ReplaceAllString(name, "")
+	return name, 1
 }
 
-// workersRun splits a normalized name into its family and worker count;
-// ok is false for benchmarks without a /workers-K leaf.
-var workersLeaf = regexp.MustCompile(`^(.+)/workers-(\d+)$`)
-
-func workersRun(name string) (family string, workers int, ok bool) {
-	m := workersLeaf.FindStringSubmatch(name)
-	if m == nil {
-		return "", 0, false
-	}
-	w, err := strconv.Atoi(m[2])
-	if err != nil {
-		return "", 0, false
-	}
-	return m[1], w, true
-}
-
-// buildCurves groups /workers-K results into per-family sweeps, sorted by
-// family name for stable output. Later duplicates overwrite earlier ones
-// (go test repeats lines under -count).
+// buildCurves groups results into per-family sweeps, sorted by family name
+// for stable output. A family seen at one width only is not a sweep and is
+// dropped. Later duplicates overwrite earlier ones (go test repeats lines
+// under -count).
 func buildCurves(results []result) []curve {
 	byFamily := map[string]map[int]float64{}
 	for _, r := range results {
-		family, w, ok := workersRun(r.Name)
-		if !ok {
-			continue
-		}
+		family, w := splitRun(r.Name)
 		if byFamily[family] == nil {
 			byFamily[family] = map[int]float64{}
 		}
 		byFamily[family][w] = r.NsPerOp
 	}
 	families := make([]string, 0, len(byFamily))
-	for f := range byFamily {
-		families = append(families, f)
+	for f, c := range byFamily {
+		if len(c) > 1 {
+			families = append(families, f)
+		}
 	}
 	sort.Strings(families)
 	out := make([]curve, 0, len(families))
@@ -149,7 +130,7 @@ func buildCurves(results []result) []curve {
 }
 
 // gate compares each family's best parallel run (minimum ns/op over all
-// workers > 1) against its workers=1 run. A genuine serialization
+// GOMAXPROCS > 1) against its GOMAXPROCS=1 run. A genuine serialization
 // regression slows every pool width, so the best-width comparison keeps
 // full detection power while a single noisy sample at one width — routine
 // at smoke benchtimes on micro-scale benches — cannot fail the gate. It
@@ -166,7 +147,7 @@ func gate(curves []curve, maxSlowdown float64, cores int, minSerialNs float64) (
 	for _, c := range curves {
 		serial, ok := c.NsPerOp[1]
 		if !ok || serial <= 0 {
-			violations = append(violations, fmt.Sprintf("%s: no workers-1 baseline in input", c.Family))
+			violations = append(violations, fmt.Sprintf("%s: no serial (-cpu 1) baseline in input", c.Family))
 			continue
 		}
 		if serial < minSerialNs {
@@ -184,7 +165,7 @@ func gate(curves []curve, maxSlowdown float64, cores int, minSerialNs float64) (
 		}
 		if ratio := bestNs / serial; ratio > maxSlowdown {
 			violations = append(violations,
-				fmt.Sprintf("%s: every parallel width is slower than workers-1; best is workers-%d at %.2fx (%.0f vs %.0f ns/op, limit %.2fx)",
+				fmt.Sprintf("%s: every parallel width is slower than serial; best is GOMAXPROCS=%d at %.2fx (%.0f vs %.0f ns/op, limit %.2fx)",
 					c.Family, bestW, ratio, bestNs, serial, maxSlowdown))
 		}
 	}
@@ -198,7 +179,7 @@ func run(in io.Reader, out io.Writer, maxSlowdown, minSerialNs float64) error {
 	}
 	curves := buildCurves(results)
 	if len(curves) == 0 {
-		return fmt.Errorf("no /workers-K benchmark results found in input")
+		return fmt.Errorf("no benchmark family found at two or more -cpu widths in input")
 	}
 	fmt.Fprintf(out, "host: %s/%s %s, GOMAXPROCS=%d\n", env.Goos, env.Goarch, env.CPU, env.Cores)
 	violations, note, skipped := gate(curves, maxSlowdown, env.Cores, minSerialNs)
@@ -212,7 +193,7 @@ func run(in io.Reader, out io.Writer, maxSlowdown, minSerialNs float64) error {
 		fmt.Fprintf(out, "FAIL %s\n", v)
 	}
 	if len(violations) > 0 {
-		return fmt.Errorf("%d worker-scaling violation(s)", len(violations))
+		return fmt.Errorf("%d scaling violation(s)", len(violations))
 	}
 	fmt.Fprintf(out, "ok: %d families gated within %.2fx serial (%d skipped)\n", len(curves)-skipped, maxSlowdown, skipped)
 	return nil

@@ -9,11 +9,11 @@ const sampleOutput = `goos: linux
 goarch: amd64
 pkg: bioschedsim
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkParallelFig5a/aco/workers-1-4         	      15	   4108897 ns/op
-BenchmarkParallelFig5a/aco/workers-2-4         	      28	   2101133 ns/op
-BenchmarkParallelFig5a/aco/workers-8-4         	      90	   1050000 ns/op
-BenchmarkParallelFig5a/rbs/workers-1-4         	    4276	     14248 ns/op
-BenchmarkParallelFig5a/rbs/workers-8-4         	    4100	     14900 ns/op
+BenchmarkParallelFig5a/aco                     	      15	   4108897 ns/op
+BenchmarkParallelFig5a/rbs                     	    4276	     14248 ns/op
+BenchmarkParallelFig5a/aco-2                   	      28	   2101133 ns/op
+BenchmarkParallelFig5a/aco-8                   	      90	   1050000 ns/op
+BenchmarkParallelFig5a/rbs-8                   	    4100	     14900 ns/op
 BenchmarkFig5a_HomogeneousSchedTime/aco-4      	     100	   9999999 ns/op
 PASS
 ok  	bioschedsim	0.200s
@@ -27,8 +27,7 @@ func TestParseBenchExtractsResultsAndEnvironment(t *testing.T) {
 	if len(results) != 6 {
 		t.Fatalf("parsed %d results, want 6", len(results))
 	}
-	// The -4 GOMAXPROCS suffix must be stripped from every name.
-	if got := results[0].Name; got != "BenchmarkParallelFig5a/aco/workers-1" {
+	if got := results[2].Name; got != "BenchmarkParallelFig5a/aco-2" {
 		t.Fatalf("name = %q", got)
 	}
 	if results[0].NsPerOp != 4108897 {
@@ -39,45 +38,42 @@ func TestParseBenchExtractsResultsAndEnvironment(t *testing.T) {
 	}
 }
 
-// Single-core hosts emit no GOMAXPROCS suffix at all; workers-K leaves
-// must survive normalization untouched there.
+// The -cpu 1 run carries no GOMAXPROCS suffix at all; it is the family's
+// serial point, not a separate family.
 func TestParseBenchWithoutGomaxprocsSuffix(t *testing.T) {
-	const singleCore = `goos: linux
-BenchmarkParallelFig5a/aco/workers-1         	      15	   4108897 ns/op
-BenchmarkParallelFig5a/aco/workers-8         	      15	   4100000 ns/op
+	const cpuCurve = `goos: linux
+BenchmarkParallelFig5a/aco           	      15	   4108897 ns/op
+BenchmarkParallelFig5a/aco-8         	      15	   4100000 ns/op
 `
-	results, _, err := parseBench(strings.NewReader(singleCore))
+	results, _, err := parseBench(strings.NewReader(cpuCurve))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 2 {
 		t.Fatalf("parsed %d results, want 2", len(results))
 	}
-	if got := results[0].Name; got != "BenchmarkParallelFig5a/aco/workers-1" {
-		t.Fatalf("suffix-free workers leaf mangled to %q", got)
+	curves := buildCurves(results)
+	if len(curves) != 1 {
+		t.Fatal("suffix-free and suffixed runs did not group into one curve")
 	}
-	if len(buildCurves(results)) != 1 {
-		t.Fatal("suffix-free results did not group into a curve")
+	if got := curves[0].NsPerOp[1]; got != 4108897 {
+		t.Fatalf("suffix-free run landed at width 1 as %v", got)
 	}
 }
 
-func TestWorkersRunSplitsFamilyAndCount(t *testing.T) {
+func TestSplitRunTakesWidthFromCPUSuffix(t *testing.T) {
 	for name, want := range map[string]struct {
-		family  string
-		workers int
+		family string
+		width  int
 	}{
-		"BenchmarkParallelFig6b/hbo/workers-4": {"BenchmarkParallelFig6b/hbo", 4},
-		"BenchmarkParallelFig5a/aco/workers-1": {"BenchmarkParallelFig5a/aco", 1},
-		"BenchmarkParallelFig5a/aco/workers-8": {"BenchmarkParallelFig5a/aco", 8},
+		"BenchmarkParallelFig6b/hbo-4": {"BenchmarkParallelFig6b/hbo", 4},
+		"BenchmarkParallelFig5a/aco":   {"BenchmarkParallelFig5a/aco", 1},
+		"BenchmarkParallelFig5a/aco-8": {"BenchmarkParallelFig5a/aco", 8},
 	} {
-		family, w, ok := workersRun(name)
-		if !ok || family != want.family || w != want.workers {
-			t.Fatalf("%q parsed as (%q, %d, %v), want (%q, %d)", name, family, w, ok, want.family, want.workers)
+		family, w := splitRun(name)
+		if family != want.family || w != want.width {
+			t.Fatalf("%q parsed as (%q, %d), want (%q, %d)", name, family, w, want.family, want.width)
 		}
-	}
-	// Non-sweep benchmarks are excluded, not misparsed.
-	if _, _, ok := workersRun("BenchmarkFig5a_HomogeneousSchedTime/aco"); ok {
-		t.Fatal("non-sweep name matched")
 	}
 }
 
@@ -95,7 +91,7 @@ func TestBuildCurvesGroupsByFamily(t *testing.T) {
 		t.Fatalf("first family = %q", curves[0].Family)
 	}
 	if got := curves[0].NsPerOp[2]; got != 2101133 {
-		t.Fatalf("aco workers-2 = %v", got)
+		t.Fatalf("aco at GOMAXPROCS=2 = %v", got)
 	}
 }
 
@@ -176,7 +172,7 @@ func TestGateNotesSingleCoreHosts(t *testing.T) {
 func TestGateRequiresSerialBaseline(t *testing.T) {
 	curves := []curve{{Family: "f/aco", NsPerOp: map[int]float64{8: 500}}}
 	violations, _, _ := gate(curves, 1.10, 4, 0)
-	if len(violations) != 1 || !strings.Contains(violations[0], "workers-1") {
+	if len(violations) != 1 || !strings.Contains(violations[0], "-cpu 1") {
 		t.Fatalf("missing-baseline violation = %v", violations)
 	}
 }
@@ -189,6 +185,19 @@ func TestRunGateEndToEnd(t *testing.T) {
 	// The aco family (ms-scale) is gated; the rbs family (14us) is skipped.
 	if !strings.Contains(out.String(), "ok: 1 families gated") || !strings.Contains(out.String(), "(1 skipped)") {
 		t.Fatalf("summary missing: %q", out.String())
+	}
+	// A planted 15% slowdown at every parallel width fails the 1.10 gate.
+	const slowed = `BenchmarkParallelFig6b/aco      	      50	   4000000 ns/op
+BenchmarkParallelFig6b/aco-2    	      45	   4600000 ns/op
+BenchmarkParallelFig6b/aco-4    	      45	   4600000 ns/op
+BenchmarkParallelFig6b/aco-8    	      45	   4600000 ns/op
+`
+	out.Reset()
+	if err := run(strings.NewReader(slowed), &out, 1.10, 1e6); err == nil {
+		t.Fatalf("15%% slowdown at every width passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "FAIL BenchmarkParallelFig6b/aco") || !strings.Contains(out.String(), "1.15x") {
+		t.Fatalf("planted slowdown not reported: %q", out.String())
 	}
 	// Empty input is an error, not a silent pass.
 	if err := run(strings.NewReader("PASS\n"), &out, 1.10, 1e6); err == nil {

@@ -116,11 +116,11 @@ Commands:
       -rho F -servers N -vms N -n N -warmup N -mu F -seed N -tol F
   trace convert [flags]    convert a trace between CSV and the columnar
                            binary format (direction sniffed from -in)
-      -in PATH -out PATH -block-rows N -compress -readers K
+      -in PATH -out PATH -block-rows N -compress
   replay -trace PATH       replay a trace (CSV or columnar, sniffed by
                            magic bytes) through an online policy
       -policy P       online-rr|least|eft|aco|hbo|rbs (default online-eft)
-      -vms N -dcs N -seed N -readers K
+      -vms N -dcs N -seed N
 `)
 }
 
@@ -160,7 +160,6 @@ func cmdFigure(args []string) error {
 	chart := fs.Bool("chart", false, "render an ASCII chart")
 	markdown := fs.Bool("markdown", false, "emit a Markdown table instead of the aligned text table")
 	svgPath := fs.String("svg", "", "also write an SVG chart to this path")
-	workers := fs.Int("workers", 0, "sweep parallelism (0 = NumCPU)")
 	// Accept both "figure fig6a -chart" and "figure -chart fig6a".
 	var id string
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
@@ -178,7 +177,7 @@ func cmdFigure(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Repeats: *repeats, Workers: *workers}
+	opts := experiments.Options{Scale: *scale, Seed: *seed, Repeats: *repeats}
 	if opts.Scale == 0 {
 		opts.Scale = defaultScale(id)
 	}
@@ -282,16 +281,15 @@ func cmdRun(args []string) error {
 	dcs := fs.Int("dcs", 4, "datacenters (heterogeneous only)")
 	algs := fs.String("algs", "aco,base,hbo,rbs", "schedulers to compare")
 	seed := fs.Uint64("seed", 42, "root random seed")
-	workers := fs.Int("workers", 0, "kernel pool for WorkerTunable schedulers (0 = GOMAXPROCS, 1 = serial); assignments are identical at every setting")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	names := strings.Split(*algs, ",")
-	fmt.Printf("# scenario=%s vms=%d cloudlets=%d seed=%d workers=%d\n", *scenario, *vms, *cloudlets, *seed, *workers)
+	fmt.Printf("# scenario=%s vms=%d cloudlets=%d seed=%d\n", *scenario, *vms, *cloudlets, *seed)
 	fmt.Printf("%-12s %14s %14s %12s %12s %14s %10s\n",
 		"algorithm", "sched-time", "sim-time(ms)", "imbalance", "count-imb", "cost", "fairness")
 	for _, name := range names {
-		scheduler, err := sched.New(strings.TrimSpace(name), sched.WithWorkers(*workers))
+		scheduler, err := sched.New(strings.TrimSpace(name))
 		if err != nil {
 			return err
 		}

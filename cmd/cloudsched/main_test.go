@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bioschedsim/internal/sched"
+	"bioschedsim/internal/tracecol"
 )
 
 func TestDefaultScale(t *testing.T) {
@@ -164,11 +165,11 @@ func TestCmdTraceConvertRoundTrip(t *testing.T) {
 		t.Fatal("csv -> columnar -> csv changed the canonical bytes")
 	}
 	// Both formats replay identically through the sniffing loader.
-	fromCSV, err := readTraceFile(csvPath, 0)
+	fromCSV, err := tracecol.ReadFileAuto(csvPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromCol, err := readTraceFile(colPath, 2)
+	fromCol, err := tracecol.ReadFileAuto(colPath, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestCmdGenTraceColumnar(t *testing.T) {
 	if err := cmdGenTrace([]string{"-n", "100", "-columnar", "-compress", "-out", colPath}); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := readTraceFile(colPath, 0)
+	entries, err := tracecol.ReadFileAuto(colPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"bioschedsim/internal/tracecol"
 )
 
 // planSpecJSON is a small static capacity spec: λ=4, μ=1 per VM, so a
@@ -109,7 +111,7 @@ func TestGenTraceProcesses(t *testing.T) {
 		if err := cmdGenTrace(args); err != nil {
 			t.Fatalf("gentrace -process %s: %v", proc, err)
 		}
-		entries, err := readTraceFile(path, 0)
+		entries, err := tracecol.ReadFileAuto(path, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

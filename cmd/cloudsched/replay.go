@@ -41,14 +41,13 @@ func cmdReplay(args []string) error {
 	vms := fs.Int("vms", 50, "fleet size")
 	dcs := fs.Int("dcs", 4, "datacenters")
 	seed := fs.Uint64("seed", 42, "root random seed")
-	readers := fs.Int("readers", 0, "columnar decode pool (0 = GOMAXPROCS); entries identical at every setting")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *tracePath == "" {
 		return fmt.Errorf("replay: -trace is required")
 	}
-	entries, err := readTraceFile(*tracePath, *readers)
+	entries, err := tracecol.ReadFileAuto(*tracePath, 0)
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"bioschedsim/internal/tracecol"
-	"bioschedsim/internal/workload"
 )
 
 // cmdTrace dispatches the trace toolbox subcommands.
@@ -33,7 +32,6 @@ func cmdTraceConvert(args []string) error {
 	out := fs.String("out", "", "output path")
 	blockRows := fs.Int("block-rows", tracecol.DefaultBlockRows, "rows per columnar block (text→columnar)")
 	compress := fs.Bool("compress", false, "flate-compress columnar blocks (text→columnar)")
-	readers := fs.Int("readers", 0, "decode pool for columnar input (0 = GOMAXPROCS); results identical at every setting")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -75,7 +73,7 @@ func cmdTraceConvert(args []string) error {
 			return err
 		}
 		defer p.Close()
-		rows, err = tracecol.ConvertColumnarToText(p, dst, tracecol.ReadOptions{Readers: *readers})
+		rows, err = tracecol.ConvertColumnarToText(p, dst, tracecol.ReadOptions{})
 		if err != nil {
 			return err
 		}
@@ -103,10 +101,4 @@ func cmdTraceConvert(args []string) error {
 	}
 	converted = true
 	return nil
-}
-
-// readTraceFile loads a trace in either format for replay, sniffing the
-// columnar magic bytes.
-func readTraceFile(path string, readers int) ([]workload.TraceEntry, error) {
-	return tracecol.ReadFileAuto(path, readers)
 }

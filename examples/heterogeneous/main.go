@@ -29,7 +29,6 @@ import (
 func main() {
 	nVMsF := flag.Int("vms", 100, "VM fleet size")
 	nCloudletF := flag.Int("cloudlets", 2000, "cloudlet batch size")
-	workersF := flag.Int("workers", 0, "kernel pool for WorkerTunable schedulers (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 	nVMs, nCloudlet := *nVMsF, *nCloudletF
 	const (
@@ -45,7 +44,7 @@ func main() {
 
 	reports := map[string]metrics.Report{}
 	for _, name := range algorithms {
-		scheduler, err := sched.New(name, sched.WithWorkers(*workersF))
+		scheduler, err := sched.New(name)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -27,7 +27,6 @@ import (
 
 func main() {
 	scale := flag.Float64("scale", 0.01, "fraction of the paper's homogeneous problem size")
-	workers := flag.Int("workers", 0, "kernel pool for WorkerTunable schedulers (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
 	nCloudlets := int(1_000_000 * *scale)
@@ -49,7 +48,7 @@ func main() {
 
 	for _, nVMs := range fleetSizes {
 		for _, name := range []string{"base", "aco", "hbo", "rbs"} {
-			scheduler, err := sched.New(name, sched.WithWorkers(*workers))
+			scheduler, err := sched.New(name)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -34,10 +34,10 @@
 // draws may differ in the last float ulp). Every power goes through
 // objective.Pow, which is math.Pow bit for bit at about half the cost.
 //
-// Tour construction is the hot path and fans out over Config.Workers: each
-// ant owns the xrand child stream indexed by (iteration, ant) and writes
-// only its own chunk of the combined tour, so assignments are bit-identical
-// for every worker count at a fixed seed. The pheromone update — which
+// Tour construction is the hot path and fans out over GOMAXPROCS workers:
+// each ant owns the xrand child stream indexed by (iteration, ant) and
+// writes only its own chunk of the combined tour, so assignments are
+// bit-identical for every pool width at a fixed seed. The pheromone update — which
 // couples ants — stays serial in ant order after the join.
 //
 // With Table II's α=0.01, β=0.99 the search is heavily heuristic-driven:
@@ -76,12 +76,6 @@ type Config struct {
 	// only way to run its extreme sizes (1 000 000 cloudlets × 100 000 VMs
 	// would need a 10¹¹-cell matrix).
 	MaxMatrixCells int64
-	// Workers bounds the per-iteration ant-construction pool: 0 means
-	// GOMAXPROCS, 1 forces serial. Tours are bit-identical for every worker
-	// count — each ant owns the xrand child stream indexed by
-	// (iteration, ant), and pheromone deposits are applied serially in ant
-	// order after the join.
-	Workers int
 }
 
 // DefaultConfig returns Table II's parameters with 20 iterations and τ(0)=1.
@@ -110,8 +104,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("aco: Alpha and Beta must be non-negative, got %v/%v", c.Alpha, c.Beta)
 	case c.MaxMatrixCells <= 0:
 		return fmt.Errorf("aco: MaxMatrixCells must be positive, got %d", c.MaxMatrixCells)
-	case c.Workers < 0:
-		return fmt.Errorf("aco: Workers must be non-negative, got %d", c.Workers)
 	}
 	return nil
 }
@@ -211,10 +203,6 @@ func Default() *Scheduler { return New(DefaultConfig()) }
 
 // Config returns the scheduler's effective configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
-
-// SetWorkers implements sched.WorkerTunable: it bounds the ant-construction
-// pool (0 = GOMAXPROCS, 1 = serial) without changing any tour.
-func (s *Scheduler) SetWorkers(workers int) { s.cfg.Workers = workers }
 
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "aco" }
@@ -374,9 +362,9 @@ func (r *run) reset(cfg Config, ctx *sched.Context, classes *objective.Classes) 
 	r.bestLen, r.g = math.Inf(1), 1
 	r.bestTour = r.bestTour[:0]
 	// The construction pool: one worker below the dispatch break-even point,
-	// otherwise the configured bound. Results never depend on the choice.
-	r.workers = objective.EffectiveWorkers(cfg.Workers, int64(r.n)*int64(r.m), minParallelCells)
-	r.mx = objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{MaxCells: cfg.MaxMatrixCells, Workers: cfg.Workers, Classes: classes})
+	// otherwise GOMAXPROCS. Results never depend on the choice.
+	r.workers = objective.EffectiveWorkers(int64(r.n)*int64(r.m), minParallelCells)
+	r.mx = objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{MaxCells: cfg.MaxMatrixCells, Classes: classes})
 	r.k = r.mx.K()
 	r.cls = classes.Index
 	r.etaCls = nil
@@ -658,7 +646,7 @@ func (r *run) depositChunk(lo, hi int, delta float64) {
 
 func init() {
 	sched.Register("aco", func() sched.Scheduler { return Default() })
-	sched.DeclareTraits("aco", sched.Traits{Stochastic: true, Parallel: true})
+	sched.DeclareTraits("aco", sched.Traits{Stochastic: true})
 }
 
 // TourLength exposes the internal tour-quality function (Eq. 8) for tests

@@ -282,14 +282,14 @@ func BenchmarkTableII_ACOIteration(b *testing.B) {
 }
 
 // BenchmarkScheduleSmallBatch prices the batches a work-conserving daemon
-// hands ACO: a few cloudlets on a 50-VM heterogeneous fleet, one worker,
-// with the Table II colony. At these sizes the per-call fixed cost, not the
+// hands ACO: a few cloudlets on a 50-VM heterogeneous fleet, below the
+// pool's threshold and so on one worker, with the Table II colony. At these sizes the per-call fixed cost, not the
 // search, sets the time and the allocations.
 func BenchmarkScheduleSmallBatch(b *testing.B) {
 	for _, n := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			ctx := schedtest.Heterogeneous(b, 50, n, 1)
-			s := New(Config{Workers: 1})
+			s := New(Config{})
 			rnd := rand.New(rand.NewSource(1))
 			ctx.Rand = rnd
 			b.ReportAllocs()

@@ -1,6 +1,7 @@
 package aco
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -9,12 +10,13 @@ import (
 )
 
 // TestWorkerCountInvariant: the ant-construction pool must never change a
-// tour — same seed, same schedule, for any Workers setting. The problem is
-// sized above minParallelCells so multi-worker runs really fan out.
+// tour — same seed, same schedule, at any GOMAXPROCS. The problem is sized
+// above minParallelCells so multi-worker runs really fan out.
 func TestWorkerCountInvariant(t *testing.T) {
-	mk := func(workers int) []sched.Assignment {
+	mk := func(procs int) []sched.Assignment {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		ctx := schedtest.Heterogeneous(t, 12, 400, 17)
-		got, err := New(Config{Ants: 16, Iterations: 4, Workers: workers}).Schedule(ctx)
+		got, err := New(Config{Ants: 16, Iterations: 4}).Schedule(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,22 +26,23 @@ func TestWorkerCountInvariant(t *testing.T) {
 		return got
 	}
 	ref := mk(1)
-	for _, workers := range []int{2, 8} {
-		got := mk(workers)
+	for _, procs := range []int{2, 8} {
+		got := mk(procs)
 		for i := range ref {
 			if got[i].VM.ID != ref[i].VM.ID {
-				t.Fatalf("Workers=%d diverged from serial at cloudlet %d", workers, i)
+				t.Fatalf("GOMAXPROCS=%d diverged from serial at cloudlet %d", procs, i)
 			}
 		}
 	}
 }
 
-// Below the serial threshold the pool collapses to one worker; the Workers
-// setting must still be invisible in the result.
+// Below the serial threshold the pool collapses to one worker; GOMAXPROCS
+// must still be invisible in the result.
 func TestWorkerCountInvariantSmallProblem(t *testing.T) {
-	mk := func(workers int) []sched.Assignment {
+	mk := func(procs int) []sched.Assignment {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		ctx := schedtest.Heterogeneous(t, 4, 40, 9)
-		got, err := New(Config{Ants: 8, Iterations: 3, Workers: workers}).Schedule(ctx)
+		got, err := New(Config{Ants: 8, Iterations: 3}).Schedule(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,16 +52,8 @@ func TestWorkerCountInvariantSmallProblem(t *testing.T) {
 	got := mk(8)
 	for i := range ref {
 		if got[i].VM.ID != ref[i].VM.ID {
-			t.Fatalf("Workers=8 diverged from serial at cloudlet %d on a sub-threshold problem", i)
+			t.Fatalf("GOMAXPROCS=8 diverged from serial at cloudlet %d on a sub-threshold problem", i)
 		}
-	}
-}
-
-func TestValidateRejectsNegativeWorkers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative Workers accepted")
 	}
 }
 
@@ -66,7 +61,7 @@ func TestValidateRejectsNegativeWorkers(t *testing.T) {
 // goroutines at full pool width; run under -race it proves the per-worker
 // scratch really is private (the scheduler itself is stateless per call).
 func TestConcurrentScheduleRace(t *testing.T) {
-	s := New(Config{Ants: 12, Iterations: 2, Workers: 0})
+	s := New(Config{Ants: 12, Iterations: 2})
 	ctxs := make([]*sched.Context, 6)
 	for g := range ctxs {
 		ctxs[g] = schedtest.Heterogeneous(t, 8, 600, int64(100+g))

@@ -8,6 +8,8 @@
 //
 //   - conservation — every cloudlet assigned exactly once to an in-range VM
 //   - determinism — same scenario seed ⇒ identical assignment vector
+//   - worker-invariance — re-running at GOMAXPROCS 1, 2 and P (the
+//     caller's setting) yields the identical assignment vector
 //   - permutation — for schedulers declaring the trait, cloudlet-order
 //     permutation leaves the estimated makespan unchanged on
 //     identical-cloudlet workloads

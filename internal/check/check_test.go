@@ -1,6 +1,7 @@
 package check
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -70,40 +71,23 @@ func (acceptsEmpty) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
 	return out, nil
 }
 
-// brokenParallel shifts every placement by one VM whenever more than one
-// worker is configured: a worker-invariance violation on any fleet with at
-// least two VMs — the shape of a kernel whose fan-out leaks into results.
-type brokenParallel struct{ workers int }
+// brokenParallel shifts every placement by one VM whenever GOMAXPROCS
+// exceeds one: a worker-invariance violation on any fleet with at least two
+// VMs — the shape of a kernel whose fan-out leaks into results.
+type brokenParallel struct{}
 
-func (b *brokenParallel) Name() string           { return "testbroken-parallel" }
-func (b *brokenParallel) SetWorkers(workers int) { b.workers = workers }
-func (b *brokenParallel) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
+func (brokenParallel) Name() string { return "testbroken-parallel" }
+func (brokenParallel) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
 	off := 0
-	if b.workers > 1 {
+	if runtime.GOMAXPROCS(0) > 1 {
 		off = 1
 	}
 	out := make([]sched.Assignment, len(ctx.Cloudlets))
 	for i, c := range ctx.Cloudlets {
 		out[i] = sched.Assignment{Cloudlet: c, VM: ctx.VMs[(i+off)%len(ctx.VMs)]}
-	}
-	return out, nil
-}
-
-// untunable declares Traits.Parallel without implementing
-// sched.WorkerTunable: a misdeclared capability the suite must flag.
-type untunable struct{}
-
-func (untunable) Name() string { return "testbroken-untunable" }
-func (untunable) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
-	if err := ctx.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]sched.Assignment, len(ctx.Cloudlets))
-	for i, c := range ctx.Cloudlets {
-		out[i] = sched.Assignment{Cloudlet: c, VM: ctx.VMs[i%len(ctx.VMs)]}
 	}
 	return out, nil
 }
@@ -116,10 +100,7 @@ func init() {
 	// a scheduler with hidden global state would behave.
 	sched.Register("testbroken-flaky", func() sched.Scheduler { return flakyInstance })
 	sched.Register("testbroken-empty", func() sched.Scheduler { return acceptsEmpty{} })
-	sched.Register("testbroken-parallel", func() sched.Scheduler { return &brokenParallel{} })
-	sched.DeclareTraits("testbroken-parallel", sched.Traits{Parallel: true})
-	sched.Register("testbroken-untunable", func() sched.Scheduler { return untunable{} })
-	sched.DeclareTraits("testbroken-untunable", sched.Traits{Parallel: true})
+	sched.Register("testbroken-parallel", func() sched.Scheduler { return brokenParallel{} })
 }
 
 // realSchedulers is the production registry minus the broken test plants.
@@ -296,9 +277,9 @@ func TestSeededConservationViolationIsCaughtShrunkAndReplayable(t *testing.T) {
 
 // TestSeededWorkerInvarianceViolationIsCaughtShrunkAndReplayable is the
 // acceptance check for the worker-invariance suite: a scheduler whose
-// results change with the worker count must be caught — even on a
-// single-core runner, because workers=2 is always exercised — shrunk to a
-// minimal scenario, and reproducible through its replay command.
+// results change with GOMAXPROCS must be caught — even on a single-core
+// runner, because GOMAXPROCS=2 is always exercised — shrunk to a minimal
+// scenario, and reproducible through its replay command.
 func TestSeededWorkerInvarianceViolationIsCaughtShrunkAndReplayable(t *testing.T) {
 	cfg := Quick()
 	cfg.Schedulers = []string{"testbroken-parallel"}
@@ -314,7 +295,7 @@ func TestSeededWorkerInvarianceViolationIsCaughtShrunkAndReplayable(t *testing.T
 	if f.Invariant != InvWorkerInvariance {
 		t.Fatalf("caught invariant %q, want %q (%s)", f.Invariant, InvWorkerInvariance, f.Err)
 	}
-	if !strings.Contains(f.Err, "workers=") {
+	if !strings.Contains(f.Err, "GOMAXPROCS=") {
 		t.Fatalf("unexpected violation message: %s", f.Err)
 	}
 	// Minimal failing shape: one cloudlet on a multi-VM fleet (with a single
@@ -330,20 +311,6 @@ func TestSeededWorkerInvarianceViolationIsCaughtShrunkAndReplayable(t *testing.T
 	v := CheckScenario("testbroken-parallel", f.Shrunk)
 	if v == nil || v.Invariant != InvWorkerInvariance {
 		t.Fatalf("replaying the shrunk scenario did not reproduce the violation: %v", v)
-	}
-}
-
-func TestParallelDeclarationWithoutKnobIsCaught(t *testing.T) {
-	sc, err := Generate(ClassHomogeneous, 11, 8, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := CheckScenario("testbroken-untunable", sc)
-	if v == nil || v.Invariant != InvWorkerInvariance {
-		t.Fatalf("misdeclared Parallel trait not caught: %v", v)
-	}
-	if !strings.Contains(v.Err.Error(), "WorkerTunable") {
-		t.Fatalf("unexpected violation message: %v", v.Err)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"bioschedsim/internal/aco"
 	"bioschedsim/internal/ga"
@@ -33,33 +32,24 @@ func paramSweep(xs []float64, label string, opts Options, build func(x float64) 
 	nVMs, nCls := ablationScenario(opts)
 	points := make([]Point, len(xs))
 	errs := make([]error, len(xs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opts.Workers)
-	for idx := range xs {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			scheduler := build(xs[idx])
-			var acc accumulator
-			for rep := 0; rep < opts.Repeats; rep++ {
-				// Unlike figure sweeps, every x shares the same workload
-				// seed: only the parameter under study varies.
-				seed := xrand.Stream(opts.Seed, uint64(rep)).Uint64()
-				report, err := runOnce(scheduler, pointSpec{
-					kind: heterogeneous, vms: nVMs, cloudlets: nCls, dcs: 4,
-				}, seed)
-				if err != nil {
-					errs[idx] = fmt.Errorf("%s x=%v: %w", label, xs[idx], err)
-					return
-				}
-				acc.add(report)
+	forEachPoint(len(xs), func(idx int) {
+		scheduler := build(xs[idx])
+		var acc accumulator
+		for rep := 0; rep < opts.Repeats; rep++ {
+			// Unlike figure sweeps, every x shares the same workload
+			// seed: only the parameter under study varies.
+			seed := xrand.Stream(opts.Seed, uint64(rep)).Uint64()
+			report, err := runOnce(scheduler, pointSpec{
+				kind: heterogeneous, vms: nVMs, cloudlets: nCls, dcs: 4,
+			}, seed)
+			if err != nil {
+				errs[idx] = fmt.Errorf("%s x=%v: %w", label, xs[idx], err)
+				return
 			}
-			points[idx] = Point{X: xs[idx], Reports: map[string]metrics.Report{label: acc.mean(label)}}
-		}(idx)
-	}
-	wg.Wait()
+			acc.add(report)
+		}
+		points[idx] = Point{X: xs[idx], Reports: map[string]metrics.Report{label: acc.mean(label)}}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"bioschedsim/internal/cloud"
@@ -43,8 +42,6 @@ type Options struct {
 	Scale float64
 	// Seed is the root of all randomness in the sweep.
 	Seed uint64
-	// Workers bounds sweep parallelism; 0 means runtime.NumCPU().
-	Workers int
 	// Repeats averages each (point, algorithm) over this many seeded
 	// repetitions; 0 means 1.
 	Repeats int
@@ -56,9 +53,6 @@ type Options struct {
 func (o Options) normalized() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
 	}
 	if o.Repeats <= 0 {
 		o.Repeats = 1

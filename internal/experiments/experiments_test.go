@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -117,11 +118,12 @@ func TestFig6aACOBestHBOBeatsBase(t *testing.T) {
 // TestFig6bSchedulingTimeOrdering compares wall-clock scheduling times,
 // and base's and RBS's are ~10-30 µs per call: a GC cycle that ACO's
 // allocations start on another worker, or a preemption, can stretch one
-// call to a millisecond. Points therefore run one at a time, and each
-// averages five seeded repeats.
+// call to a millisecond. Points therefore run one at a time (GOMAXPROCS 1),
+// and each averages five seeded repeats.
 func TestFig6bSchedulingTimeOrdering(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	opts := hetOpts()
-	opts.Workers, opts.Repeats = 1, 5
+	opts.Repeats = 5
 	res := runFig(t, "fig6b", opts)
 	// base and rbs both take ~10-20 µs per point, so one preempted call
 	// moves their cross-point mean; compare them on the median instead.
@@ -168,10 +170,12 @@ func TestFig6dHBOCheapest(t *testing.T) {
 }
 
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	opts1 := Options{Scale: 0.02, Seed: 7, Workers: 1, Algorithms: []string{"aco", "rbs"}}
-	optsN := Options{Scale: 0.02, Seed: 7, Workers: 8, Algorithms: []string{"aco", "rbs"}}
-	a := runFig(t, "fig6a", opts1)
-	b := runFig(t, "fig6a", optsN)
+	opts := Options{Scale: 0.02, Seed: 7, Algorithms: []string{"aco", "rbs"}}
+	run := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return runFig(t, "fig6a", opts)
+	}
+	a, b := run(1), run(8)
 	if len(a.Points) != len(b.Points) {
 		t.Fatalf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
 	}
@@ -232,7 +236,7 @@ func TestExtractMetricUnknownPanics(t *testing.T) {
 
 func TestOptionsNormalized(t *testing.T) {
 	o := Options{}.normalized()
-	if o.Scale != 1 || o.Workers <= 0 || o.Repeats != 1 || len(o.Algorithms) != len(PaperAlgorithms) {
+	if o.Scale != 1 || o.Repeats != 1 || len(o.Algorithms) != len(PaperAlgorithms) {
 		t.Fatalf("normalized: %+v", o)
 	}
 }

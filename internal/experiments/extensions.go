@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"bioschedsim/internal/cloud"
@@ -153,28 +152,19 @@ func runElasticPoint(bootDelay float64, opts Options) (map[string]metrics.Report
 	return map[string]metrics.Report{"static": static, "elastic": scaled}, nil
 }
 
-// extSweep fans a per-point runner over xs with bounded parallelism.
+// extSweep fans a per-point runner over xs on the point pool.
 func extSweep(xs []float64, opts Options, runPt func(x float64, o Options) (map[string]metrics.Report, error)) ([]Point, error) {
 	opts = opts.normalized()
 	points := make([]Point, len(xs))
 	errs := make([]error, len(xs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opts.Workers)
-	for i := range xs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			reports, err := runPt(xs[i], opts)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			points[i] = Point{X: xs[i], Reports: reports}
-		}(i)
-	}
-	wg.Wait()
+	forEachPoint(len(xs), func(i int) {
+		reports, err := runPt(xs[i], opts)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		points[i] = Point{X: xs[i], Reports: reports}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -2,51 +2,43 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
+	"bioschedsim/internal/objective"
 	"bioschedsim/internal/xrand"
 )
 
-// sweep runs one pointSpec per VM count on a bounded worker pool and
-// assembles the ordered Points. Each point derives its seed from the root
-// seed and its index, so the outcome is independent of worker interleaving.
+// forEachPoint runs fn(i) for every i in [0, n) on a GOMAXPROCS-wide pool.
+// A point is a whole simulation, so even two of them are worth fanning out.
+// Each writes only its own slot, so the pool's width never changes a
+// result.
+func forEachPoint(n int, fn func(i int)) {
+	objective.ParallelFor(objective.EffectiveWorkers(int64(n), 1), n, fn)
+}
+
+// sweep runs one pointSpec per VM count on the pool and assembles the
+// ordered Points. Each point derives its seed from the root seed and its
+// index, so the outcome is independent of worker interleaving.
 func sweep(kind scenarioKind, vmCounts []int, cloudlets, dcs int, opts Options) ([]Point, error) {
 	opts = opts.normalized()
 	points := make([]Point, len(vmCounts))
 	errs := make([]error, len(vmCounts))
-
-	type job struct{ idx int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				spec := pointSpec{
-					kind:       kind,
-					vms:        vmCounts[j.idx],
-					cloudlets:  cloudlets,
-					dcs:        dcs,
-					seed:       xrand.Stream(opts.Seed, uint64(j.idx)).Uint64(),
-					algorithms: opts.Algorithms,
-					repeats:    opts.Repeats,
-				}
-				reports, err := runPoint(spec)
-				if err != nil {
-					errs[j.idx] = err
-					continue
-				}
-				points[j.idx] = Point{X: float64(vmCounts[j.idx]), Reports: reports}
-			}
-		}()
-	}
-	for i := range vmCounts {
-		jobs <- job{idx: i}
-	}
-	close(jobs)
-	wg.Wait()
-
+	forEachPoint(len(vmCounts), func(i int) {
+		spec := pointSpec{
+			kind:       kind,
+			vms:        vmCounts[i],
+			cloudlets:  cloudlets,
+			dcs:        dcs,
+			seed:       xrand.Stream(opts.Seed, uint64(i)).Uint64(),
+			algorithms: opts.Algorithms,
+			repeats:    opts.Repeats,
+		}
+		reports, err := runPoint(spec)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		points[i] = Point{X: float64(vmCounts[i]), Reports: reports}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("sweep point %d (vms=%d): %w", i, vmCounts[i], err)

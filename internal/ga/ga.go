@@ -27,10 +27,6 @@ type Config struct {
 	MutationRate float64 // per-gene reassignment probability
 	TournamentK  int     // tournament size for parent selection
 	Elite        int     // chromosomes copied unchanged each generation
-	// Workers bounds the fitness-evaluation pool; 0 means GOMAXPROCS, 1
-	// forces serial. Results are identical for every value — evaluation is
-	// pure per chromosome and randomness lives only in breeding.
-	Workers int
 }
 
 // DefaultConfig returns a conventional small-population setup.
@@ -51,8 +47,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ga: TournamentK must be in [1,Population], got %d", c.TournamentK)
 	case c.Elite < 0 || c.Elite >= c.Population:
 		return fmt.Errorf("ga: Elite must be in [0,Population), got %d", c.Elite)
-	case c.Workers < 0:
-		return fmt.Errorf("ga: Workers must be non-negative, got %d", c.Workers)
 	}
 	return nil
 }
@@ -78,7 +72,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.TournamentK == 0 {
 		cfg.TournamentK = def.TournamentK
 	}
-	// Elite 0 and Workers 0 are valid explicit choices; keep them.
+	// Elite 0 is a valid explicit choice; keep it.
 	return &Scheduler{cfg: cfg}
 }
 
@@ -87,10 +81,6 @@ func Default() *Scheduler { return New(DefaultConfig()) }
 
 // Config returns the effective configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
-
-// SetWorkers implements sched.WorkerTunable: it bounds the fitness pool
-// (0 = GOMAXPROCS, 1 = serial) without changing any chromosome.
-func (s *Scheduler) SetWorkers(workers int) { s.cfg.Workers = workers }
 
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "ga" }
@@ -114,9 +104,10 @@ func (s *Scheduler) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
 	// batch: breeding (which consumes randomness) runs first, evaluation
 	// (which consumes none) after, leaving the rand sequence — and therefore
 	// the result — unchanged relative to interleaved per-child evaluation
-	// while letting the batch fan out across workers.
-	mx := objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{Workers: s.cfg.Workers})
-	pe := objective.NewPopEvaluator(mx, objective.Makespan, s.cfg.Workers)
+	// while letting the batch fan out across workers. Evaluation is pure per
+	// chromosome, so the pool's width never changes a result.
+	mx := objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{})
+	pe := objective.NewPopEvaluator(mx, objective.Makespan)
 	batch := make([][]int, 0, s.cfg.Population)
 	vals := make([]float64, s.cfg.Population)
 
@@ -209,5 +200,5 @@ func (s *Scheduler) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
 
 func init() {
 	sched.Register("ga", func() sched.Scheduler { return Default() })
-	sched.DeclareTraits("ga", sched.Traits{Stochastic: true, Parallel: true})
+	sched.DeclareTraits("ga", sched.Traits{Stochastic: true})
 }

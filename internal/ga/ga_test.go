@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -127,13 +128,14 @@ func TestPropertyValid(t *testing.T) {
 }
 
 // TestWorkerCountInvariant: the parallel fitness pool must never change the
-// result — same seed, same schedule, for any Workers setting. The problem is
-// sized above the evaluator's serial threshold so multi-worker runs really
-// run concurrently.
+// result — same seed, same schedule, at any GOMAXPROCS. The problem is sized
+// above the evaluator's serial threshold so multi-worker runs really run
+// concurrently.
 func TestWorkerCountInvariant(t *testing.T) {
-	mk := func(workers int) []sched.Assignment {
+	mk := func(procs int) []sched.Assignment {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		ctx := schedtest.Heterogeneous(t, 12, 300, 17)
-		got, err := New(Config{Population: 120, Generations: 4, Workers: workers}).Schedule(ctx)
+		got, err := New(Config{Population: 120, Generations: 4}).Schedule(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,11 +145,11 @@ func TestWorkerCountInvariant(t *testing.T) {
 		return got
 	}
 	ref := mk(1)
-	for _, workers := range []int{2, 8} {
-		got := mk(workers)
+	for _, procs := range []int{2, 8} {
+		got := mk(procs)
 		for i := range ref {
 			if got[i].VM.ID != ref[i].VM.ID {
-				t.Fatalf("Workers=%d diverged from serial at cloudlet %d", workers, i)
+				t.Fatalf("GOMAXPROCS=%d diverged from serial at cloudlet %d", procs, i)
 			}
 		}
 	}

@@ -47,12 +47,6 @@ type Config struct {
 	// ranking — a deliberately loose bound, matching the paper's note that
 	// the balancing factor's effect on HBO's decisions "is minimal" (§VI-D2).
 	FacLB float64
-	// Workers bounds the pool used for the parallel precompute phases (the
-	// per-group forage-order sorts and, on compressible fleets, the Eq. 6
-	// class matrix): 0 means GOMAXPROCS, 1 forces serial. The scout loop's
-	// placements are bit-identical for every worker count — the precompute
-	// only changes when estimates are computed, never their values.
-	Workers int
 }
 
 // DefaultConfig returns two groups and fair-share load balancing.
@@ -65,9 +59,6 @@ func (c Config) Validate() error {
 	}
 	if c.FacLB < 0 {
 		return fmt.Errorf("hbo: FacLB must be non-negative, got %v", c.FacLB)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("hbo: Workers must be non-negative, got %d", c.Workers)
 	}
 	return nil
 }
@@ -90,10 +81,6 @@ func Default() *Scheduler { return New(DefaultConfig()) }
 
 // Config returns the scheduler's effective configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
-
-// SetWorkers implements sched.WorkerTunable: it bounds the precompute pool
-// (0 = GOMAXPROCS, 1 = serial) without changing any placement.
-func (s *Scheduler) SetWorkers(workers int) { s.cfg.Workers = workers }
 
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "hbo" }
@@ -145,7 +132,11 @@ func (s *Scheduler) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
 
 	cls := ctx.Cloudlets
 	n := len(cls)
-	workers := objective.EffectiveWorkers(s.cfg.Workers, int64(n), 0)
+	// The parallel precompute phases (the per-group forage-order sorts and,
+	// on compressible fleets, the Eq. 6 class matrix) only change when
+	// estimates are computed, never their values, so the scout loop's
+	// placements are bit-identical at every pool width.
+	workers := objective.EffectiveWorkers(int64(n), 0)
 
 	groups := divide(n, s.cfg.Groups)
 	// Algorithm 1 processes the largest food source first, and within a
@@ -169,7 +160,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
 	// in every mode, so the cutover never changes a placement.
 	mx := objective.NewMatrix(cls, ctx.VMs, objective.Options{Mode: objective.OnDemand})
 	if workers > 1 && mx.K() <= maxPrecomputeClasses {
-		mx = objective.NewMatrix(cls, ctx.VMs, objective.Options{Mode: objective.Materialized, Workers: s.cfg.Workers})
+		mx = objective.NewMatrix(cls, ctx.VMs, objective.Options{Mode: objective.Materialized})
 	}
 
 	chosen := make([]int32, n) // cloudlet index → global VM index
@@ -303,5 +294,5 @@ func init() {
 	// HBO is rule-driven (no ctx.Rand draws), but its forage ordering is
 	// submission-order-sensitive, so no permutation claim. Its precompute
 	// phases run on a worker pool that never changes a placement (Parallel).
-	sched.DeclareTraits("hbo", sched.Traits{Parallel: true})
+	sched.DeclareTraits("hbo", sched.Traits{})
 }

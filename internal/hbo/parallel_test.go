@@ -1,6 +1,7 @@
 package hbo
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,9 +14,10 @@ import (
 // change a placement. The batch is sized above the serial threshold so
 // multi-worker runs take the parallel path for real.
 func TestWorkerCountInvariant(t *testing.T) {
-	mk := func(workers int) []sched.Assignment {
+	mk := func(procs int) []sched.Assignment {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		ctx := schedtest.Homogeneous(t, 8, 40000, 3)
-		got, err := New(Config{Groups: 3, Workers: workers}).Schedule(ctx)
+		got, err := New(Config{Groups: 3}).Schedule(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,22 +27,23 @@ func TestWorkerCountInvariant(t *testing.T) {
 		return got
 	}
 	ref := mk(1)
-	for _, workers := range []int{2, 8} {
-		got := mk(workers)
+	for _, procs := range []int{2, 8} {
+		got := mk(procs)
 		for i := range ref {
 			if got[i].VM.ID != ref[i].VM.ID {
-				t.Fatalf("Workers=%d diverged from serial at cloudlet %d", workers, i)
+				t.Fatalf("GOMAXPROCS=%d diverged from serial at cloudlet %d", procs, i)
 			}
 		}
 	}
 }
 
 // On a heterogeneous fleet (K ≈ m, beyond maxPrecomputeClasses) the scout
-// loop stays on-demand; Workers must still be invisible in the result.
+// loop stays on-demand; GOMAXPROCS must still be invisible in the result.
 func TestWorkerCountInvariantHeterogeneous(t *testing.T) {
-	mk := func(workers int) []sched.Assignment {
+	mk := func(procs int) []sched.Assignment {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		ctx := schedtest.Heterogeneous(t, 12, 500, 7)
-		got, err := New(Config{Workers: workers}).Schedule(ctx)
+		got, err := New(Config{}).Schedule(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,14 +53,8 @@ func TestWorkerCountInvariantHeterogeneous(t *testing.T) {
 	got := mk(8)
 	for i := range ref {
 		if got[i].VM.ID != ref[i].VM.ID {
-			t.Fatalf("Workers=8 diverged from serial at cloudlet %d", i)
+			t.Fatalf("GOMAXPROCS=8 diverged from serial at cloudlet %d", i)
 		}
-	}
-}
-
-func TestValidateRejectsNegativeWorkers(t *testing.T) {
-	if err := (Config{Groups: 2, Workers: -1}).Validate(); err == nil {
-		t.Fatal("negative Workers accepted")
 	}
 }
 
@@ -65,7 +62,7 @@ func TestValidateRejectsNegativeWorkers(t *testing.T) {
 // goroutines at full pool width; run under -race it proves the precompute
 // phases share nothing mutable across calls.
 func TestConcurrentScheduleRace(t *testing.T) {
-	s := New(Config{Groups: 4, Workers: 0})
+	s := New(Config{Groups: 4})
 	ctxs := make([]*sched.Context, 6)
 	for g := range ctxs {
 		ctxs[g] = schedtest.Homogeneous(t, 8, 40000, int64(300+g))

@@ -186,9 +186,21 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ld, err := newLoader(cfg.Dir)
+	ld, pkgs, err := load(cfg)
 	if err != nil {
 		return nil, err
+	}
+	return analyze(ld, pkgs, rules), nil
+}
+
+// load parses and type-checks every package matched by cfg's patterns,
+// returning the loader (whose universe includes their module dependencies)
+// and the matched packages. Loaded packages are never mutated afterwards,
+// so one load can feed any number of analyses.
+func load(cfg Config) (*loader, []*Package, error) {
+	ld, err := newLoader(cfg.Dir)
+	if err != nil {
+		return nil, nil, err
 	}
 	patterns := cfg.Patterns
 	if len(patterns) == 0 {
@@ -196,8 +208,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 	pkgs, err := ld.loadPatterns(patterns)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	return ld, pkgs, nil
+}
+
+// analyze builds a fresh whole-program analysis over ld's universe and
+// applies rules to pkgs, returning the sorted findings.
+func analyze(ld *loader, pkgs []*Package, rules []Rule) *Result {
 	analysis := newAnalysis(ld.allLoaded())
 
 	// Per-package rule application fans out across min(GOMAXPROCS, len(pkgs))
@@ -270,7 +288,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return a.Message < b.Message
 	})
-	return &Result{Diags: diags, Packages: len(pkgs)}, nil
+	return &Result{Diags: diags, Packages: len(pkgs)}
 }
 
 // selectRules resolves names against the registry, defaulting to all.

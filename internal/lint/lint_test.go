@@ -257,23 +257,27 @@ func TestRuleNamesStable(t *testing.T) {
 
 // TestParallelismInvariant: the per-package pool is sized by GOMAXPROCS, so
 // every fixture must yield identical diagnostics at pool widths 1, 2 and 8 —
-// the same contract the engine enforces on the code it lints. At least one
-// multi-package fixture must have findings, or the comparison could not
-// catch a cross-package merge or ordering bug.
+// the same contract the engine enforces on the code it lints. Each fixture
+// is loaded once and analyzed afresh at every width; the pool lives in the
+// analysis step, so the load need not repeat. At least one multi-package
+// fixture must have findings, or the comparison could not catch a
+// cross-package merge or ordering bug.
 func TestParallelismInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	multiPkgFindings := false
 	for _, tc := range fixtureCases() {
+		rules, err := selectRules(tc.rules)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ld, pkgs, err := load(Config{Dir: filepath.Join("testdata", "src", tc.name)})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		var first []Diagnostic
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
-			res, err := Run(Config{
-				Dir:   filepath.Join("testdata", "src", tc.name),
-				Rules: tc.rules,
-			})
-			if err != nil {
-				t.Fatalf("%s at GOMAXPROCS=%d: %v", tc.name, procs, err)
-			}
+			res := analyze(ld, pkgs, rules)
 			if procs == 1 {
 				first = res.Diags
 				multiPkgFindings = multiPkgFindings || (res.Packages >= 2 && len(res.Diags) > 0)

@@ -1,6 +1,7 @@
 package objective_test
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -27,20 +28,21 @@ func TestParallelForVisitsEveryIndex(t *testing.T) {
 	}
 }
 
-// TestEffectiveWorkersCutover pins the serial cutover and the 0-means-all
-// convention.
+// TestEffectiveWorkersCutover pins the serial cutover and the GOMAXPROCS
+// width above it.
 func TestEffectiveWorkersCutover(t *testing.T) {
-	if w := objective.EffectiveWorkers(8, 10, 1000); w != 1 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	if w := objective.EffectiveWorkers(10, 1000); w != 1 {
 		t.Fatalf("below break-even resolved to %d workers, want 1", w)
 	}
-	if w := objective.EffectiveWorkers(8, 2000, 1000); w != 8 {
-		t.Fatalf("above break-even resolved to %d workers, want 8", w)
+	if w := objective.EffectiveWorkers(2000, 1000); w != 8 {
+		t.Fatalf("above break-even resolved to %d workers, want GOMAXPROCS=8", w)
 	}
-	if w := objective.EffectiveWorkers(0, 1<<20, 0); w < 1 {
-		t.Fatalf("workers=0 resolved to %d, want GOMAXPROCS (>=1)", w)
+	if w := objective.EffectiveWorkers(1<<10, 0); w != 1 {
+		t.Fatalf("below the default break-even resolved to %d workers, want 1", w)
 	}
-	if w := objective.EffectiveWorkers(-3, 1<<20, 0); w < 1 {
-		t.Fatalf("negative workers resolved to %d, want >=1", w)
+	if w := objective.EffectiveWorkers(1<<20, 0); w != 8 {
+		t.Fatalf("above the default break-even resolved to %d workers, want GOMAXPROCS=8", w)
 	}
 }
 

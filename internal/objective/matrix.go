@@ -75,11 +75,6 @@ type Options struct {
 	// (cloudlet, class). Cost() works either way; WithCost only decides
 	// whether it is precomputed.
 	WithCost bool
-	// Workers bounds the row-construction pool when the matrix is
-	// materialized: 0 means GOMAXPROCS, 1 forces serial. Each cloudlet's row
-	// is computed independently into its own slot, so cell values are
-	// bit-identical for every worker count.
-	Workers int
 	// Classes, when non-nil, is ClassesOf(vms) computed earlier, which lets
 	// a caller scheduling batch after batch on one fleet partition it once.
 	// It is ignored WithCost, whose partition also keys on pricing.
@@ -133,8 +128,9 @@ func NewMatrix(cloudlets []*cloud.Cloudlet, vms []*cloud.VM, opts Options) *Matr
 		mx.cost = make([]float64, cells)
 	}
 	// Rows are disjoint slices of the backing arrays, so they materialize in
-	// parallel without changing a single bit of any cell.
-	workers := EffectiveWorkers(opts.Workers, cells, minParallelCells)
+	// parallel without changing a single bit of any cell, whatever the
+	// pool's width.
+	workers := EffectiveWorkers(cells, minParallelCells)
 	ParallelFor(workers, mx.n, func(i int) {
 		c := cloudlets[i]
 		row := mx.exec[i*k : (i+1)*k]

@@ -1,12 +1,9 @@
 package objective
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"bioschedsim/internal/xrand"
 )
 
 // FitnessFunc scores one assignment vector. busy is per-worker scratch of
@@ -25,34 +22,26 @@ func Makespan(mx *Matrix, pos []int, busy []float64) float64 {
 // small batches, and serial evaluation is trivially deterministic.
 const minParallelWork = 1 << 15
 
-// EffectiveWorkers resolves a Workers knob under the repository convention
-// (0 = GOMAXPROCS, 1 = serial) against the approximate scalar work of one
-// parallel section. Sections below minWork run serially — goroutine dispatch
-// costs more than it saves there, and the Workers determinism contract makes
-// the serial and parallel results identical anyway, so the cutover is
-// invisible. minWork ≤ 0 selects the package default break-even point.
-func EffectiveWorkers(workers int, work, minWork int64) int {
+// EffectiveWorkers sizes the pool for one parallel section from the
+// approximate scalar work it carries: GOMAXPROCS, or one worker below
+// minWork — goroutine dispatch costs more than it saves there, and the
+// determinism contract makes the serial and parallel results identical
+// anyway, so the cutover is invisible. minWork ≤ 0 selects the package
+// default break-even point. Nothing outside the runtime sets the width.
+func EffectiveWorkers(work, minWork int64) int {
 	if minWork <= 0 {
 		minWork = minParallelWork
 	}
 	if work < minWork {
 		return 1
 	}
-	w := workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
 
 // ParallelFor runs fn(i) for every i in [0, items) across up to workers
-// goroutines (≤ 1 means serial; resolve 0-means-GOMAXPROCS through
-// EffectiveWorkers first) and returns after all iterations complete. It is
-// the shared fan-out primitive under the repository's Workers convention:
-// iterations must be independent — fn(i) may write only state owned by
+// goroutines (≤ 1 means serial; size the pool with EffectiveWorkers) and
+// returns after all iterations complete. It is the shared fan-out
+// primitive: iterations must be independent — fn(i) may write only state owned by
 // iteration i — which is exactly what makes results bit-identical for every
 // worker count. Work is claimed off an atomic cursor in contiguous chunks,
 // so interleaving reorders the wall clock, never the outputs.
@@ -109,34 +98,13 @@ type PopEvaluator struct {
 	Mx *Matrix
 	// Fitness scores one individual; nil means Makespan.
 	Fitness FitnessFunc
-	// Workers bounds the pool; 0 means GOMAXPROCS. 1 forces serial.
-	Workers int
 
 	scratch sync.Pool
 }
 
 // NewPopEvaluator returns a population evaluator over mx.
-func NewPopEvaluator(mx *Matrix, fitness FitnessFunc, workers int) *PopEvaluator {
-	return &PopEvaluator{Mx: mx, Fitness: fitness, Workers: workers}
-}
-
-// workerCount resolves the effective pool size for items individuals.
-func (p *PopEvaluator) workerCount(items int) int {
-	w := p.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > items {
-		w = items
-	}
-	if w < 1 {
-		w = 1
-	}
-	// Below the dispatch break-even point parallelism only adds overhead.
-	if int64(items)*int64(p.Mx.n) < minParallelWork {
-		return 1
-	}
-	return w
+func NewPopEvaluator(mx *Matrix, fitness FitnessFunc) *PopEvaluator {
+	return &PopEvaluator{Mx: mx, Fitness: fitness}
 }
 
 // Eval scores every individual of pop into out (len(out) ≥ len(pop)).
@@ -151,24 +119,13 @@ func (p *PopEvaluator) Eval(pop [][]int, out []float64) {
 	})
 }
 
-// EvalSeeded scores individuals with a stochastic fitness function: item i
-// receives the i-th xrand substream of seed, so randomized scoring (noisy
-// objectives, sampled simulations) stays reproducible and, because the
-// stream depends only on (seed, i), independent of worker interleaving.
-func (p *PopEvaluator) EvalSeeded(seed uint64, pop [][]int, out []float64,
-	fitness func(mx *Matrix, pos []int, busy []float64, rng *rand.Rand) float64) {
-	p.run(len(pop), func(i int, busy []float64) {
-		out[i] = fitness(p.Mx, pop[i], busy, xrand.New(seed, uint64(i)))
-	})
-}
-
 // run executes fn(i) for i in [0, items) on the bounded pool. Each worker
 // owns one scratch buffer; items are claimed from an atomic cursor.
 func (p *PopEvaluator) run(items int, fn func(i int, busy []float64)) {
 	if items == 0 {
 		return
 	}
-	workers := p.workerCount(items)
+	workers := min(EffectiveWorkers(int64(items)*int64(p.Mx.n), minParallelWork), items)
 	if workers == 1 {
 		busy := p.getScratch()
 		for i := 0; i < items; i++ {

@@ -2,11 +2,11 @@ package objective_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bioschedsim/internal/objective"
 	"bioschedsim/internal/schedtest"
-	"bioschedsim/internal/xrand"
 )
 
 // randomPop draws pop random assignment vectors for the context.
@@ -36,14 +36,15 @@ func newTestingContext(t *testing.T) *testingContext {
 
 // TestPopEvaluatorDeterminism is the determinism contract of the parallel
 // evaluator: for a fixed population, fitness vectors are byte-identical and
-// the best individual is the same for every worker count. The population is
+// the best individual is the same at every GOMAXPROCS. The population is
 // large enough (300·200 items×genes) to clear the serial threshold, so the
 // multi-worker runs genuinely race goroutines over the shared cursor.
 func TestPopEvaluatorDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tc := newTestingContext(t)
 	pop := randomPop(tc, 200, 22)
 	ref := make([]float64, len(pop))
-	objective.NewPopEvaluator(tc.mx, nil, 1).Eval(pop, ref)
+	objective.NewPopEvaluator(tc.mx, nil).Eval(pop, ref)
 	argmin := func(v []float64) int {
 		best := 0
 		for i := range v {
@@ -60,56 +61,32 @@ func TestPopEvaluatorDeterminism(t *testing.T) {
 			t.Fatalf("serial fitness %d disagrees with direct evaluation", p)
 		}
 	}
-	for _, workers := range []int{2, 8} {
+	for _, procs := range []int{2, 8} {
+		runtime.GOMAXPROCS(procs)
 		got := make([]float64, len(pop))
-		objective.NewPopEvaluator(tc.mx, objective.Makespan, workers).Eval(pop, got)
+		objective.NewPopEvaluator(tc.mx, objective.Makespan).Eval(pop, got)
 		for p := range pop {
 			if bits(got[p]) != bits(ref[p]) {
-				t.Fatalf("workers=%d: fitness[%d]=%v differs from serial %v", workers, p, got[p], ref[p])
+				t.Fatalf("GOMAXPROCS=%d: fitness[%d]=%v differs from serial %v", procs, p, got[p], ref[p])
 			}
 		}
 		if a, b := argmin(got), argmin(ref); a != b {
-			t.Fatalf("workers=%d: best individual %d differs from serial %d", workers, a, b)
+			t.Fatalf("GOMAXPROCS=%d: best individual %d differs from serial %d", procs, a, b)
 		}
 	}
 }
 
 func TestPopEvaluatorSmallAndEmpty(t *testing.T) {
 	tc := newTestingContext(t)
-	pe := objective.NewPopEvaluator(tc.mx, nil, 0) // GOMAXPROCS default
-	pe.Eval(nil, nil)                              // empty population: no-op
-	pop := randomPop(tc, 3, 23)                    // below the serial threshold
+	pe := objective.NewPopEvaluator(tc.mx, nil)
+	pe.Eval(nil, nil)           // empty population: no-op
+	pop := randomPop(tc, 3, 23) // below the serial threshold
 	out := make([]float64, len(pop))
 	pe.Eval(pop, out)
 	busy := make([]float64, tc.m)
 	for p := range pop {
 		if bits(out[p]) != bits(tc.mx.MakespanOf(pop[p], busy)) {
 			t.Fatalf("small-batch fitness %d mismatch", p)
-		}
-	}
-}
-
-// TestEvalSeeded: item i must see exactly the (seed, i) substream no matter
-// how many workers interleave, making stochastic fitness reproducible.
-func TestEvalSeeded(t *testing.T) {
-	tc := newTestingContext(t)
-	pop := randomPop(tc, 150, 24)
-	const seed = 99
-	fitness := func(mx *objective.Matrix, pos []int, busy []float64, rng *rand.Rand) float64 {
-		return mx.MakespanOf(pos, busy) * (1 + rng.Float64())
-	}
-	want := make([]float64, len(pop))
-	busy := make([]float64, tc.m)
-	for i := range pop {
-		want[i] = tc.mx.MakespanOf(pop[i], busy) * (1 + xrand.New(seed, uint64(i)).Float64())
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got := make([]float64, len(pop))
-		objective.NewPopEvaluator(tc.mx, nil, workers).EvalSeeded(seed, pop, got, fitness)
-		for i := range got {
-			if bits(got[i]) != bits(want[i]) {
-				t.Fatalf("workers=%d: seeded fitness[%d]=%v want %v", workers, i, got[i], want[i])
-			}
 		}
 	}
 }

@@ -12,10 +12,10 @@
 //
 // RBS inspects neither VM speed nor price — only free slots — so its
 // scheduling decision is O(1) per cloudlet. The random draws behind each
-// decision are independent per cloudlet and precomputed on a worker pool
-// (Config.Workers); only the execution test's shared cursor/NID bookkeeping
-// is serial, so assignments are bit-identical for every worker count while
-// remaining submission-order dependent. That yields the paper's
+// decision are independent per cloudlet and precomputed on a worker pool;
+// only the execution test's shared cursor/NID bookkeeping is serial, so
+// assignments are bit-identical for every pool width while remaining
+// submission-order dependent. That yields the paper's
 // profile: second-fastest scheduling time after the base test (Fig. 6b),
 // second-best load balance (Fig. 6c), and makespan close to the base test
 // with visible fluctuations caused by the random ω draws (Figs. 4a, 6a).
@@ -36,11 +36,6 @@ type Config struct {
 	// (Algorithm 3's q). Zero means the default of 2 (the paper's Figure 3
 	// illustration). Values larger than the fleet are clamped.
 	Groups int
-	// Workers bounds the pool that pre-draws each cloudlet's walk-in length
-	// and entry point: 0 means GOMAXPROCS, 1 forces serial. Every cloudlet
-	// owns its own xrand child stream, so the draws — and hence the
-	// assignments — are bit-identical for every worker count.
-	Workers int
 }
 
 // DefaultConfig returns the two-group configuration of the paper's Figure 3.
@@ -50,9 +45,6 @@ func DefaultConfig() Config { return Config{Groups: 2} }
 func (c Config) Validate() error {
 	if c.Groups < 0 {
 		return fmt.Errorf("rbs: Groups must be non-negative, got %d", c.Groups)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("rbs: Workers must be non-negative, got %d", c.Workers)
 	}
 	return nil
 }
@@ -75,10 +67,6 @@ func Default() *Scheduler { return New(DefaultConfig()) }
 
 // Config returns the scheduler's effective configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
-
-// SetWorkers implements sched.WorkerTunable: it bounds the draw-precompute
-// pool (0 = GOMAXPROCS, 1 = serial) without changing any assignment.
-func (s *Scheduler) SetWorkers(workers int) { s.cfg.Workers = workers }
 
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "rbs" }
@@ -135,7 +123,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
 	seed := ctx.Rand.Uint64()
 	omegas := make([]int32, n)
 	starts := make([]int32, n)
-	workers := objective.EffectiveWorkers(s.cfg.Workers, int64(n), 0)
+	workers := objective.EffectiveWorkers(int64(n), 0)
 	objective.ParallelFor(workers, n, func(i int) {
 		src := xrand.Stream(seed, uint64(i))
 		// Modulo instead of Intn: two raw draws per cloudlet keep the stream
@@ -205,5 +193,5 @@ func init() {
 	// placement — and hence makespan — depends on submission order even for
 	// identical cloudlets: not permutation-invariant. The draws themselves
 	// are precomputed on a worker pool (Parallel), which never changes them.
-	sched.DeclareTraits("rbs", sched.Traits{Stochastic: true, Parallel: true})
+	sched.DeclareTraits("rbs", sched.Traits{Stochastic: true})
 }

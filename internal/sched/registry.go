@@ -31,42 +31,15 @@ func Register(name string, f Factory) {
 	registry[name] = f
 }
 
-// Option configures a freshly built Scheduler before New returns it.
-type Option func(Scheduler)
-
-// WorkerTunable is implemented by schedulers carrying a Workers knob under
-// the repository convention: 0 means GOMAXPROCS, 1 forces serial, and the
-// resulting assignments are bit-identical for every worker count at a fixed
-// seed. Schedulers advertise the capability via Traits.Parallel; the check
-// harness holds them to the invariance contract.
-type WorkerTunable interface {
-	SetWorkers(workers int)
-}
-
-// WithWorkers bounds the scheduler's internal worker pool (0 = GOMAXPROCS,
-// 1 = serial). Schedulers without the knob ignore it, so callers can apply
-// the option unconditionally across the registry.
-func WithWorkers(workers int) Option {
-	return func(s Scheduler) {
-		if wt, ok := s.(WorkerTunable); ok {
-			wt.SetWorkers(workers)
-		}
-	}
-}
-
-// New builds the scheduler registered under name and applies opts in order.
-func New(name string, opts ...Option) (Scheduler, error) {
+// New builds the scheduler registered under name.
+func New(name string) (Scheduler, error) {
 	registryMu.RLock()
 	f, ok := registry[name]
 	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("sched: unknown scheduler %q (have %v)", name, Names())
 	}
-	s := f()
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s, nil
+	return f(), nil
 }
 
 // Names lists registered schedulers in sorted order.

@@ -25,12 +25,6 @@ type Traits struct {
 	// EFT variants, EDF); false for algorithms whose randomness or group
 	// bookkeeping is consumed per submission position (RBS).
 	PermutationInvariant bool
-	// Parallel claims the scheduler implements WorkerTunable: its hot paths
-	// fan out over a bounded worker pool under the shared Workers convention
-	// (0 = GOMAXPROCS, 1 = serial), and its assignments are bit-identical for
-	// every worker count at a fixed seed. Declaring it opts the scheduler
-	// into the check harness's worker-invariance suite.
-	Parallel bool
 }
 
 var traits = map[string]Traits{}

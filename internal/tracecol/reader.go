@@ -15,17 +15,26 @@ import (
 
 // ReadOptions configure the parallel reader.
 type ReadOptions struct {
-	// Readers bounds the decode pool under the repository's Workers
-	// convention: 0 = GOMAXPROCS, 1 = serial. Results are bit-identical
-	// at every setting — each worker decodes disjoint blocks into
-	// disjoint, pre-sized slices of the output, so scheduling can reorder
-	// the wall clock but never the rows.
+	// Readers bounds the decode pool: 0 = GOMAXPROCS, 1 = serial. Results
+	// are bit-identical at every setting — each worker decodes disjoint
+	// blocks into disjoint, pre-sized slices of the output, so scheduling
+	// can reorder the wall clock but never the rows.
 	Readers int
 }
 
 // minParallelRows keeps tiny traces serial; below this the pool costs more
 // than the decode.
 const minParallelRows = 1 << 14
+
+// workers sizes the decode pool for a trace of rows rows: serial below
+// minParallelRows, otherwise Readers, or GOMAXPROCS when Readers is 0.
+func (o ReadOptions) workers(rows int) int {
+	w := objective.EffectiveWorkers(int64(rows), minParallelRows)
+	if w > 1 && o.Readers > 0 {
+		return o.Readers
+	}
+	return w
+}
 
 // ReadAll decodes the whole trace in file order. Decode work fans out over
 // blocks; reassembly is positional (block b writes rows
@@ -44,8 +53,7 @@ func ReadAll(p BlockProvider, opts ReadOptions) ([]workload.TraceEntry, error) {
 		rowOff[b] = off
 		off += info.Rows
 	}
-	workers := objective.EffectiveWorkers(opts.Readers, int64(ix.TotalRows), minParallelRows)
-	objective.ParallelFor(workers, len(ix.Blocks), func(b int) {
+	objective.ParallelFor(opts.workers(ix.TotalRows), len(ix.Blocks), func(b int) {
 		errs[b] = decodeBlockInto(p, b, out[rowOff[b]:rowOff[b]+ix.Blocks[b].Rows])
 	})
 	for b, err := range errs {
@@ -78,8 +86,7 @@ func ReadRange(p BlockProvider, lo, hi float64, opts ReadOptions) ([]workload.Tr
 	}
 	chunks := make([][]workload.TraceEntry, len(picked))
 	errs := make([]error, len(picked))
-	workers := objective.EffectiveWorkers(opts.Readers, int64(ix.TotalRows), minParallelRows)
-	objective.ParallelFor(workers, len(picked), func(i int) {
+	objective.ParallelFor(opts.workers(ix.TotalRows), len(picked), func(i int) {
 		b := picked[i]
 		rows := make([]workload.TraceEntry, ix.Blocks[b].Rows)
 		if err := decodeBlockInto(p, b, rows); err != nil {

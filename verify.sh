@@ -2,9 +2,10 @@
 # Repo verification gate: build, vet, repo-specific static analysis
 # (schedlint), full test suite with coverage floors on the objective and
 # scheduling layers, the property-checking campaign (schedcheck) over every
-# registered scheduler — including the worker-invariance suite for the
-# parallel mapping kernels, the shard-count invariance of the merged
-# Eq. 12/13 metrics, and the qmodel-oracle gate
+# registered scheduler — including the worker-invariance suite (every
+# scheduler re-run at GOMAXPROCS 1, 2 and P, plus a heterogeneous campaign
+# at caps large enough to engage the ACO pool), the shard-count invariance
+# of the merged Eq. 12/13 metrics, and the qmodel-oracle gate
 # (capacity-planning engine vs analytic M/M/1 and M/M/c mean waits within
 # documented bands, both seeded plants caught) — a full-module race pass plus
 # explicit race gates for the parallel kernels (aco/hbo/rbs/ga/objective)
@@ -25,19 +26,20 @@
 #
 # Targets:
 #   verify.sh              full gate (default)
-#   verify.sh bench-smoke  worker-scaling smoke: Fig 5a / Fig 6b benches
-#                          across worker counts, failing if even the best
-#                          parallel width is >10% slower than workers=1 on
-#                          the large configs (micro-scale families are
-#                          noise at smoke benchtimes; cmd/benchsmoke)
+#   verify.sh bench-smoke  scaling smoke: Fig 5a / Fig 6b benches at
+#                          -cpu 1,2,4,8 (every pool is GOMAXPROCS wide),
+#                          failing if even the best parallel width is >10%
+#                          slower than -cpu 1 on the large configs
+#                          (micro-scale families are noise at smoke
+#                          benchtimes; cmd/benchsmoke)
 set -eux
 
 bench_smoke() {
   # -benchtime=200ms keeps this a smoke, not a measurement; for the curves
   # themselves run the same benches longer, e.g.
-  #   go test . -run '^$' -bench 'ParallelFig5a|ParallelFig6b' -benchtime=500ms
-  #   go test . -run '^$' -bench ParallelPaperScale -benchtime=1x
-  go test . -run '^$' -bench 'ParallelFig5a|ParallelFig6b' -benchtime=200ms > bench-smoke.txt 2>&1 || { cat bench-smoke.txt; exit 1; }
+  #   go test . -run '^$' -bench 'ParallelFig5a|ParallelFig6b' -cpu 1,2,4,8 -benchtime=500ms
+  #   go test . -run '^$' -bench ParallelPaperScale -cpu 1,8 -benchtime=1x
+  go test . -run '^$' -bench 'ParallelFig5a|ParallelFig6b' -cpu 1,2,4,8 -benchtime=200ms > bench-smoke.txt 2>&1 || { cat bench-smoke.txt; exit 1; }
   cat bench-smoke.txt
   go run ./cmd/benchsmoke -max-slowdown 1.10 < bench-smoke.txt
 }
@@ -83,9 +85,17 @@ awk '
 
 # Property-checking campaign: every registered scheduler against randomized
 # scenarios and the shared invariant suite (CI budget). The suite includes
-# worker-invariance: every Traits.Parallel scheduler re-run at workers
-# in {1, 2, GOMAXPROCS} with bit-identical assignments required.
+# worker-invariance: every scheduler re-run at GOMAXPROCS in {1, 2, P} with
+# bit-identical assignments required.
 go run ./cmd/schedcheck -quick
+
+# Worker invariance with real fan-out: the -quick caps (at most 16x96
+# cloudlet-VM cells) sit below every kernel's serial threshold, so the
+# re-runs above never start a pool. Heterogeneous scenarios up to 64 VMs x
+# 200 cloudlets cross ACO's 2^12-cell threshold (a few hundred multi-worker
+# dispatches, under a second). HBO/RBS/GA pools start at 2^15 units of
+# work and are covered by their packages' TestWorkerCountInvariant* tests.
+go run ./cmd/schedcheck -classes heter -max-vms 64 -max-cloudlets 200 -n 2
 
 # Shard-count invariance, explicit: the merged Eq. 12/13 metrics must be
 # bit-identical at 1/2/4 shards, the seeded plant must be caught, and burst
