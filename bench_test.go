@@ -366,7 +366,7 @@ func BenchmarkExtNetworkTopologyBuild(b *testing.B) {
 			}
 		}
 		topo.Build()
-		if d, _ := topo.Delay(names[0], names[63]); d <= 0 {
+		if d, _ := topo.TransferTime(names[0], names[63], 0); d <= 0 {
 			b.Fatal("bad delay")
 		}
 	}

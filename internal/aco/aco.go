@@ -646,12 +646,4 @@ func (r *run) depositChunk(lo, hi int, delta float64) {
 
 func init() {
 	sched.Register("aco", func() sched.Scheduler { return Default() })
-	sched.DeclareTraits("aco", sched.Traits{Stochastic: true})
-}
-
-// TourLength exposes the internal tour-quality function (Eq. 8) for tests
-// and ablations: the estimated makespan of an assignment, i.e. the maximum
-// over VMs of the summed expected execution times (Eq. 6) routed to it.
-func TourLength(assignments []sched.Assignment) float64 {
-	return sched.EstimatedMakespan(assignments)
 }

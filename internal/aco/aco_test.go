@@ -104,8 +104,8 @@ func TestACOBeatsRoundRobinOnTourLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if TourLength(acoAs) >= TourLength(rrAs) {
-		t.Fatalf("ACO tour %v not shorter than round-robin %v", TourLength(acoAs), TourLength(rrAs))
+	if sched.EstimatedMakespan(acoAs) >= sched.EstimatedMakespan(rrAs) {
+		t.Fatalf("ACO tour %v not shorter than round-robin %v", sched.EstimatedMakespan(acoAs), sched.EstimatedMakespan(rrAs))
 	}
 }
 
@@ -168,8 +168,8 @@ func TestMoreIterationsNeverWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if TourLength(long) > TourLength(short)+1e-9 {
-		t.Fatalf("8 iterations (%v) worse than 1 (%v)", TourLength(long), TourLength(short))
+	if sched.EstimatedMakespan(long) > sched.EstimatedMakespan(short)+1e-9 {
+		t.Fatalf("8 iterations (%v) worse than 1 (%v)", sched.EstimatedMakespan(long), sched.EstimatedMakespan(short))
 	}
 }
 
@@ -259,12 +259,14 @@ func TestSchedulePropertyValid(t *testing.T) {
 	}
 }
 
+// TestTourLength: the tour quality ACO optimises is Eq. 8, the estimated
+// makespan of an assignment.
 func TestTourLength(t *testing.T) {
 	ctx := schedtest.Homogeneous(t, 2, 4, 1)
 	as, _ := sched.NewRoundRobin().Schedule(ctx)
 	// Each estimate: 250/1000 + 300/500 = 0.85; two cloudlets per VM →
 	// Eq. 8 makespan 1.7.
-	if got := TourLength(as); got < 1.69 || got > 1.71 {
+	if got := sched.EstimatedMakespan(as); got < 1.69 || got > 1.71 {
 		t.Fatalf("tour length: %v", got)
 	}
 }

@@ -78,7 +78,7 @@ func HeterogeneousFixture(nVMs, nCls int, seed uint64) (*Built, error) {
 	}
 	vms := workload.GenerateVMs(workload.HeterogeneousVMSpec(), nVMs, seed)
 	env := &cloud.Environment{Datacenters: dcs, VMs: vms}
-	if err := cloud.Allocate(cloud.LeastLoaded{}, env.Hosts(), vms); err != nil {
+	if err := cloud.Allocate(env.Hosts(), vms); err != nil {
 		return nil, err
 	}
 	if err := env.Validate(); err != nil {
@@ -108,7 +108,7 @@ func HomogeneousFixture(nVMs, nCls int, seed uint64) (*Built, error) {
 	}, hosts)
 	vms := workload.GenerateVMs(workload.HomogeneousVMSpec(), nVMs, seed)
 	env := &cloud.Environment{Datacenters: []*cloud.Datacenter{dc}, VMs: vms}
-	if err := cloud.Allocate(cloud.FirstFit{}, hosts, vms); err != nil {
+	if err := cloud.Allocate(hosts, vms); err != nil {
 		return nil, err
 	}
 	if err := env.Validate(); err != nil {

@@ -2,42 +2,11 @@ package cloud
 
 import "fmt"
 
-// AllocationPolicy decides which host receives a VM, the CloudSim
-// VmAllocationPolicy analogue. Policies see all hosts across all
-// datacenters so multi-datacenter setups balance globally.
-type AllocationPolicy interface {
-	// Name identifies the policy in reports.
-	Name() string
-	// Pick returns the host for vm, or nil when no host can take it.
-	Pick(hosts []*Host, vm *VM) *Host
-}
-
-// FirstFit places each VM on the first host with capacity — CloudSim's
-// "simple" allocation. Cheap and deterministic.
-type FirstFit struct{}
-
-// Name implements AllocationPolicy.
-func (FirstFit) Name() string { return "first-fit" }
-
-// Pick implements AllocationPolicy.
-func (FirstFit) Pick(hosts []*Host, vm *VM) *Host {
-	for _, h := range hosts {
-		if h.CanHost(vm) {
-			return h
-		}
-	}
-	return nil
-}
-
-// LeastLoaded places each VM on the host with the most available MIPS,
-// spreading load evenly across the plant.
-type LeastLoaded struct{}
-
-// Name implements AllocationPolicy.
-func (LeastLoaded) Name() string { return "least-loaded" }
-
-// Pick implements AllocationPolicy.
-func (LeastLoaded) Pick(hosts []*Host, vm *VM) *Host {
+// leastLoaded picks the host with the most available MIPS that can take
+// vm, spreading load evenly across the plant; nil when no host fits. It is
+// the plant's one VM placement rule (CloudSim's VmAllocationPolicy), seen
+// across all datacenters so multi-datacenter setups balance globally.
+func leastLoaded(hosts []*Host, vm *VM) *Host {
 	var best *Host
 	for _, h := range hosts {
 		if !h.CanHost(vm) {
@@ -50,42 +19,19 @@ func (LeastLoaded) Pick(hosts []*Host, vm *VM) *Host {
 	return best
 }
 
-// BestFit places each VM on the host whose remaining MIPS after placement
-// would be smallest, packing tightly to leave large holes for big VMs.
-type BestFit struct{}
-
-// Name implements AllocationPolicy.
-func (BestFit) Name() string { return "best-fit" }
-
-// Pick implements AllocationPolicy.
-func (BestFit) Pick(hosts []*Host, vm *VM) *Host {
-	var best *Host
-	var bestSlack float64
-	for _, h := range hosts {
-		if !h.CanHost(vm) {
-			continue
-		}
-		slack := h.AvailableMIPS() - vm.Capacity()
-		if best == nil || slack < bestSlack {
-			best, bestSlack = h, slack
-		}
-	}
-	return best
-}
-
-// Allocate places every VM using policy, in order. It fails atomically: on
-// the first VM that fits nowhere, already-placed VMs from this call are
-// evicted and an error returned.
-func Allocate(policy AllocationPolicy, hosts []*Host, vms []*VM) error {
+// Allocate places every VM on the least-loaded host, in order. It fails
+// atomically: on the first VM that fits nowhere, already-placed VMs from
+// this call are evicted and an error returned.
+func Allocate(hosts []*Host, vms []*VM) error {
 	placed := make([]*VM, 0, len(vms))
 	for _, vm := range vms {
-		h := policy.Pick(hosts, vm)
+		h := leastLoaded(hosts, vm)
 		if h == nil {
 			for _, p := range placed {
 				_ = p.Host.Evict(p)
 			}
-			return fmt.Errorf("cloud: %s allocation failed: no host for VM %d (capacity %.0f MIPS)",
-				policy.Name(), vm.ID, vm.Capacity())
+			return fmt.Errorf("cloud: least-loaded allocation failed: no host for VM %d (capacity %.0f MIPS)",
+				vm.ID, vm.Capacity())
 		}
 		if err := h.Place(vm); err != nil {
 			return err

@@ -170,71 +170,45 @@ func (b *Broker) Engine() *sim.Engine { return b.eng }
 // operations mutate it).
 func (b *Broker) Environment() *Environment { return b.env }
 
-// ProvisionVM places a new VM on a host chosen by policy, binds it to a
-// cloudlet scheduler built by factory, and adds it to the environment —
-// the elastic scale-up primitive (§II's "new instances are instantiated").
-func (b *Broker) ProvisionVM(vm *VM, policy AllocationPolicy, factory SchedulerFactory) error {
+// ProvisionVM places a new VM on the least-loaded host, binds it to a
+// cloudlet scheduler built by factory (nil = time-shared), and adds it to
+// the environment — the elastic scale-up primitive (§II's "new instances
+// are instantiated"). With a positive bootDelay the host capacity is
+// reserved at once (the instance is "launching"), but the VM only joins
+// the environment — and can only receive work — after bootDelay simulated
+// seconds. Real scale-ups are not instantaneous; EC2-style instances take
+// tens of seconds to boot, which is exactly the window where §II's
+// threshold rules lag a burst.
+func (b *Broker) ProvisionVM(vm *VM, factory SchedulerFactory, bootDelay sim.Time) error {
+	if bootDelay < 0 {
+		return fmt.Errorf("cloud: negative boot delay %v", bootDelay)
+	}
 	if vm == nil {
 		return fmt.Errorf("cloud: ProvisionVM: nil VM")
 	}
 	if vm.Host != nil {
 		return fmt.Errorf("cloud: ProvisionVM: VM %d already placed", vm.ID)
 	}
-	if policy == nil {
-		policy = LeastLoaded{}
-	}
 	if factory == nil {
 		factory = TimeSharedFactory
 	}
-	host := policy.Pick(b.env.Hosts(), vm)
+	host := leastLoaded(b.env.Hosts(), vm)
 	if host == nil {
 		return fmt.Errorf("cloud: ProvisionVM: no host can fit VM %d (%.0f MIPS)", vm.ID, vm.Capacity())
 	}
 	if err := host.Place(vm); err != nil {
 		return err
 	}
-	vm.bind(factory(b.eng, vm, b.recordFinish))
-	b.env.VMs = append(b.env.VMs, vm)
-	return nil
-}
-
-// ProvisionVMAfter is ProvisionVM with a boot delay: the host capacity is
-// reserved immediately (the instance is "launching"), but the VM only joins
-// the environment — and can only receive work — after bootDelay simulated
-// seconds. Real scale-ups are not instantaneous; EC2-style instances take
-// tens of seconds to boot, which is exactly the window where §II's
-// threshold rules lag a burst.
-func (b *Broker) ProvisionVMAfter(vm *VM, policy AllocationPolicy, factory SchedulerFactory, bootDelay sim.Time) error {
-	if bootDelay < 0 {
-		return fmt.Errorf("cloud: negative boot delay %v", bootDelay)
+	join := func() {
+		vm.bind(factory(b.eng, vm, b.recordFinish))
+		b.env.VMs = append(b.env.VMs, vm)
 	}
 	//schedlint:ignore floateq bootDelay is caller input validated non-negative; exact 0 is the documented instant-provisioning case
 	if bootDelay == 0 {
-		return b.ProvisionVM(vm, policy, factory)
+		join()
+		return nil
 	}
-	if vm == nil {
-		return fmt.Errorf("cloud: ProvisionVMAfter: nil VM")
-	}
-	if vm.Host != nil {
-		return fmt.Errorf("cloud: ProvisionVMAfter: VM %d already placed", vm.ID)
-	}
-	if policy == nil {
-		policy = LeastLoaded{}
-	}
-	if factory == nil {
-		factory = TimeSharedFactory
-	}
-	host := policy.Pick(b.env.Hosts(), vm)
-	if host == nil {
-		return fmt.Errorf("cloud: ProvisionVMAfter: no host can fit VM %d (%.0f MIPS)", vm.ID, vm.Capacity())
-	}
-	if err := host.Place(vm); err != nil {
-		return err
-	}
-	b.eng.Schedule(bootDelay, sim.PriorityAcquire, func() {
-		vm.bind(factory(b.eng, vm, b.recordFinish))
-		b.env.VMs = append(b.env.VMs, vm)
-	})
+	b.eng.Schedule(bootDelay, sim.PriorityAcquire, join)
 	return nil
 }
 
@@ -296,7 +270,7 @@ func (r *Result) SimulationTime() sim.Time { return r.MaxFinish - r.MinStart }
 // Execute is the whole-batch convenience path used by experiments: it builds
 // an engine and broker over env, submits the assignment at t=0, runs the
 // simulation to completion, and summarizes. The cloudlets must be freshly
-// created or ResetAll-ed.
+// created.
 func Execute(env *Environment, factory SchedulerFactory, cloudlets []*Cloudlet, vms []*VM) (*Result, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ func testEnv(t testing.TB, nVMs int, mips float64) *Environment {
 	for i := 0; i < nVMs; i++ {
 		env.VMs = append(env.VMs, NewVM(i, mips, 1, 512, 500, 5000))
 	}
-	if err := Allocate(LeastLoaded{}, env.Hosts(), env.VMs); err != nil {
+	if err := Allocate(env.Hosts(), env.VMs); err != nil {
 		t.Fatal(err)
 	}
 	return env

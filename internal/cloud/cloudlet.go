@@ -113,17 +113,6 @@ func (c *Cloudlet) WaitTime() sim.Time {
 	return c.StartTime - c.SubmitTime
 }
 
-// reset returns the cloudlet to its pre-submission state so workloads can be
-// replayed across schedulers within one process.
-func (c *Cloudlet) reset() {
-	c.Status = CloudletCreated
-	c.VM = nil
-	c.SubmitTime = 0
-	c.StartTime = 0
-	c.FinishTime = 0
-	c.remaining = c.Length
-}
-
 // interrupt returns a drained cloudlet to the created state while keeping
 // its progress (remaining work), so migration and failure recovery can
 // resubmit it elsewhere without redoing finished instructions. Timestamps
@@ -131,11 +120,4 @@ func (c *Cloudlet) reset() {
 func (c *Cloudlet) interrupt() {
 	c.Status = CloudletCreated
 	c.VM = nil
-}
-
-// ResetAll reverts a batch of cloudlets to the created state.
-func ResetAll(cloudlets []*Cloudlet) {
-	for _, c := range cloudlets {
-		c.reset()
-	}
 }

@@ -323,6 +323,13 @@ func TestTimeSharedFinishHookResubmitsToSameVM(t *testing.T) {
 	}
 }
 
+// rearm returns a finished cloudlet to its pre-submission state so one
+// batch can be replayed through a scheduler.
+func rearm(c *Cloudlet) {
+	c.interrupt()
+	c.remaining = c.Length
+}
+
 // TestTimeSharedSubmitFinishAllocatesNothing: once warmed, submitting
 // cloudlets to one VM and running them to completion allocates nothing.
 // The completion event is re-armed in place, both while queued (a new
@@ -338,7 +345,7 @@ func TestTimeSharedSubmitFinishAllocatesNothing(t *testing.T) {
 	}
 	cycle := func() {
 		for _, c := range batch {
-			c.reset()
+			rearm(c)
 			vm.Scheduler().Submit(c)
 			eng.RunUntil(eng.Now() + 0.1)
 		}
@@ -368,7 +375,7 @@ func TestSpaceSharedSubmitFinishAllocatesNothing(t *testing.T) {
 	}
 	cycle := func() {
 		for _, c := range batch {
-			c.reset()
+			rearm(c)
 			vm.Scheduler().Submit(c)
 			eng.RunUntil(eng.Now() + 0.1)
 		}

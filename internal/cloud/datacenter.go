@@ -33,21 +33,3 @@ func NewDatacenter(id int, name string, ch Characteristics, hosts []*Host) *Data
 	}
 	return dc
 }
-
-// VMs returns every VM placed on the datacenter's hosts.
-func (d *Datacenter) VMs() []*VM {
-	var out []*VM
-	for _, h := range d.Hosts {
-		out = append(out, h.vms...)
-	}
-	return out
-}
-
-// TotalMIPS returns the datacenter's aggregate host capacity.
-func (d *Datacenter) TotalMIPS() float64 {
-	var sum float64
-	for _, h := range d.Hosts {
-		sum += h.TotalMIPS()
-	}
-	return sum
-}

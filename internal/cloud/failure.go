@@ -41,9 +41,6 @@ func FastestFailover(c *Cloudlet, healthy []*VM) *VM {
 	return best
 }
 
-// Failed reports whether the broker has processed a failure for vm.
-func (b *Broker) Failed(vm *VM) bool { return b.failed[vm] }
-
 // Lost returns cloudlets abandoned because no failover target existed.
 func (b *Broker) Lost() []*Cloudlet { return b.lost }
 

@@ -112,7 +112,7 @@ func TestBrokerFailVMMigratesWork(t *testing.T) {
 	if b.Migrations() != 3 {
 		t.Fatalf("migrations: %d want 3", b.Migrations())
 	}
-	if !b.Failed(victim) {
+	if !b.failed[victim] {
 		t.Fatal("victim not marked failed")
 	}
 	for _, c := range b.Finished() {

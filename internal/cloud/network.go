@@ -17,10 +17,9 @@ import (
 // cloudlet's submission to its VM: the path latency plus its input-file
 // transfer time.
 type NetworkTopology struct {
-	names  map[string]int
-	labels []string
-	lat    [][]float64 // direct-link latency (s); +Inf when absent
-	bw     [][]float64 // direct-link bandwidth (Mbps); 0 when absent
+	names map[string]int
+	lat   [][]float64 // direct-link latency (s); +Inf when absent
+	bw    [][]float64 // direct-link bandwidth (Mbps); 0 when absent
 
 	built  bool
 	delay  [][]float64 // all-pairs latency along shortest paths
@@ -38,9 +37,8 @@ func (t *NetworkTopology) AddNode(name string) int {
 	if i, ok := t.names[name]; ok {
 		return i
 	}
-	i := len(t.labels)
+	i := len(t.lat)
 	t.names[name] = i
-	t.labels = append(t.labels, name)
 	for r := range t.lat {
 		t.lat[r] = append(t.lat[r], math.Inf(1))
 		t.bw[r] = append(t.bw[r], 0)
@@ -82,9 +80,9 @@ func (t *NetworkTopology) AddLink(a, b string, latency, bandwidth float64) error
 
 // Build computes all-pairs shortest delays (Floyd–Warshall on latency) and
 // the bottleneck bandwidth along each shortest path. It is idempotent and
-// called lazily by the query methods.
+// called lazily by TransferTime.
 func (t *NetworkTopology) Build() {
-	n := len(t.labels)
+	n := len(t.lat)
 	t.delay = make([][]float64, n)
 	t.pathBw = make([][]float64, n)
 	for i := 0; i < n; i++ {
@@ -106,30 +104,6 @@ func (t *NetworkTopology) Build() {
 	t.built = true
 }
 
-// Delay returns the end-to-end latency between two nodes in seconds.
-// Unreachable pairs return +Inf.
-func (t *NetworkTopology) Delay(a, b string) (float64, error) {
-	ia, ib, err := t.pair(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return t.delay[ia][ib], nil
-}
-
-// Bandwidth returns the bottleneck bandwidth (Mbps) along the shortest
-// path between two nodes; 0 when unreachable.
-func (t *NetworkTopology) Bandwidth(a, b string) (float64, error) {
-	ia, ib, err := t.pair(a, b)
-	if err != nil {
-		return 0, err
-	}
-	bw := t.pathBw[ia][ib]
-	if math.IsInf(t.delay[ia][ib], 1) {
-		return 0, nil
-	}
-	return bw, nil
-}
-
 // TransferTime returns the simulated seconds needed to move sizeMB from a
 // to b: path latency plus size over bottleneck bandwidth. Same-node
 // transfers are free. Unreachable pairs return +Inf.
@@ -149,11 +123,6 @@ func (t *NetworkTopology) TransferTime(a, b string, sizeMB float64) (float64, er
 		return d, nil
 	}
 	return d + sizeMB/t.pathBw[ia][ib], nil
-}
-
-// Nodes returns the registered node names in registration order.
-func (t *NetworkTopology) Nodes() []string {
-	return append([]string(nil), t.labels...)
 }
 
 func (t *NetworkTopology) pair(a, b string) (int, int, error) {

@@ -2,67 +2,24 @@ package cloud
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"bioschedsim/internal/sim"
 )
 
-// PowerModel maps a host's CPU utilization (0..1) to power draw in watts,
-// mirroring CloudSim's power package. The paper's related work motivates
-// energy-aware scheduling ([27]); these models let the simulator account
-// for the energy consequences of an assignment.
-type PowerModel interface {
-	// Power returns watts at the given utilization; implementations clamp
-	// utilization into [0,1].
-	Power(utilization float64) float64
-}
-
-// LinearPower draws Idle watts at zero utilization and scales linearly to
-// Max at full utilization — the classic server model.
+// LinearPower maps a host's CPU utilization (0..1) to power draw
+// in watts: Idle watts at zero utilization, scaling linearly to Max at full
+// utilization — the classic server model of CloudSim's power package. The
+// paper's related work motivates energy-aware scheduling ([27]); HostEnergy
+// uses it to account for the energy consequences of an assignment.
 type LinearPower struct {
 	Idle float64 // watts at 0% utilization
 	Max  float64 // watts at 100% utilization
 }
 
-// Power implements PowerModel.
+// Power returns watts at utilization u, clamped into [0,1].
 func (p LinearPower) Power(u float64) float64 {
-	return p.Idle + (p.Max-p.Idle)*clampUtil(u)
-}
-
-// SqrtPower rises steeply at low utilization (Idle + (Max−Idle)·√u), the
-// shape of frequency-scaled CPUs that pay most of their power early.
-type SqrtPower struct {
-	Idle float64
-	Max  float64
-}
-
-// Power implements PowerModel.
-func (p SqrtPower) Power(u float64) float64 {
-	return p.Idle + (p.Max-p.Idle)*math.Sqrt(clampUtil(u))
-}
-
-// CubicPower rises slowly at low utilization (Idle + (Max−Idle)·u³),
-// approximating DVFS-governed cores that stay cheap until loaded.
-type CubicPower struct {
-	Idle float64
-	Max  float64
-}
-
-// Power implements PowerModel.
-func (p CubicPower) Power(u float64) float64 {
-	u = clampUtil(u)
-	return p.Idle + (p.Max-p.Idle)*u*u*u
-}
-
-func clampUtil(u float64) float64 {
-	if u < 0 {
-		return 0
-	}
-	if u > 1 {
-		return 1
-	}
-	return u
+	return p.Idle + (p.Max-p.Idle)*min(max(u, 0), 1)
 }
 
 // EnergyReport summarizes a run's energy accounting.
@@ -82,10 +39,7 @@ type busyWindow struct{ start, end sim.Time }
 // cloudlets assigned to it), and nothing outside that busy window. The
 // accounting horizon runs from 0 to the latest finish time; hosts draw
 // their idle power whenever no resident VM is busy.
-func HostEnergy(env *Environment, finished []*Cloudlet, model PowerModel) (*EnergyReport, error) {
-	if model == nil {
-		return nil, fmt.Errorf("cloud: nil power model")
-	}
+func HostEnergy(env *Environment, finished []*Cloudlet, model LinearPower) (*EnergyReport, error) {
 	busy := map[*VM]busyWindow{}
 	var horizon sim.Time
 	for _, c := range finished {
@@ -121,7 +75,7 @@ func HostEnergy(env *Environment, finished []*Cloudlet, model PowerModel) (*Ener
 // hostEnergyOne integrates one host's piecewise-constant utilization over
 // [0, horizon]: utilization changes only at VM busy-window boundaries, so
 // energy is the sum over segments of P(u) × dt.
-func hostEnergyOne(host *Host, busy map[*VM]busyWindow, model PowerModel, horizon sim.Time) float64 {
+func hostEnergyOne(host *Host, busy map[*VM]busyWindow, model LinearPower, horizon sim.Time) float64 {
 	if horizon <= 0 {
 		return 0
 	}

@@ -14,7 +14,7 @@ func TestProvisionVMAddsCapacity(t *testing.T) {
 		t.Fatal("accessors broken")
 	}
 	fresh := NewVM(50, 2000, 1, 512, 500, 5000)
-	if err := b.ProvisionVM(fresh, nil, nil); err != nil {
+	if err := b.ProvisionVM(fresh, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Host == nil || fresh.Scheduler() == nil {
@@ -35,14 +35,14 @@ func TestProvisionVMErrors(t *testing.T) {
 	env := testEnv(t, 1, 1000)
 	eng := sim.NewEngine()
 	b := NewBroker(eng, env, TimeSharedFactory)
-	if err := b.ProvisionVM(nil, nil, nil); err == nil {
+	if err := b.ProvisionVM(nil, nil, 0); err == nil {
 		t.Fatal("nil VM accepted")
 	}
-	if err := b.ProvisionVM(env.VMs[0], nil, nil); err == nil {
+	if err := b.ProvisionVM(env.VMs[0], nil, 0); err == nil {
 		t.Fatal("already-placed VM accepted")
 	}
 	huge := NewVM(51, 1e12, 1, 512, 500, 5000)
-	if err := b.ProvisionVM(huge, nil, nil); err == nil {
+	if err := b.ProvisionVM(huge, nil, 0); err == nil {
 		t.Fatal("unplaceable VM accepted")
 	}
 }
@@ -52,7 +52,7 @@ func TestProvisionVMAfterBootDelay(t *testing.T) {
 	eng := sim.NewEngine()
 	b := NewBroker(eng, env, TimeSharedFactory)
 	vm := NewVM(60, 1000, 1, 512, 500, 5000)
-	if err := b.ProvisionVMAfter(vm, nil, nil, 30); err != nil {
+	if err := b.ProvisionVM(vm, nil, 30); err != nil {
 		t.Fatal(err)
 	}
 	// Capacity is reserved immediately but the VM is not live yet.
@@ -82,22 +82,22 @@ func TestProvisionVMAfterErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	b := NewBroker(eng, env, TimeSharedFactory)
 	vm := NewVM(61, 1000, 1, 512, 500, 5000)
-	if err := b.ProvisionVMAfter(vm, nil, nil, -1); err == nil {
+	if err := b.ProvisionVM(vm, nil, -1); err == nil {
 		t.Fatal("negative boot delay accepted")
 	}
-	if err := b.ProvisionVMAfter(nil, nil, nil, 1); err == nil {
+	if err := b.ProvisionVM(nil, nil, 1); err == nil {
 		t.Fatal("nil VM accepted")
 	}
-	if err := b.ProvisionVMAfter(env.VMs[0], nil, nil, 1); err == nil {
+	if err := b.ProvisionVM(env.VMs[0], nil, 1); err == nil {
 		t.Fatal("placed VM accepted")
 	}
 	huge := NewVM(62, 1e12, 1, 512, 500, 5000)
-	if err := b.ProvisionVMAfter(huge, nil, nil, 1); err == nil {
+	if err := b.ProvisionVM(huge, nil, 1); err == nil {
 		t.Fatal("unplaceable VM accepted")
 	}
-	// Zero delay delegates to the immediate path.
+	// Zero delay joins the fleet at once.
 	instant := NewVM(63, 1000, 1, 512, 500, 5000)
-	if err := b.ProvisionVMAfter(instant, nil, nil, 0); err != nil {
+	if err := b.ProvisionVM(instant, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if instant.Scheduler() == nil {

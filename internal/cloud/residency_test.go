@@ -53,7 +53,7 @@ func TestResidencyFieldTracksScheduler(t *testing.T) {
 			if wide.QueuedOrRunning() != 0 {
 				t.Fatalf("unbound VM reports %d resident", wide.QueuedOrRunning())
 			}
-			if err := Allocate(LeastLoaded{}, env.Hosts(), []*VM{wide}); err != nil {
+			if err := Allocate(env.Hosts(), []*VM{wide}); err != nil {
 				t.Fatal(err)
 			}
 			env.VMs = append(env.VMs, wide)
@@ -89,7 +89,7 @@ func TestResidencyFieldTracksScheduler(t *testing.T) {
 			})
 			fresh := NewVM(10, 1500, 1, 512, 500, 5000)
 			eng.ScheduleAt(2, sim.PriorityDefault, func() {
-				if err := b.ProvisionVM(fresh, nil, f.factory); err != nil {
+				if err := b.ProvisionVM(fresh, f.factory, 0); err != nil {
 					t.Fatal(err)
 				}
 				chk.track(fresh)

@@ -100,11 +100,9 @@ type Autoscaler struct {
 	broker  *cloud.Broker
 	policy  Policy
 	factory cloud.SchedulerFactory
-	alloc   cloud.AllocationPolicy
 
-	nextID  int
-	events  []Event
-	stopped bool
+	nextID int
+	events []Event
 }
 
 // New returns an autoscaler over broker. nextID seeds fresh VM identifiers
@@ -116,17 +114,14 @@ func New(broker *cloud.Broker, policy Policy, factory cloud.SchedulerFactory, ne
 	if factory == nil {
 		factory = cloud.TimeSharedFactory
 	}
-	return &Autoscaler{broker: broker, policy: policy, factory: factory, alloc: cloud.LeastLoaded{}, nextID: nextID}, nil
+	return &Autoscaler{broker: broker, policy: policy, factory: factory, nextID: nextID}, nil
 }
 
 // Events returns the scaling decisions taken so far.
 func (a *Autoscaler) Events() []Event { return a.events }
 
-// Stop halts monitoring after the current tick.
-func (a *Autoscaler) Stop() { a.stopped = true }
-
 // Start begins periodic monitoring on the broker's engine. Monitoring
-// reschedules itself while cloudlets remain in flight or until Stop.
+// reschedules itself while cloudlets remain in flight.
 func (a *Autoscaler) Start() {
 	a.broker.Engine().Schedule(a.policy.Interval, sim.PriorityLow, a.tick)
 }
@@ -146,9 +141,6 @@ func (a *Autoscaler) load() float64 {
 
 // tick applies the threshold rules once and reschedules itself.
 func (a *Autoscaler) tick() {
-	if a.stopped {
-		return
-	}
 	env := a.broker.Environment()
 	now := a.broker.Engine().Now()
 	load := a.load()
@@ -157,7 +149,7 @@ func (a *Autoscaler) tick() {
 		tmpl := a.policy.Template
 		vm := cloud.NewVM(a.nextID, tmpl.MIPS, tmpl.PEs, tmpl.RAM, tmpl.Bw, tmpl.Size)
 		a.nextID++
-		if err := a.broker.ProvisionVMAfter(vm, a.alloc, a.factory, a.policy.BootDelay); err == nil {
+		if err := a.broker.ProvisionVM(vm, a.factory, a.policy.BootDelay); err == nil {
 			a.events = append(a.events, Event{Time: now, Act: ScaleUp, VMID: vm.ID, Load: load, Size: len(env.VMs)})
 			// Once the instance is up, pull work off the busiest VM so the
 			// new capacity actually relieves the backlog (capacity without
@@ -191,7 +183,7 @@ func (a *Autoscaler) tick() {
 // time so the faster machine takes proportionally more.
 func (a *Autoscaler) rebalance(fresh *cloud.VM) {
 	if fresh.Scheduler() == nil {
-		return // boot raced a Stop or the provision failed
+		return // not booted: the boot event fires first at the same instant
 	}
 	var busiest *cloud.VM
 	for _, vm := range a.broker.Environment().VMs {

@@ -19,7 +19,7 @@ func plant(t testing.TB, nVMs int) (*cloud.Environment, *sim.Engine, *cloud.Brok
 	for i := 0; i < nVMs; i++ {
 		env.VMs = append(env.VMs, cloud.NewVM(i, 1000, 1, 512, 500, 5000))
 	}
-	if err := cloud.Allocate(cloud.LeastLoaded{}, hosts, env.VMs); err != nil {
+	if err := cloud.Allocate(hosts, env.VMs); err != nil {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
@@ -138,23 +138,6 @@ func TestAutoscalerRespectsMax(t *testing.T) {
 	eng.Run()
 	if len(env.VMs) > 3 {
 		t.Fatalf("MaxVMs violated: %d", len(env.VMs))
-	}
-}
-
-func TestAutoscalerStop(t *testing.T) {
-	env, eng, broker := plant(t, 2)
-	as, err := New(broker, defaultPolicy(), cloud.TimeSharedFactory, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		broker.Submit(cloud.NewCloudlet(i, 20000, 1, 0, 0), env.VMs[i%2])
-	}
-	as.Start()
-	as.Stop()
-	eng.Run()
-	if len(as.Events()) != 0 {
-		t.Fatalf("stopped autoscaler acted: %v", as.Events())
 	}
 }
 

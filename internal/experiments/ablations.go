@@ -25,48 +25,34 @@ func ablationScenario(opts Options) (vms, cloudlets int) {
 	return scaleCount(500, opts.Scale, 2), scaleCount(5000, opts.Scale, 10)
 }
 
-// paramSweep runs build(x) for every x on the fixed ablation scenario,
-// in parallel, and returns one Point per x keyed by label.
-func paramSweep(xs []float64, label string, opts Options, build func(x float64) sched.Scheduler) ([]Point, error) {
-	opts = opts.normalized()
-	nVMs, nCls := ablationScenario(opts)
-	points := make([]Point, len(xs))
-	errs := make([]error, len(xs))
-	forEachPoint(len(xs), func(idx int) {
-		scheduler := build(xs[idx])
-		var acc accumulator
-		for rep := 0; rep < opts.Repeats; rep++ {
-			// Unlike figure sweeps, every x shares the same workload
-			// seed: only the parameter under study varies.
-			seed := xrand.Stream(opts.Seed, uint64(rep)).Uint64()
-			report, err := runOnce(scheduler, pointSpec{
-				kind: heterogeneous, vms: nVMs, cloudlets: nCls, dcs: 4,
-			}, seed)
-			if err != nil {
-				errs[idx] = fmt.Errorf("%s x=%v: %w", label, xs[idx], err)
-				return
-			}
-			acc.add(report)
-		}
-		points[idx] = Point{X: xs[idx], Reports: map[string]metrics.Report{label: acc.mean(label)}}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return points, nil
-}
-
-// ablation builds an Experiment around a paramSweep.
+// ablation builds an Experiment that runs build(x) for every x on the
+// fixed ablation scenario, one Point per x keyed by label.
 func ablation(id, title, xlabel, metric, ylabel, label string, xs []float64, build func(x float64) sched.Scheduler) *Experiment {
 	e := &Experiment{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel, Metric: metric}
 	e.Run = func(opts Options) (*Result, error) {
-		points, err := paramSweep(xs, label, opts, build)
+		opts = opts.normalized()
+		nVMs, nCls := ablationScenario(opts)
+		points, err := sweepPoints(xs, func(_ int, x float64) (map[string]metrics.Report, error) {
+			scheduler := build(x)
+			var acc accumulator
+			for rep := 0; rep < opts.Repeats; rep++ {
+				// Unlike figure sweeps, every x shares the same workload
+				// seed: only the parameter under study varies.
+				seed := xrand.Stream(opts.Seed, uint64(rep)).Uint64()
+				report, err := runOnce(scheduler, pointSpec{
+					kind: heterogeneous, vms: nVMs, cloudlets: nCls, dcs: 4,
+				}, seed)
+				if err != nil {
+					return nil, fmt.Errorf("%s x=%v: %w", label, x, err)
+				}
+				acc.add(report)
+			}
+			return map[string]metrics.Report{label: acc.mean(label)}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		return &Result{ID: e.ID, Title: e.Title, XLabel: e.XLabel, YLabel: e.YLabel, Metric: e.Metric, Points: points}, nil
+		return e.result(points), nil
 	}
 	return e
 }

@@ -83,8 +83,15 @@ func TestFig4aSimulationTimeDecreasesAndConverges(t *testing.T) {
 	}
 }
 
+// TestFig5SchedulingTimeBaseCheapest compares wall-clock scheduling times,
+// and base's is a microsecond round robin: one stall (a GC cycle, a
+// preemption, or another package's test on the same core) can stretch a
+// single call past ACO's. As in TestFig6bSchedulingTimeOrdering, points
+// therefore run one at a time (GOMAXPROCS 1), and each averages five seeded
+// repeats.
 func TestFig5SchedulingTimeBaseCheapest(t *testing.T) {
-	res := runFig(t, "fig5a", Options{Scale: 0.002, Seed: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	res := runFig(t, "fig5a", Options{Scale: 0.002, Seed: 1, Repeats: 5})
 	for _, p := range res.Points {
 		base := p.Reports["base"].SchedulingTime
 		aco := p.Reports["aco"].SchedulingTime

@@ -152,76 +152,41 @@ func runElasticPoint(bootDelay float64, opts Options) (map[string]metrics.Report
 	return map[string]metrics.Report{"static": static, "elastic": scaled}, nil
 }
 
-// extSweep fans a per-point runner over xs on the point pool.
-func extSweep(xs []float64, opts Options, runPt func(x float64, o Options) (map[string]metrics.Report, error)) ([]Point, error) {
-	opts = opts.normalized()
-	points := make([]Point, len(xs))
-	errs := make([]error, len(xs))
-	forEachPoint(len(xs), func(i int) {
-		reports, err := runPt(xs[i], opts)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		points[i] = Point{X: xs[i], Reports: reports}
-	})
-	for _, err := range errs {
+// extension sets e.Run to evaluate runPt at every x on the point pool.
+func extension(e *Experiment, xs []float64, runPt func(x float64, o Options) (map[string]metrics.Report, error)) *Experiment {
+	e.Run = func(opts Options) (*Result, error) {
+		opts = opts.normalized()
+		points, err := sweepPoints(xs, func(_ int, x float64) (map[string]metrics.Report, error) {
+			return runPt(x, opts)
+		})
 		if err != nil {
 			return nil, err
 		}
+		return e.result(points), nil
 	}
-	return points, nil
+	return e
 }
 
 func init() {
-	extOnline := &Experiment{
+	registerExperiment(extension(&Experiment{
 		ID:     "ext-online",
 		Title:  "Online (per-arrival) scheduling under increasing Poisson load",
 		XLabel: "Arrival rate (cloudlets/second)",
 		YLabel: "Mean response time (s)",
 		Metric: "mean_exec_s",
-	}
-	extOnline.Run = func(opts Options) (*Result, error) {
-		points, err := extSweep([]float64{1, 2, 4, 8, 16, 32}, opts, runOnlinePoint)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{ID: extOnline.ID, Title: extOnline.Title, XLabel: extOnline.XLabel,
-			YLabel: extOnline.YLabel, Metric: extOnline.Metric, Points: points}, nil
-	}
-	registerExperiment(extOnline)
-
-	extSLA := &Experiment{
+	}, []float64{1, 2, 4, 8, 16, 32}, runOnlinePoint))
+	registerExperiment(extension(&Experiment{
 		ID:     "ext-sla",
 		Title:  "SLA compliance vs deadline slack (batch schedulers + deadline-aware)",
 		XLabel: "Deadline slack (x best-case execution)",
 		YLabel: "SLA compliance rate",
 		Metric: "sla",
-	}
-	extSLA.Run = func(opts Options) (*Result, error) {
-		points, err := extSweep([]float64{2, 4, 8, 16, 32, 64}, opts, runSLAPoint)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{ID: extSLA.ID, Title: extSLA.Title, XLabel: extSLA.XLabel,
-			YLabel: extSLA.YLabel, Metric: extSLA.Metric, Points: points}, nil
-	}
-	registerExperiment(extSLA)
-
-	extElastic := &Experiment{
+	}, []float64{2, 4, 8, 16, 32, 64}, runSLAPoint))
+	registerExperiment(extension(&Experiment{
 		ID:     "ext-elastic",
 		Title:  "Threshold autoscaling vs instance boot delay (burst on a quarter-size fleet)",
 		XLabel: "Instance boot delay (s)",
 		YLabel: "Simulation Time of Cloudlets (ms)",
 		Metric: "sim_ms",
-	}
-	extElastic.Run = func(opts Options) (*Result, error) {
-		points, err := extSweep([]float64{0, 10, 30, 60, 120}, opts, runElasticPoint)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{ID: extElastic.ID, Title: extElastic.Title, XLabel: extElastic.XLabel,
-			YLabel: extElastic.YLabel, Metric: extElastic.Metric, Points: points}, nil
-	}
-	registerExperiment(extElastic)
+	}, []float64{0, 10, 30, 60, 120}, runElasticPoint))
 }

@@ -17,6 +17,11 @@ type Experiment struct {
 	Run func(opts Options) (*Result, error)
 }
 
+// result labels a sweep's points with e's titles.
+func (e *Experiment) result(points []Point) *Result {
+	return &Result{ID: e.ID, Title: e.Title, XLabel: e.XLabel, YLabel: e.YLabel, Metric: e.Metric, Points: points}
+}
+
 var (
 	expMu       sync.RWMutex
 	expRegistry = map[string]*Experiment{}
@@ -63,7 +68,7 @@ func figure(id, title, metric, ylabel string, run func(Options) ([]Point, error)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{ID: e.ID, Title: e.Title, XLabel: e.XLabel, YLabel: e.YLabel, Metric: e.Metric, Points: points}, nil
+		return e.result(points), nil
 	}
 	return e
 }

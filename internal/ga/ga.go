@@ -200,5 +200,4 @@ func (s *Scheduler) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
 
 func init() {
 	sched.Register("ga", func() sched.Scheduler { return Default() })
-	sched.DeclareTraits("ga", sched.Traits{Stochastic: true})
 }

@@ -292,7 +292,5 @@ func leastLoadedVM(st *dcState) int {
 func init() {
 	sched.Register("hbo", func() sched.Scheduler { return Default() })
 	// HBO is rule-driven (no ctx.Rand draws), but its forage ordering is
-	// submission-order-sensitive, so no permutation claim. Its precompute
-	// phases run on a worker pool that never changes a placement (Parallel).
-	sched.DeclareTraits("hbo", sched.Traits{})
+	// submission-order-sensitive, so it declares no permutation claim.
 }

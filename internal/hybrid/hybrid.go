@@ -185,5 +185,4 @@ func (s *Scheduler) classify(ctx *sched.Context) Objective {
 
 func init() {
 	sched.Register("hybrid", func() sched.Scheduler { return Default() })
-	sched.DeclareTraits("hybrid", sched.Traits{})
 }

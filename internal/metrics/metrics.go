@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"time"
 
 	"bioschedsim/internal/cloud"
@@ -138,18 +137,6 @@ func CountImbalance(cloudlets []*cloud.Cloudlet, vms []*cloud.VM) float64 {
 	return (float64(max) - float64(min)) / avg
 }
 
-// SLAViolations counts finished cloudlets that carried a deadline and
-// missed it.
-func SLAViolations(cloudlets []*cloud.Cloudlet) int {
-	n := 0
-	for _, c := range cloudlets {
-		if c.Deadline != 0 && !c.MetDeadline() {
-			n++
-		}
-	}
-	return n
-}
-
 // SLAComplianceRate returns the fraction of deadline-bearing cloudlets that
 // met their deadline; 1.0 when none carry deadlines.
 func SLAComplianceRate(cloudlets []*cloud.Cloudlet) float64 {
@@ -228,12 +215,6 @@ func Collect(algorithm string, finished []*cloud.Cloudlet, vms []*cloud.VM, sche
 		MeanExec:       MeanExecTime(finished),
 		MeanWait:       MeanWaitTime(finished),
 	}
-}
-
-// String renders the report compactly for logs.
-func (r Report) String() string {
-	return fmt.Sprintf("%s: n=%d m=%d sched=%v sim=%.3fs imb=%.3f cost=%.1f fair=%.3f",
-		r.Algorithm, r.Cloudlets, r.VMs, r.SchedulingTime, r.SimTime, r.Imbalance, r.Cost, r.Fairness)
 }
 
 // SimTimeMillis returns Eq. 12's value in the paper's milliseconds unit

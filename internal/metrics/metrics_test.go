@@ -151,9 +151,6 @@ func TestCollectAndUnits(t *testing.T) {
 	if r.SchedulingSeconds() != 5400 {
 		t.Fatalf("seconds: %v", r.SchedulingSeconds())
 	}
-	if r.String() == "" {
-		t.Fatal("empty String()")
-	}
 }
 
 func TestSLAMetrics(t *testing.T) {
@@ -164,9 +161,6 @@ func TestSLAMetrics(t *testing.T) {
 	free := done(2, 100, 0, 100, nil) // no deadline
 	cls := []*cloud.Cloudlet{met, missed, free}
 
-	if got := SLAViolations(cls); got != 1 {
-		t.Fatalf("violations: %d", got)
-	}
 	if got := SLAComplianceRate(cls); got != 0.5 {
 		t.Fatalf("compliance: %v", got)
 	}

@@ -84,7 +84,7 @@ func TestCostClassKey(t *testing.T) {
 		h := cloud.NewHost(id, cloud.NewPEs(4, 1000), 1<<20, 1<<20, 1<<30)
 		cloud.NewDatacenter(id, "dc", ch, []*cloud.Host{h})
 		vm := cloud.NewVM(id, 1000, 1, 512, 500, 5000)
-		if err := cloud.Allocate(cloud.FirstFit{}, []*cloud.Host{h}, []*cloud.VM{vm}); err != nil {
+		if err := cloud.Allocate([]*cloud.Host{h}, []*cloud.VM{vm}); err != nil {
 			t.Fatal(err)
 		}
 		return vm

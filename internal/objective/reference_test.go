@@ -25,7 +25,7 @@ func refProblem(tb testing.TB, nVMs, nCls int, seed uint64) ([]*cloud.Cloudlet, 
 	for i := range vms {
 		vms[i] = cloud.NewVM(i, 500+r.Float64()*3500, 1, 512, 500, 5000)
 	}
-	if err := cloud.Allocate(cloud.LeastLoaded{}, hosts, vms); err != nil {
+	if err := cloud.Allocate(hosts, vms); err != nil {
 		tb.Fatal(err)
 	}
 	cls := make([]*cloud.Cloudlet, nCls)

@@ -146,12 +146,12 @@ func TestEFTPlaceMatchesClassOracleAcrossFleetChanges(t *testing.T) {
 	steps := map[int]func(){
 		40: func() {
 			twin := cloud.NewVM(100, src.MIPS, src.PEs, src.RAM, src.Bw, src.Size)
-			if err := b.ProvisionVM(twin, nil, nil); err != nil {
+			if err := b.ProvisionVM(twin, nil, 0); err != nil {
 				t.Fatal(err)
 			}
 		},
 		80: func() {
-			if err := b.ProvisionVM(cloud.NewVM(101, 777, 3, 512, 0, 1000), nil, nil); err != nil {
+			if err := b.ProvisionVM(cloud.NewVM(101, 777, 3, 512, 0, 1000), nil, 0); err != nil {
 				t.Fatal(err)
 			}
 		},

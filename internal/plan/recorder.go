@@ -30,13 +30,12 @@ func LatencyBuckets() []float64 {
 	return metrics.ExpBuckets(1e-3, 1.15, 100)
 }
 
-// LatencyStats is the default Recorder: a latency histogram plus exact
-// running sums for mean wait and mean latency.
+// LatencyStats is the default Recorder: a latency histogram plus an exact
+// running sum for mean wait.
 type LatencyStats struct {
 	hist    *metrics.Histogram
 	count   uint64
 	waitSum float64
-	latSum  float64
 }
 
 // NewLatencyStats returns an empty recorder over LatencyBuckets.
@@ -49,7 +48,6 @@ func (s *LatencyStats) Observe(wait, latency float64) {
 	s.hist.Observe(latency)
 	s.count++
 	s.waitSum += wait
-	s.latSum += latency
 }
 
 // Count implements Recorder.
@@ -58,22 +56,18 @@ func (s *LatencyStats) Count() uint64 { return s.count }
 // MeanWait implements Recorder.
 func (s *LatencyStats) MeanWait() float64 { return s.waitSum / float64(s.count) }
 
-// MeanLatency returns the mean recorded latency, NaN when empty.
-func (s *LatencyStats) MeanLatency() float64 { return s.latSum / float64(s.count) }
-
 // Quantile implements Recorder.
 func (s *LatencyStats) Quantile(q float64) float64 { return s.hist.Quantile(q) }
 
 // Merge folds o into s: bucket counts, observation counts, and sums all
 // add. Quantiles are bit-identical under any shard split because bucket
-// counts are integers; the float sums are order-dependent, so deterministic
+// counts are integers; the float sum is order-dependent, so deterministic
 // cross-shard aggregation folds shards in ascending shard-index order
 // (MergeAll) — same convention as the daemon's Eq. 12/13 metric merge.
 func (s *LatencyStats) Merge(o *LatencyStats) {
 	s.hist.Merge(o.hist)
 	s.count += o.count
 	s.waitSum += o.waitSum
-	s.latSum += o.latSum
 }
 
 // MergeAll merges per-shard recorders into one in ascending index order,
@@ -84,26 +78,4 @@ func MergeAll(shards []*LatencyStats) *LatencyStats {
 		out.Merge(sh)
 	}
 	return out
-}
-
-// LatencySummary is a rendered view of a LatencyStats for reports.
-type LatencySummary struct {
-	Count       uint64
-	MeanWait    float64
-	MeanLatency float64
-	P50         float64
-	P95         float64
-	P99         float64
-}
-
-// Summary renders the standard report quantiles.
-func (s *LatencyStats) Summary() LatencySummary {
-	return LatencySummary{
-		Count:       s.count,
-		MeanWait:    s.MeanWait(),
-		MeanLatency: s.MeanLatency(),
-		P50:         s.Quantile(0.50),
-		P95:         s.Quantile(0.95),
-		P99:         s.Quantile(0.99),
-	}
 }

@@ -217,5 +217,4 @@ func (f *fitness) eval(pos []int) float64 {
 
 func init() {
 	sched.Register("pso", func() sched.Scheduler { return Default() })
-	sched.DeclareTraits("pso", sched.Traits{Stochastic: true})
 }

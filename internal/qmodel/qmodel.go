@@ -51,15 +51,6 @@ func MM1Response(lambda, mu float64) (float64, error) {
 	return 1 / (mu - lambda), nil
 }
 
-// MM1QueueLength returns the mean number in system L = ρ/(1−ρ) for M/M/1.
-func MM1QueueLength(lambda, mu float64) (float64, error) {
-	if err := validate(lambda, mu, 1); err != nil {
-		return 0, err
-	}
-	rho := lambda / mu
-	return rho / (1 - rho), nil
-}
-
 // MD1WaitQueue returns the mean time in queue Wq = ρ/(2μ(1−ρ)) for M/D/1
 // (deterministic service) — exactly half the M/M/1 wait.
 func MD1WaitQueue(lambda, mu float64) (float64, error) {
@@ -96,15 +87,6 @@ func MMcWaitQueue(lambda, mu float64, c int) (float64, error) {
 		return 0, err
 	}
 	return pc / (float64(c)*mu - lambda), nil
-}
-
-// MMcResponse returns the mean time in system for M/M/c.
-func MMcResponse(lambda, mu float64, c int) (float64, error) {
-	wq, err := MMcWaitQueue(lambda, mu, c)
-	if err != nil {
-		return 0, err
-	}
-	return wq + 1/mu, nil
 }
 
 // RelativeError returns |observed−expected|/expected, guarding zero.

@@ -191,7 +191,5 @@ func init() {
 	sched.Register("rbs", func() sched.Scheduler { return Default() })
 	// RBS consumes one random walk-in draw per submitted cloudlet, so its
 	// placement — and hence makespan — depends on submission order even for
-	// identical cloudlets: not permutation-invariant. The draws themselves
-	// are precomputed on a worker pool (Parallel), which never changes them.
-	sched.DeclareTraits("rbs", sched.Traits{Stochastic: true})
+	// identical cloudlets: not permutation-invariant, so no traits.
 }

@@ -56,5 +56,4 @@ func init() {
 	Register("base", func() Scheduler { return NewRoundRobin() })
 	Register("random", func() Scheduler { return NewRandom() })
 	DeclareTraits("base", Traits{PermutationInvariant: true})
-	DeclareTraits("random", Traits{Stochastic: true})
 }

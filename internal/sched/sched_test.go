@@ -34,7 +34,7 @@ func hetCtx(t testing.TB, nVMs, nCls int, seed int64) *Context {
 	for _, dc := range dcs {
 		hosts = append(hosts, dc.Hosts...)
 	}
-	if err := cloud.Allocate(cloud.LeastLoaded{}, hosts, vms); err != nil {
+	if err := cloud.Allocate(hosts, vms); err != nil {
 		t.Fatal(err)
 	}
 	cls := make([]*cloud.Cloudlet, nCls)
@@ -53,7 +53,7 @@ func homCtx(t testing.TB, nVMs, nCls int) *Context {
 	for i := range vms {
 		vms[i] = cloud.NewVM(i, 1000, 1, 512, 500, 5000)
 	}
-	if err := cloud.Allocate(cloud.FirstFit{}, hosts, vms); err != nil {
+	if err := cloud.Allocate(hosts, vms); err != nil {
 		t.Fatal(err)
 	}
 	cls := make([]*cloud.Cloudlet, nCls)

@@ -14,11 +14,6 @@ import "fmt"
 // the scheduler into the corresponding check, and an undeclared trait simply
 // skips it. Declare conservatively.
 type Traits struct {
-	// Stochastic reports that Schedule draws from ctx.Rand. Deterministic
-	// replays must therefore reconstruct the context's random stream from the
-	// scenario seed; the harness does this for every scheduler, but the flag
-	// lets tooling distinguish search heuristics from fixed-rule mappers.
-	Stochastic bool
 	// PermutationInvariant claims that on workloads of identical cloudlets,
 	// permuting the submission order leaves the assignment's estimated
 	// makespan (Eq. 8) unchanged. True for order-free mappers (round-robin,

@@ -28,11 +28,15 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultBatchSize       = 64
-	DefaultQueueCap        = 4096
-	DefaultShards          = 1
-	DefaultStatusRetention = 1 << 20
+	DefaultBatchSize = 64
+	DefaultQueueCap  = 4096
+	DefaultShards    = 1
 )
+
+// statusRetention caps the number of finished cloudlet records kept for
+// /v1/status lookups; the oldest finished records are evicted first.
+// Queued and in-flight records are never evicted.
+const statusRetention = 1 << 20
 
 // DefaultFlushInterval no longer configures the daemon: a shard maps a
 // partial batch as soon as it is free, so no batch waits on a timer. It is
@@ -73,11 +77,6 @@ type Config struct {
 	// reproducible. Shard i's stream is seeded Seed + i·2³², so shard 0
 	// draws the exact stream an unsharded daemon would.
 	Seed int64
-
-	// StatusRetention caps the number of finished cloudlet records kept for
-	// /v1/status lookups; the oldest finished records are evicted first.
-	// Queued and in-flight records are never evicted.
-	StatusRetention int
 }
 
 // withDefaults returns cfg with zero fields replaced by package defaults.
@@ -92,9 +91,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = DefaultShards
-	}
-	if cfg.StatusRetention <= 0 {
-		cfg.StatusRetention = DefaultStatusRetention
 	}
 	return cfg
 }

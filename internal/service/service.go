@@ -95,7 +95,7 @@ func New(env *cloud.Environment, cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:  cfg,
 		env:  env,
-		stat: newStatusStore(cfg.StatusRetention),
+		stat: newStatusStore(statusRetention),
 		disp: newDispatcher(cfg.Shards, cfg.Seed),
 	}
 	s.shards = make([]*shard, cfg.Shards)

@@ -402,7 +402,7 @@ func TestStatusStoreRetention(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{Scheduler: "base"}.withDefaults()
 	if cfg.BatchSize != DefaultBatchSize || cfg.QueueCap != DefaultQueueCap ||
-		cfg.Shards != DefaultShards || cfg.StatusRetention != DefaultStatusRetention {
+		cfg.Shards != DefaultShards {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }

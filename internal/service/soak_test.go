@@ -17,10 +17,11 @@ const soakHeapSlack = 4 << 20
 // heap is within soakHeapSlack of its heap after 200 k, with the status
 // store capped so that only the serving path is measured.
 func TestServiceSoakHeapStaysFlat(t *testing.T) {
-	svc, err := New(testEnv(t, 50, 42), Config{Scheduler: "base", BatchSize: 256, StatusRetention: 1000})
+	svc, err := New(testEnv(t, 50, 42), Config{Scheduler: "base", BatchSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.stat.retention = 1000 // before any submit, so no record is yet kept
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()

@@ -1,7 +1,7 @@
 // Package stats provides the descriptive statistics and trend tools the
 // experiment harness and the reproduction assertions use: summary moments,
-// percentiles, confidence intervals, online (Welford) accumulation, and
-// least-squares slopes for "does this curve go down?" checks.
+// percentiles, Welch's t, and least-squares slopes for "does this curve go
+// down?" checks.
 package stats
 
 import (
@@ -71,66 +71,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval of the mean.
-func CI95(s Summary) float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.Std / math.Sqrt(float64(s.N))
-}
-
-// Online accumulates mean and variance incrementally (Welford's method);
-// useful when a sweep streams thousands of points.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds x into the accumulator.
-func (o *Online) Add(x float64) {
-	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the count of accumulated values.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean.
-func (o *Online) Mean() float64 { return o.mean }
-
-// Var returns the running sample variance.
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Std returns the running sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
-
-// Min returns the smallest accumulated value (0 if empty).
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest accumulated value (0 if empty).
-func (o *Online) Max() float64 { return o.max }
-
 // Slope returns the ordinary-least-squares slope of y over x. The
 // reproduction assertions use its sign: e.g. simulation time must fall as
 // VM count rises (Fig. 4). It errors on mismatched or deficient input.
@@ -176,31 +116,4 @@ func WelchT(a, b []float64) (tstat, dof float64, err error) {
 	dof = (va + vb) * (va + vb) /
 		(va*va/float64(sa.N-1) + vb*vb/float64(sb.N-1))
 	return tstat, dof, nil
-}
-
-// SignificantlyLess reports whether sample a's mean is below b's with the
-// given t threshold (2.0 ≈ 95% confidence for moderate dof). It is the
-// harness's one-line "does A really win?" helper.
-func SignificantlyLess(a, b []float64, threshold float64) bool {
-	t, _, err := WelchT(a, b)
-	if err != nil {
-		return false
-	}
-	return t < -threshold
-}
-
-// GeoMean returns the geometric mean of strictly positive values; it errors
-// when any value is non-positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: geomean of empty sample")
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geomean requires positive values, got %v", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
 }

@@ -49,74 +49,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestCI95(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	ci := CI95(s)
-	want := 1.96 * s.Std / math.Sqrt(10)
-	if math.Abs(ci-want) > 1e-12 {
-		t.Fatalf("ci: %v want %v", ci, want)
-	}
-	if CI95(Summarize([]float64{1})) != 0 {
-		t.Fatal("single-sample CI should be 0")
-	}
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	s := Summarize(xs)
-	if o.N() != s.N {
-		t.Fatalf("n: %d vs %d", o.N(), s.N)
-	}
-	if math.Abs(o.Mean()-s.Mean) > 1e-12 {
-		t.Fatalf("mean: %v vs %v", o.Mean(), s.Mean)
-	}
-	if math.Abs(o.Std()-s.Std) > 1e-12 {
-		t.Fatalf("std: %v vs %v", o.Std(), s.Std)
-	}
-	if o.Min() != s.Min || o.Max() != s.Max {
-		t.Fatalf("min/max: %v/%v vs %v/%v", o.Min(), o.Max(), s.Min, s.Max)
-	}
-}
-
-func TestOnlineMatchesBatchProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) < 2 {
-			return true
-		}
-		var o Online
-		for _, x := range clean {
-			o.Add(x)
-		}
-		s := Summarize(clean)
-		scale := math.Max(1, math.Abs(s.Mean))
-		return math.Abs(o.Mean()-s.Mean) < 1e-6*scale && math.Abs(o.Std()-s.Std) < 1e-6*math.Max(1, s.Std)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOnlineDegenerate(t *testing.T) {
-	var o Online
-	if o.Var() != 0 || o.Std() != 0 || o.N() != 0 {
-		t.Fatal("zero-value Online not degenerate")
-	}
-	o.Add(5)
-	if o.Var() != 0 || o.Mean() != 5 || o.Min() != 5 || o.Max() != 5 {
-		t.Fatalf("single add: %+v", o)
-	}
-}
-
 func TestSlope(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{2, 4, 6, 8}
@@ -142,25 +74,6 @@ func TestSlopeErrors(t *testing.T) {
 	}
 	if _, err := Slope([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
 		t.Fatal("constant x accepted")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-4) > 1e-12 {
-		t.Fatalf("geomean: %v want 4", got)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Fatal("empty accepted")
-	}
-	if _, err := GeoMean([]float64{1, 0, 2}); err == nil {
-		t.Fatal("zero accepted")
-	}
-	if _, err := GeoMean([]float64{-1}); err == nil {
-		t.Fatal("negative accepted")
 	}
 }
 
@@ -190,24 +103,6 @@ func TestWelchTErrors(t *testing.T) {
 	}
 	if _, _, err := WelchT([]float64{2, 2}, []float64{2, 2}); err == nil {
 		t.Fatal("zero variance accepted")
-	}
-}
-
-func TestSignificantlyLess(t *testing.T) {
-	fast := []float64{1.0, 1.1, 0.9, 1.05, 0.95}
-	slow := []float64{5.0, 5.2, 4.8, 5.1, 4.9}
-	if !SignificantlyLess(fast, slow, 2) {
-		t.Fatal("clear separation not detected")
-	}
-	if SignificantlyLess(slow, fast, 2) {
-		t.Fatal("reversed comparison passed")
-	}
-	overlap := []float64{1, 5, 2, 4, 3}
-	if SignificantlyLess(overlap, []float64{3, 2, 4, 1, 5}, 2) {
-		t.Fatal("identical distributions declared different")
-	}
-	if SignificantlyLess([]float64{1}, slow, 2) {
-		t.Fatal("degenerate input should be false")
 	}
 }
 

@@ -145,38 +145,3 @@ func Gantt(finished []*cloud.Cloudlet, width int) string {
 	}
 	return b.String()
 }
-
-// Utilization returns the fraction of [0, horizon] during which each VM had
-// at least one resident cloudlet, keyed by VM id.
-func Utilization(finished []*cloud.Cloudlet) map[int]float64 {
-	type window struct{ start, end sim.Time }
-	busy := map[int]window{}
-	var horizon sim.Time
-	for _, c := range finished {
-		if c.VM == nil {
-			continue
-		}
-		w, ok := busy[c.VM.ID]
-		if !ok {
-			w = window{c.StartTime, c.FinishTime}
-		} else {
-			if c.StartTime < w.start {
-				w.start = c.StartTime
-			}
-			if c.FinishTime > w.end {
-				w.end = c.FinishTime
-			}
-		}
-		busy[c.VM.ID] = w
-		if c.FinishTime > horizon {
-			horizon = c.FinishTime
-		}
-	}
-	out := make(map[int]float64, len(busy))
-	for id, w := range busy {
-		if horizon > 0 {
-			out[id] = float64((w.end - w.start) / horizon)
-		}
-	}
-	return out
-}

@@ -104,22 +104,6 @@ func TestGanttDegenerate(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	u := Utilization([]*cloud.Cloudlet{
-		finished(0, 0, 0, 10, 0), // vm0 busy [0,10] of 10 → 1.0
-		finished(1, 0, 5, 10, 1), // vm1 busy [5,10] of 10 → 0.5
-	})
-	if u[0] != 1.0 {
-		t.Fatalf("vm0 utilization: %v", u[0])
-	}
-	if u[1] != 0.5 {
-		t.Fatalf("vm1 utilization: %v", u[1])
-	}
-	if got := Utilization(nil); len(got) != 0 {
-		t.Fatalf("empty utilization: %v", got)
-	}
-}
-
 func TestEndToEndTimeline(t *testing.T) {
 	// Real execution: timeline invariants hold for every cloudlet.
 	host := cloud.NewHost(0, cloud.NewPEs(4, 1000), 1<<16, 1<<20, 1<<30)

@@ -17,7 +17,7 @@ import (
 //
 //	go test -run '^$' -bench 'ReadTrace|ReadColumnar' ./internal/workload ./internal/tracecol
 func BenchmarkReadColumnar(b *testing.B) {
-	entries, err := workload.SyntheticTrace(workload.HeterogeneousCloudletSpec(), 100_000, 8, 42)
+	entries, err := workload.SyntheticTraceFrom(workload.HeterogeneousCloudletSpec(), 100_000, workload.Poisson{Rate_: 8}, 42)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -96,15 +96,6 @@ type Index struct {
 	Blocks      []BlockInfo
 }
 
-// RowOffset returns the global row index of block b's first row.
-func (ix *Index) RowOffset(b int) int {
-	off := 0
-	for i := 0; i < b; i++ {
-		off += ix.Blocks[i].Rows
-	}
-	return off
-}
-
 // encodeFooter serializes the index. The inverse is decodeFooter.
 func encodeFooter(ix *Index) []byte {
 	buf := make([]byte, 0, 64*len(ix.Blocks)+16)
@@ -138,15 +129,6 @@ func (r *byteReader) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(r.buf[r.pos:])
 	if n <= 0 {
 		return 0, r.errf("truncated or overlong uvarint (%s)", what)
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *byteReader) varint(what string) (int64, error) {
-	v, n := binary.Varint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, r.errf("truncated or overlong varint (%s)", what)
 	}
 	r.pos += n
 	return v, nil

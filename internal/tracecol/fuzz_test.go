@@ -85,7 +85,7 @@ func requireSame(t *testing.T, want, got []workload.TraceEntry) {
 func FuzzReadColumnar(f *testing.F) {
 	// Seed with a small valid file, its truncations, and a bit-flipped
 	// variant so the fuzzer starts inside the format.
-	entries, err := workload.SyntheticTrace(workload.HomogeneousCloudletSpec(), 20, 5, 1)
+	entries, err := workload.SyntheticTraceFrom(workload.HomogeneousCloudletSpec(), 20, workload.Poisson{Rate_: 5}, 1)
 	if err != nil {
 		f.Fatal(err)
 	}

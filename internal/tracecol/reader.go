@@ -37,9 +37,9 @@ func (o ReadOptions) workers(rows int) int {
 }
 
 // ReadAll decodes the whole trace in file order. Decode work fans out over
-// blocks; reassembly is positional (block b writes rows
-// [RowOffset(b), RowOffset(b)+Rows)), so the result is deterministic and
-// identical to a serial read.
+// blocks; reassembly is positional (block b writes the rows after those of
+// blocks 0..b-1), so the result is deterministic and identical to a serial
+// read.
 func ReadAll(p BlockProvider, opts ReadOptions) ([]workload.TraceEntry, error) {
 	ix := p.Index()
 	if ix.TotalRows == 0 {
@@ -61,52 +61,6 @@ func ReadAll(p BlockProvider, opts ReadOptions) ([]workload.TraceEntry, error) {
 			return nil, fmt.Errorf("tracecol: block %d (rows %d-%d, offset %d): %w",
 				b, rowOff[b], rowOff[b]+ix.Blocks[b].Rows-1, ix.Blocks[b].Offset, err)
 		}
-	}
-	return out, nil
-}
-
-// ReadRange decodes only the entries whose arrival lies in [lo, hi],
-// using the footer's per-block arrival bounds to skip blocks entirely
-// outside the range before any block is fetched or decompressed. The
-// result equals filtering ReadAll by arrival, in file order.
-func ReadRange(p BlockProvider, lo, hi float64, opts ReadOptions) ([]workload.TraceEntry, error) {
-	if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
-		return nil, fmt.Errorf("tracecol: invalid arrival range [%v, %v]", lo, hi)
-	}
-	ix := p.Index()
-	var picked []int
-	for b, info := range ix.Blocks {
-		if info.MaxArrival < lo || info.MinArrival > hi {
-			continue
-		}
-		picked = append(picked, b)
-	}
-	if len(picked) == 0 {
-		return nil, nil
-	}
-	chunks := make([][]workload.TraceEntry, len(picked))
-	errs := make([]error, len(picked))
-	objective.ParallelFor(opts.workers(ix.TotalRows), len(picked), func(i int) {
-		b := picked[i]
-		rows := make([]workload.TraceEntry, ix.Blocks[b].Rows)
-		if err := decodeBlockInto(p, b, rows); err != nil {
-			errs[i] = err
-			return
-		}
-		kept := rows[:0]
-		for _, e := range rows {
-			if e.Arrival >= lo && e.Arrival <= hi {
-				kept = append(kept, e)
-			}
-		}
-		chunks[i] = kept
-	})
-	var out []workload.TraceEntry
-	for i, b := range picked {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("tracecol: block %d (offset %d): %w", b, ix.Blocks[b].Offset, errs[i])
-		}
-		out = append(out, chunks[i]...)
 	}
 	return out, nil
 }

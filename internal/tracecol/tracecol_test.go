@@ -16,7 +16,7 @@ import (
 // generator with Poisson arrivals and deadlines on a subset of rows.
 func genEntries(t testing.TB, n int, seed uint64) []workload.TraceEntry {
 	t.Helper()
-	entries, err := workload.SyntheticTrace(workload.HeterogeneousCloudletSpec(), n, 8, seed)
+	entries, err := workload.SyntheticTraceFrom(workload.HeterogeneousCloudletSpec(), n, workload.Poisson{Rate_: 8}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,45 +148,6 @@ func TestReaderCountInvariance(t *testing.T) {
 			}
 			sameEntries(t, base, got, "readers invariance")
 		}
-	}
-}
-
-func TestReadRangePruning(t *testing.T) {
-	entries := genEntries(t, 3000, 13)
-	var buf bytes.Buffer
-	if err := Write(&buf, entries, WriteOptions{BlockRows: 100}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := OpenBytes(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := ReadAll(p, ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := all[len(all)/4].Arrival, all[len(all)/2].Arrival
-	got, err := ReadRange(p, lo, hi, ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []workload.TraceEntry
-	for _, e := range all {
-		if e.Arrival >= lo && e.Arrival <= hi {
-			want = append(want, e)
-		}
-	}
-	sameEntries(t, want, got, "range read")
-	if len(got) == 0 || len(got) == len(all) {
-		t.Fatalf("degenerate range pick: %d of %d", len(got), len(all))
-	}
-	// An empty range past the trace returns nothing without error.
-	empty, err := ReadRange(p, math.MaxFloat64/2, math.MaxFloat64, ReadOptions{})
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty range: %d entries, err %v", len(empty), err)
-	}
-	if _, err := ReadRange(p, 2, 1, ReadOptions{}); err == nil {
-		t.Fatal("inverted range accepted")
 	}
 }
 

@@ -180,16 +180,10 @@ func Split(entries []TraceEntry) ([]*cloud.Cloudlet, []float64) {
 	return cls, arrivals
 }
 
-// SyntheticTrace renders a generated scenario as trace entries with Poisson
-// arrivals — handy for producing example trace files.
-func SyntheticTrace(spec CloudletSpec, n int, rate float64, seed uint64) ([]TraceEntry, error) {
-	return SyntheticTraceFrom(spec, n, Poisson{Rate_: rate}, seed)
-}
-
-// SyntheticTraceFrom is SyntheticTrace with an explicit arrival process:
-// cloudlet bodies are generated exactly as before, and arrival offsets come
-// from proc's own stream, so the poisson case is bit-identical to the
-// historical SyntheticTrace.
+// SyntheticTraceFrom renders a generated scenario as trace entries with
+// arrivals from proc — handy for producing example trace files. Cloudlet
+// bodies come from GenerateCloudlets(spec, n, seed) and arrival offsets
+// from proc's own stream, so the two never share draws.
 func SyntheticTraceFrom(spec CloudletSpec, n int, proc ArrivalProcess, seed uint64) ([]TraceEntry, error) {
 	if err := checkCount("cloudlet", n); err != nil {
 		return nil, err

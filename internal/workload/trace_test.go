@@ -69,7 +69,7 @@ func TestReadTraceErrors(t *testing.T) {
 }
 
 func TestTraceRoundTrip(t *testing.T) {
-	entries, err := SyntheticTrace(HeterogeneousCloudletSpec(), 50, 4, 9)
+	entries, err := SyntheticTraceFrom(HeterogeneousCloudletSpec(), 50, Poisson{Rate_: 4}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTraceRoundTrip(t *testing.T) {
 func TestTraceRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := 1 + int(nRaw)%40
-		entries, err := SyntheticTrace(HeterogeneousCloudletSpec(), n, 2, seed)
+		entries, err := SyntheticTraceFrom(HeterogeneousCloudletSpec(), n, Poisson{Rate_: 2}, seed)
 		if err != nil {
 			return false
 		}
@@ -131,11 +131,11 @@ func TestTraceSplit(t *testing.T) {
 }
 
 func TestSyntheticTraceDeterministic(t *testing.T) {
-	a, err := SyntheticTrace(HomogeneousCloudletSpec(), 10, 1, 5)
+	a, err := SyntheticTraceFrom(HomogeneousCloudletSpec(), 10, Poisson{Rate_: 1}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SyntheticTrace(HomogeneousCloudletSpec(), 10, 1, 5)
+	b, err := SyntheticTraceFrom(HomogeneousCloudletSpec(), 10, Poisson{Rate_: 1}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSyntheticTraceDeterministic(t *testing.T) {
 //
 //	go test -run '^$' -bench 'ReadTrace|ReadColumnar' ./internal/workload ./internal/tracecol
 func BenchmarkReadTrace(b *testing.B) {
-	entries, err := SyntheticTrace(HeterogeneousCloudletSpec(), 100_000, 8, 42)
+	entries, err := SyntheticTraceFrom(HeterogeneousCloudletSpec(), 100_000, Poisson{Rate_: 8}, 42)
 	if err != nil {
 		b.Fatal(err)
 	}

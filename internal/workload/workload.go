@@ -185,7 +185,7 @@ func GenerateEnvironment(dcSpec DatacenterSpec, vms []*cloud.VM, seed uint64) (*
 		}
 		env.Datacenters = append(env.Datacenters, cloud.NewDatacenter(d, fmt.Sprintf("dc%d", d), ch, hosts))
 	}
-	if err := cloud.Allocate(cloud.LeastLoaded{}, env.Hosts(), vms); err != nil {
+	if err := cloud.Allocate(env.Hosts(), vms); err != nil {
 		return nil, err
 	}
 	if err := env.Validate(); err != nil {

@@ -126,14 +126,16 @@ func TestGenerateEnvironmentPlacesEverything(t *testing.T) {
 	if len(env.Datacenters) != 4 {
 		t.Fatalf("datacenters: %d", len(env.Datacenters))
 	}
+	placed := map[*cloud.Datacenter]int{}
 	for _, vm := range env.VMs {
 		if vm.Host == nil {
 			t.Fatalf("VM %d unplaced", vm.ID)
 		}
+		placed[vm.Datacenter()]++
 	}
 	// Every datacenter should receive some VMs under least-loaded placement.
 	for _, dc := range env.Datacenters {
-		if len(dc.VMs()) == 0 {
+		if placed[dc] == 0 {
 			t.Fatalf("datacenter %d received no VMs", dc.ID)
 		}
 	}
