@@ -4,15 +4,17 @@
 //
 // Usage:
 //
-//	go test . -run '^$' -bench 'ParallelFig5a|ParallelFig6b' -cpu 1,2,4,8 -benchtime 200ms | benchsmoke
+//	go test . -run '^$' -bench 'ParallelFig5a|ParallelFig6b' -cpu 1,2,4,8 -benchtime 200ms -count 3 | benchsmoke
 //
 // Every pool's width is GOMAXPROCS, so a family's curve is its runs across
 // the -cpu list. The gate fails when any family's best parallel run
 // (minimum ns/op over GOMAXPROCS > 1) is more than -max-slowdown times its
 // GOMAXPROCS=1 run — a real serialization bug slows every width, while one
-// noisy sample cannot trip the smoke. Only large configs are gated: families whose
-// serial run is under -min-serial-ns are micro-scale and noise-dominated
-// at smoke benchtimes, so they are reported but not judged. On a
+// noisy sample cannot trip the smoke. Under -count, each width's fastest
+// repeat stands for it, so one stalled sample cannot decide it either.
+// Only large configs are gated: families whose serial run is under
+// -min-serial-ns are micro-scale and noise-dominated at smoke benchtimes,
+// so they are reported but not judged. On a
 // single-core host a parallel pool cannot beat serial, so the gate only
 // bounds overhead there and says so; on multicore it doubles as a scaling
 // regression tripwire.
@@ -104,8 +106,10 @@ func splitRun(name string) (family string, width int) {
 
 // buildCurves groups results into per-family sweeps, sorted by family name
 // for stable output. A family seen at one width only is not a sweep and is
-// dropped. Later duplicates overwrite earlier ones (go test repeats lines
-// under -count).
+// dropped. Repeated samples of one (family, width) — go test prints one
+// line per -count — keep their minimum ns/op, on the serial side as on the
+// parallel one: a stall only ever slows a sample, so the fastest repeat is
+// the one noise touched least.
 func buildCurves(results []result) []curve {
 	byFamily := map[string]map[int]float64{}
 	for _, r := range results {
@@ -113,7 +117,9 @@ func buildCurves(results []result) []curve {
 		if byFamily[family] == nil {
 			byFamily[family] = map[int]float64{}
 		}
-		byFamily[family][w] = r.NsPerOp
+		if ns, seen := byFamily[family][w]; !seen || r.NsPerOp < ns {
+			byFamily[family][w] = r.NsPerOp
+		}
 	}
 	families := make([]string, 0, len(byFamily))
 	for f, c := range byFamily {

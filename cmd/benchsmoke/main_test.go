@@ -95,6 +95,53 @@ func TestBuildCurvesGroupsByFamily(t *testing.T) {
 	}
 }
 
+// Under -count 3 one stalled sample among three repeats must not decide the
+// verdict, on the serial side or the parallel one: each (family, width)
+// keeps its fastest repeat. A slowdown in every repeat still fails.
+func TestRepeatedSamplesKeepTheFastest(t *testing.T) {
+	const stalled = `BenchmarkParallelFig6b/aco      	      50	   5180000 ns/op
+BenchmarkParallelFig6b/aco-2    	      80	   3300000 ns/op
+BenchmarkParallelFig6b/aco-4    	      80	   6700000 ns/op
+BenchmarkParallelFig6b/aco      	      50	   4000000 ns/op
+BenchmarkParallelFig6b/aco-2    	      20	   9000000 ns/op
+BenchmarkParallelFig6b/aco-4    	      80	   3200000 ns/op
+BenchmarkParallelFig6b/aco      	      50	   4100000 ns/op
+BenchmarkParallelFig6b/aco-2    	      20	   8800000 ns/op
+BenchmarkParallelFig6b/aco-4    	      20	   9100000 ns/op
+`
+	results, _, err := parseBench(strings.NewReader(stalled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves := buildCurves(results)
+	if len(curves) != 1 {
+		t.Fatalf("got %d curves, want 1", len(curves))
+	}
+	want := map[int]float64{1: 4000000, 2: 3300000, 4: 3200000}
+	for w, ns := range want {
+		if got := curves[0].NsPerOp[w]; got != ns {
+			t.Errorf("GOMAXPROCS=%d kept %v ns/op, want the fastest repeat %v", w, got, ns)
+		}
+	}
+	// Every width's last repeat stalls: keeping the last repeat instead of
+	// the fastest would fail this input at 2.15x.
+	var out strings.Builder
+	if err := run(strings.NewReader(stalled), &out, 1.10, 1e6); err != nil {
+		t.Fatalf("one stalled sample per width decided the verdict: %v\n%s", err, out.String())
+	}
+	const everyRepeatSlow = `BenchmarkParallelFig6b/aco      	      50	   4000000 ns/op
+BenchmarkParallelFig6b/aco-2    	      45	   4600000 ns/op
+BenchmarkParallelFig6b/aco      	      50	   4100000 ns/op
+BenchmarkParallelFig6b/aco-2    	      45	   4700000 ns/op
+BenchmarkParallelFig6b/aco      	      50	   4050000 ns/op
+BenchmarkParallelFig6b/aco-2    	      45	   4650000 ns/op
+`
+	out.Reset()
+	if err := run(strings.NewReader(everyRepeatSlow), &out, 1.10, 1e6); err == nil {
+		t.Fatalf("a slowdown in every repeat passed the gate:\n%s", out.String())
+	}
+}
+
 func TestGatePassesWithinThreshold(t *testing.T) {
 	curves := []curve{
 		{Family: "f/aco", NsPerOp: map[int]float64{1: 1000, 8: 500}},  // speedup

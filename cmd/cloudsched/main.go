@@ -43,8 +43,6 @@ func main() {
 		err = cmdRun(os.Args[2:])
 	case "params":
 		err = cmdParams(os.Args[2:])
-	case "validate":
-		err = cmdValidate()
 	case "compare":
 		err = cmdCompare(os.Args[2:])
 	case "replay":
@@ -91,8 +89,6 @@ Commands:
   params <topic>           echo the paper's parameter tables
       topics: aco (Table II), hbo (Table I), rbs,
               homogeneous (Tables III-IV), heterogeneous (Tables V-VII)
-  validate                 run simulator self-checks (queueing theory,
-                           optimality, determinism, Fig. 6 orderings)
   compare <id> [flags]     statistically compare two algorithms on an
                            experiment across seed replications (Welch's t)
       -a / -b ALG     the two algorithms (default aco vs base)

@@ -130,15 +130,6 @@ func TestCmdCompareErrors(t *testing.T) {
 	}
 }
 
-func TestCmdValidate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("validate runs a 30k-cloudlet queueing check")
-	}
-	if err := cmdValidate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCmdTraceConvertRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	csvPath := dir + "/t.csv"

@@ -9,8 +9,8 @@ import (
 
 // cmdPlan dispatches the capacity-planning subcommands: a verdict run over
 // a spec file, an exact replay of one measured probe, and one
-// qmodel-differential oracle case (the command internal/check's
-// qmodel-oracle violations print as their replay line).
+// qmodel-differential oracle case (the command internal/plan's
+// differential failures print as their replay line).
 func cmdPlan(args []string) error {
 	if len(args) > 0 {
 		switch args[0] {
@@ -75,7 +75,7 @@ func yesNo(b bool) string {
 
 // cmdPlanReplay re-runs one measured probe exactly: same spec, seed, and
 // fleet size reproduce the same distribution bit for bit (the line `plan`
-// and the check harness print).
+// prints).
 func cmdPlanReplay(args []string) error {
 	fs := flag.NewFlagSet("plan replay", flag.ExitOnError)
 	specPath := fs.String("spec", "", "experiment spec file (JSON)")

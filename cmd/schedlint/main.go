@@ -7,11 +7,11 @@
 //
 // Usage:
 //
-//	schedlint [-C dir] [-rules r1,r2] [-json|-sarif] [-list] [packages ...]
+//	schedlint [-C dir] [-rules r1,r2] [-sarif] [-list] [packages ...]
 //
 // Package patterns are module-root-relative directories, with ./... for the
-// whole tree (the default). -json and -sarif emit machine-readable reports
-// (schema lint.SchemaVersion). Any finding fails the run; an audited
+// whole tree (the default). -sarif emits a SARIF 2.1.0 report (schema
+// lint.SchemaVersion). Any finding fails the run; an audited
 // //schedlint:ignore directive is the only suppression. Exit codes: 0 clean,
 // 1 findings, 2 usage or load error (an import that is neither in the module
 // nor in the standard library is a load error) — suitable for CI gates
@@ -20,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -34,23 +33,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonReport is the -json output schema. CI consumers rely on these field
-// names; extend, do not rename. Schema identifies the report format version
-// and moves in lockstep with the SARIF schema.
-type jsonReport struct {
-	Schema      string            `json:"schema"`
-	Packages    int               `json:"packages"`
-	Count       int               `json:"count"`
-	Diagnostics []lint.Diagnostic `json:"diagnostics"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("schedlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		dir      = fs.String("C", ".", "analyze the module containing this `directory`")
 		rules    = fs.String("rules", "", "comma-separated `rules` to run (default: all; see -list)")
-		jsonOut  = fs.Bool("json", false, "emit diagnostics as JSON")
 		sarifOut = fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 (for CI code-scanning upload)")
 		listOnly = fs.Bool("list", false, "list the registered rules and exit")
 	)
@@ -67,11 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "schedlint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-
 	var ruleNames []string
 	if *rules != "" {
 		ruleNames = strings.Split(*rules, ",")
@@ -89,22 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *sarifOut:
 		if err := lint.WriteSARIF(stdout, res); err != nil {
-			fmt.Fprintf(stderr, "schedlint: %v\n", err)
-			return 2
-		}
-	case *jsonOut:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		rep := jsonReport{
-			Schema:      lint.SchemaVersion,
-			Packages:    res.Packages,
-			Count:       len(res.Diags),
-			Diagnostics: res.Diags,
-		}
-		if rep.Diagnostics == nil {
-			rep.Diagnostics = []lint.Diagnostic{} // stable schema: [] not null
-		}
-		if err := enc.Encode(rep); err != nil {
 			fmt.Fprintf(stderr, "schedlint: %v\n", err)
 			return 2
 		}

@@ -1,6 +1,6 @@
-// Fixture behind the -json golden test: one detrand and one floateq
-// finding, plus a suppressed comparison proving suppressions never reach
-// the JSON surface.
+// Fixture behind the SARIF golden and text-output tests: one detrand and
+// one floateq finding, plus a suppressed comparison proving suppressions
+// never reach a report.
 package sched
 
 import "math/rand"

@@ -27,7 +27,6 @@ const (
 	InvWorkerInvariance = "worker-invariance"
 	InvShardInvariance  = "shard-invariance"
 	InvOracle           = "oracle"
-	InvQModelOracle     = "qmodel-oracle"
 	InvEq12             = "eq12"
 	InvEq13             = "eq13"
 	InvRejectEmpty      = "reject-empty"

@@ -58,19 +58,18 @@ import (
 	"sync"
 )
 
-// SchemaVersion names the diagnostic output schema emitted by the JSON and
-// SARIF writers. The two surfaces version together: bump once here when
-// either of them changes shape.
+// SchemaVersion names the diagnostic output schema: the SARIF writer emits
+// it as the driver's semanticVersion. Bump it when the report changes
+// shape.
 const SchemaVersion = "schedlint/v3"
 
 // Diagnostic is one finding, positioned at a module-root-relative file path.
-// The JSON field names are a stable schema consumed by CI tooling.
 type Diagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Rule    string
+	Message string
 }
 
 func (d Diagnostic) String() string {

@@ -8,8 +8,7 @@ import (
 // SARIF 2.1.0 output, the interchange format GitHub code scanning ingests
 // for inline PR annotations. The structs below are the minimal valid subset:
 // one run, one driver with the rule catalog, one result per diagnostic. The
-// driver's semanticVersion carries SchemaVersion so SARIF and -json version
-// together.
+// driver's semanticVersion carries SchemaVersion.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`

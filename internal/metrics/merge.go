@@ -32,20 +32,39 @@ type RunStats struct {
 	SumExec   float64
 }
 
-// CollectRunStats aggregates one finished set through minMaxSum, the
-// Eq. 12/13 reduction: min/max are seeded from the first cloudlet and SumExec
-// accumulates in slice order, exactly like the historical scalar fold. The
-// zero RunStats is the empty set and is the identity of Merge.
+// CollectRunStats aggregates one finished set in one pass, the Eq. 12/13
+// reduction: min/max are seeded from the first cloudlet (so a NaN there
+// propagates, while a later NaN never wins a comparison) and SumExec
+// accumulates in slice order. The zero RunStats is the empty set and is
+// the identity of Merge.
 func CollectRunStats(cloudlets []*cloud.Cloudlet) RunStats {
 	if len(cloudlets) == 0 {
 		return RunStats{}
 	}
-	starts, finishes, execs := gather3(cloudlets)
-	var s RunStats
-	s.Count = len(cloudlets)
-	s.MinStart, _, _ = minMaxSum(starts)
-	_, s.MaxFinish, _ = minMaxSum(finishes)
-	s.MinExec, s.MaxExec, s.SumExec = minMaxSum(execs)
+	first := cloudlets[0]
+	s := RunStats{
+		Count:     len(cloudlets),
+		MinStart:  first.StartTime,
+		MaxFinish: first.FinishTime,
+		MinExec:   first.ExecTime(),
+		MaxExec:   first.ExecTime(),
+	}
+	for _, c := range cloudlets {
+		if c.StartTime < s.MinStart {
+			s.MinStart = c.StartTime
+		}
+		if c.FinishTime > s.MaxFinish {
+			s.MaxFinish = c.FinishTime
+		}
+		exec := c.ExecTime()
+		if exec < s.MinExec {
+			s.MinExec = exec
+		}
+		if exec > s.MaxExec {
+			s.MaxExec = exec
+		}
+		s.SumExec += exec
+	}
 	return s
 }
 
@@ -79,8 +98,8 @@ func (s RunStats) Merge(o RunStats) RunStats {
 }
 
 // SimTime returns Eq. 12 over the aggregated set: max finish − min start,
-// 0 for the empty aggregate. Exactly SimulationTime of the underlying
-// union, under any partition.
+// 0 for the empty aggregate. The same under any partition of the
+// underlying union.
 func (s RunStats) SimTime() sim.Time {
 	if s.Count == 0 {
 		return 0

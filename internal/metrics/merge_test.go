@@ -33,14 +33,29 @@ func partitions(cls []*cloud.Cloudlet, k int) [][]*cloud.Cloudlet {
 	return parts
 }
 
+// TestRunStatsMatchesDirectMetrics holds the one-pass fold, and the
+// Eq. 12/13 functions built on it, to the equations computed the plain
+// way: separate min/max scans and an in-order sum of execution times.
 func TestRunStatsMatchesDirectMetrics(t *testing.T) {
 	cls := finishedSet(37, 7)
-	s := CollectRunStats(cls)
-	if got, want := float64(s.SimTime()), float64(SimulationTime(cls)); got != want {
-		t.Fatalf("SimTime %v != SimulationTime %v", got, want)
+	minStart, maxFinish := cls[0].StartTime, cls[0].FinishTime
+	minExec, maxExec, sumExec := cls[0].ExecTime(), cls[0].ExecTime(), 0.0
+	for _, c := range cls {
+		minStart, maxFinish = min(minStart, c.StartTime), max(maxFinish, c.FinishTime)
+		minExec, maxExec = min(minExec, c.ExecTime()), max(maxExec, c.ExecTime())
+		sumExec += c.ExecTime()
 	}
-	if got, want := s.Imbalance(), TimeImbalance(cls); got != want {
-		t.Fatalf("Imbalance %v != TimeImbalance %v", got, want)
+	simTime, imbalance := float64(maxFinish-minStart), (maxExec-minExec)/(sumExec/37)
+	s := CollectRunStats(cls)
+	for name, got := range map[string]float64{"SimTime": float64(s.SimTime()), "SimulationTime": float64(SimulationTime(cls))} {
+		if got != simTime {
+			t.Fatalf("%s = %v, want %v", name, got, simTime)
+		}
+	}
+	for name, got := range map[string]float64{"Imbalance": s.Imbalance(), "TimeImbalance": TimeImbalance(cls)} {
+		if got != imbalance {
+			t.Fatalf("%s = %v, want %v", name, got, imbalance)
+		}
 	}
 	if s.Count != 37 {
 		t.Fatalf("Count = %d", s.Count)

@@ -11,68 +11,17 @@ import (
 	"bioschedsim/internal/sim"
 )
 
-// gather3 extracts the start, finish, and execution-time columns of a
-// cloudlet set into flat float64 slices — the structure-of-arrays shape
-// minMaxSum folds for Eq. 12/13. sim.Time is an alias of float64, so the
-// columns carry the exact stored values.
-func gather3(cloudlets []*cloud.Cloudlet) (starts, finishes, execs []float64) {
-	n := len(cloudlets)
-	buf := make([]float64, 3*n)
-	starts, finishes, execs = buf[:n], buf[n:2*n], buf[2*n:]
-	for i, c := range cloudlets {
-		starts[i] = c.StartTime
-		finishes[i] = c.FinishTime
-		execs[i] = c.ExecTime()
-	}
-	return starts, finishes, execs
-}
-
-// minMaxSum returns the minimum, maximum, and in-order sum of xs, with min
-// and max seeded from xs[0] (so a NaN-first slice propagates NaN) and
-// (0, 0, 0) for an empty slice.
-func minMaxSum(xs []float64) (min, max, sum float64) {
-	if len(xs) == 0 {
-		return 0, 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-		sum += x
-	}
-	return min, max, sum
-}
-
 // SimulationTime implements Eq. 12 over finished cloudlets:
 // T_sim = max(FinishTime) − min(StartTime). It returns 0 for an empty set.
 func SimulationTime(cloudlets []*cloud.Cloudlet) sim.Time {
-	if len(cloudlets) == 0 {
-		return 0
-	}
-	starts, finishes, _ := gather3(cloudlets)
-	minStart, _, _ := minMaxSum(starts)
-	_, maxFinish, _ := minMaxSum(finishes)
-	return maxFinish - minStart
+	return CollectRunStats(cloudlets).SimTime()
 }
 
 // TimeImbalance implements Eq. 13: (T_max − T_min) / T_avg over cloudlet
 // execution times. Zero means perfectly even execution; it returns 0 for an
 // empty set or when the average execution time is 0.
 func TimeImbalance(cloudlets []*cloud.Cloudlet) float64 {
-	if len(cloudlets) == 0 {
-		return 0
-	}
-	_, _, execs := gather3(cloudlets)
-	min, max, sum := minMaxSum(execs)
-	avg := sum / float64(len(cloudlets))
-	if avg == 0 {
-		return 0
-	}
-	return (max - min) / avg
+	return CollectRunStats(cloudlets).Imbalance()
 }
 
 // ProcessingCost sums the per-cloudlet datacenter prices (§VI-C-4).
@@ -201,13 +150,14 @@ type Report struct {
 
 // Collect assembles a Report from a finished run.
 func Collect(algorithm string, finished []*cloud.Cloudlet, vms []*cloud.VM, schedTime time.Duration) Report {
+	stats := CollectRunStats(finished)
 	return Report{
 		Algorithm:      algorithm,
 		Cloudlets:      len(finished),
 		VMs:            len(vms),
 		SchedulingTime: schedTime,
-		SimTime:        SimulationTime(finished),
-		Imbalance:      TimeImbalance(finished),
+		SimTime:        stats.SimTime(),
+		Imbalance:      stats.Imbalance(),
 		CountImbalance: CountImbalance(finished, vms),
 		Cost:           ProcessingCost(finished),
 		Fairness:       JainFairness(finished, vms),

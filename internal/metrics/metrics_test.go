@@ -196,9 +196,10 @@ func TestProcessingCostDelegates(t *testing.T) {
 	}
 }
 
-// TestMinMaxSumEdges pins the Eq. 12/13 fold on its edges: min and max are
-// seeded from the first element, so a leading NaN poisons both while a later
-// one never wins a comparison, and the sum accumulates in slice order.
+// TestMinMaxSumEdges pins the Eq. 12/13 fold (CollectRunStats) on its
+// edges: min and max are seeded from the first cloudlet, so a leading NaN
+// poisons both while a later one never wins a comparison, and the sum
+// accumulates in slice order.
 func TestMinMaxSumEdges(t *testing.T) {
 	nan := math.NaN()
 	for _, tc := range []struct {
@@ -214,7 +215,12 @@ func TestMinMaxSumEdges(t *testing.T) {
 		{"nan-first", []float64{nan, 1, 2}, nan, nan, nan},
 		{"nan-later", []float64{2, nan, 1}, 1, 2, nan},
 	} {
-		min, max, sum := minMaxSum(tc.xs)
+		cls := make([]*cloud.Cloudlet, len(tc.xs))
+		for i, x := range tc.xs {
+			cls[i] = done(i, 100, 0, x, nil) // exec time x − 0 = x exactly
+		}
+		s := CollectRunStats(cls)
+		min, max, sum := s.MinExec, s.MaxExec, s.SumExec
 		for _, f := range []struct {
 			field     string
 			got, want float64

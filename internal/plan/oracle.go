@@ -9,10 +9,10 @@ import (
 // OracleCase is one qmodel-differential configuration: a homogeneous
 // fleet exposed to Poisson arrivals at offered load Rho per server, whose
 // simulated mean wait must agree with the analytic M/M/1 (Servers == 1) or
-// M/M/c oracle within Tol relative error. internal/check's qmodel-oracle
-// invariant and `cloudsched plan oracle` both run exactly this, so a
-// failing invariant prints a replay line that reproduces the differential
-// outside the test harness.
+// M/M/c oracle within Tol relative error. The package's differential
+// tests and `cloudsched plan oracle` both run exactly this, so a failing
+// case prints a replay line that reproduces the differential outside the
+// test harness.
 type OracleCase struct {
 	Rho     float64 // offered load λ/(c·μ), in (0, 1)
 	Servers int     // total service channels c (PEs across the fleet)
@@ -88,8 +88,8 @@ func (r *OracleResult) Pass(c OracleCase) bool {
 	return r.RelErr <= c.Tol && r.Count == uint64(c.N-c.Warmup)
 }
 
-// RunOracle executes the differential. opts carries the check harness's
-// plant seams; pass nil for the real engine.
+// RunOracle executes the differential. opts carries the plant tests'
+// broken process or recorder; pass nil for the real engine.
 func (c OracleCase) RunOracle(opts *RunOptions) (*OracleResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err

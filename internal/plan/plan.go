@@ -232,8 +232,8 @@ func ReplayCommand(specPath string, seed uint64, fleet int) string {
 }
 
 // OracleReplayCommand formats the one-liner that reproduces one
-// qmodel-oracle differential case outside the test harness; internal/check
-// prints it in qmodel-oracle violations.
+// qmodel differential case outside the test harness; the package's
+// differential tests print it with every failure.
 func OracleReplayCommand(rho float64, servers, vms, n, warmup int, mu float64, seed uint64, tol float64) string {
 	return fmt.Sprintf("cloudsched plan oracle -rho %g -servers %d -vms %d -n %d -warmup %d -mu %g -seed %d -tol %g",
 		rho, servers, vms, n, warmup, mu, seed, tol)

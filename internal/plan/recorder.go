@@ -7,8 +7,8 @@ import (
 // Recorder collects per-cloudlet wait (arrival → execution start) and
 // latency (arrival → completion) samples during a run. The engine feeds it
 // every post-warmup completion; the verdict reads quantiles back out. It is
-// an interface so internal/check can plant a broken recorder (dropping
-// samples) and prove the qmodel-oracle invariant catches it.
+// an interface so the package's tests can plant a broken recorder
+// (dropping samples) and prove the qmodel differential catches it.
 type Recorder interface {
 	// Observe records one completed cloudlet.
 	Observe(wait, latency float64)

@@ -12,8 +12,8 @@ import (
 	"bioschedsim/internal/xrand"
 )
 
-// RunOptions are injection points for the check harness; zero values mean
-// "use the spec".
+// RunOptions are injection points for the qmodel differential's plant
+// tests; zero values mean "use the spec".
 type RunOptions struct {
 	// Process overrides the spec's arrival process (the biased-generator
 	// plant swaps one in here).

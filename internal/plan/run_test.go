@@ -1,8 +1,12 @@
 package plan
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+
+	"bioschedsim/internal/xrand"
 )
 
 // oracleSweep is the documented qmodel-differential table: the simulated
@@ -27,24 +31,150 @@ var oracleSweep = []OracleCase{
 	{Rho: 0.9, Servers: 4, VMs: 1, N: 60000, Warmup: 10000, Mu: 1, Seed: 1, Tol: 0.15},
 }
 
+// judgeOracle runs one differential case and returns "" when the simulated
+// mean wait lands inside the case's band with every post-warmup completion
+// recorded, else the failure text ending in a runnable `cloudsched plan
+// oracle` replay line. opts plants a broken process or recorder; nil runs
+// the real engine. The green sweep and both plant tests judge through it.
+func judgeOracle(c OracleCase, opts *RunOptions) string {
+	res, err := c.RunOracle(opts)
+	var why string
+	switch {
+	case err != nil:
+		why = err.Error()
+	case res.Count != uint64(c.N-c.Warmup):
+		why = fmt.Sprintf("sample loss: recorded %d of %d post-warmup completions", res.Count, c.N-c.Warmup)
+	case res.RelErr > c.Tol:
+		why = fmt.Sprintf("sim %.4f vs theory %.4f — rel err %.4f exceeds band %.2f", res.SimMeanWait, res.TheoryWait, res.RelErr, c.Tol)
+	case !res.Pass(c):
+		why = fmt.Sprintf("Pass() inconsistent with its parts: %+v", res)
+	default:
+		return ""
+	}
+	return fmt.Sprintf("rho=%v c=%d vms=%d: %s\nreplay: %s", c.Rho, c.Servers, c.VMs, why, c.ReplayCommand())
+}
+
 // TestQModelDifferential is the headline differential: simulated mean wait
 // vs the analytic oracle across the ρ-sweep, plus full sample accounting.
 func TestQModelDifferential(t *testing.T) {
 	for _, c := range oracleSweep {
-		res, err := c.RunOracle(nil)
-		if err != nil {
-			t.Fatalf("%+v: %v", c, err)
+		if msg := judgeOracle(c, nil); msg != "" {
+			t.Error(msg)
 		}
-		if res.Count != uint64(c.N-c.Warmup) {
-			t.Errorf("rho=%v c=%d vms=%d: recorded %d samples, want %d", c.Rho, c.Servers, c.VMs, res.Count, c.N-c.Warmup)
+	}
+}
+
+// TestOracleCasesMatchDocumentedBands pins the sweep table itself: every
+// case is valid, every ρ ∈ {0.3, 0.6, 0.9} appears against both an M/M/1
+// and an M/M/c fleet, and the bands match the documented 10%/15% policy.
+func TestOracleCasesMatchDocumentedBands(t *testing.T) {
+	seen := map[[2]any]bool{}
+	for _, c := range oracleSweep {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("sweep case invalid: %v", err)
 		}
-		if res.RelErr > c.Tol {
-			t.Errorf("rho=%v c=%d vms=%d: sim %.4f vs theory %.4f — rel err %.4f exceeds band %.2f\nreplay: %s",
-				c.Rho, c.Servers, c.VMs, res.SimMeanWait, res.TheoryWait, res.RelErr, c.Tol, c.ReplayCommand())
+		seen[[2]any{c.Rho, c.Servers}] = true
+		want := 0.10
+		if c.Rho == 0.9 {
+			want = 0.15
 		}
-		if !res.Pass(c) && res.RelErr <= c.Tol && res.Count == uint64(c.N-c.Warmup) {
-			t.Errorf("Pass() inconsistent with its parts: %+v", res)
+		if c.Tol != want {
+			t.Errorf("rho=%v c=%d: band %v, documented policy %v", c.Rho, c.Servers, c.Tol, want)
 		}
+	}
+	for _, rho := range []float64{0.3, 0.6, 0.9} {
+		for _, servers := range []int{1, 4} {
+			if !seen[[2]any{rho, servers}] {
+				t.Errorf("sweep missing rho=%v servers=%d", rho, servers)
+			}
+		}
+	}
+}
+
+// firstOracleFailure judges the sweep case by case with a fresh plant from
+// opts and returns the first failure text, "" when every case passes.
+func firstOracleFailure(opts func(OracleCase) *RunOptions) string {
+	for _, c := range oracleSweep {
+		if msg := judgeOracle(c, opts(c)); msg != "" {
+			return msg
+		}
+	}
+	return ""
+}
+
+// biasedPoisson is the seeded broken-arrival plant: it draws exponential
+// interarrivals like the real Poisson process but scales every interarrival
+// by 0.75, the classic "forgot the rate divisor vs scale" generator bug.
+// The effective rate is λ/0.75, so at the sweep's ρ=0.3 case the queue
+// actually runs at ρ=0.4 and the mean wait lands ~55% off theory — far
+// outside every band.
+type biasedPoisson struct{ rate float64 }
+
+func (b biasedPoisson) Name() string    { return "biased-poisson" }
+func (b biasedPoisson) Rate() float64   { return b.rate }
+func (b biasedPoisson) Validate() error { return nil }
+
+func (b biasedPoisson) Offsets(n int, seed uint64) ([]float64, error) {
+	r := xrand.New(seed, 5)
+	out := make([]float64, n)
+	t := 0.0
+	for i := range out {
+		t += 0.75 * r.ExpFloat64() / b.rate
+		out[i] = t
+	}
+	return out, nil
+}
+
+// TestQModelDifferentialCatchesBiasedArrivals plants the biased generator
+// through RunOptions: the differential's judgment must fail with a
+// runnable replay line.
+func TestQModelDifferentialCatchesBiasedArrivals(t *testing.T) {
+	msg := firstOracleFailure(func(c OracleCase) *RunOptions {
+		return &RunOptions{Process: biasedPoisson{rate: c.Lambda()}}
+	})
+	if msg == "" {
+		t.Fatal("biased interarrival generator passed the qmodel differential")
+	}
+	if !strings.Contains(msg, "cloudsched plan oracle -rho ") {
+		t.Fatalf("failure lacks a replay line: %s", msg)
+	}
+}
+
+// droppingRecorder is the seeded broken-measurement plant: it silently
+// discards every 10th observation — the "metrics pipeline sampled away the
+// tail" failure that makes SLO verdicts optimistic.
+type droppingRecorder struct {
+	inner *LatencyStats
+	seen  int
+}
+
+func (d *droppingRecorder) Observe(wait, latency float64) {
+	d.seen++
+	if d.seen%10 == 0 {
+		return
+	}
+	d.inner.Observe(wait, latency)
+}
+
+func (d *droppingRecorder) Count() uint64              { return d.inner.Count() }
+func (d *droppingRecorder) MeanWait() float64          { return d.inner.MeanWait() }
+func (d *droppingRecorder) Quantile(q float64) float64 { return d.inner.Quantile(q) }
+
+// TestQModelDifferentialCatchesDroppedSamples plants the dropping recorder
+// through RunOptions: count conservation (N − Warmup recorded
+// observations) must flag it as sample loss, again with a replay line.
+func TestQModelDifferentialCatchesDroppedSamples(t *testing.T) {
+	msg := firstOracleFailure(func(OracleCase) *RunOptions {
+		return &RunOptions{Recorder: &droppingRecorder{inner: NewLatencyStats()}}
+	})
+	if msg == "" {
+		t.Fatal("sample-dropping recorder passed the qmodel differential")
+	}
+	if !strings.Contains(msg, "sample loss") {
+		t.Fatalf("failure not attributed to sample loss: %s", msg)
+	}
+	if !strings.Contains(msg, "cloudsched plan oracle -rho ") {
+		t.Fatalf("failure lacks a replay line: %s", msg)
 	}
 }
 

@@ -10,8 +10,8 @@
 // replayable: the same spec and seed reproduce the same verdict bit for
 // bit.
 //
-// The engine's credibility rests on internal/check's qmodel-oracle
-// invariant: with queue dispatch the fleet is an exact M/M/c system whose
+// The engine's credibility rests on the package's qmodel differential
+// (TestQModelDifferential): with queue dispatch the fleet is an exact M/M/c system whose
 // mean wait is validated against internal/qmodel analytic oracles at
 // ρ ∈ {0.3, 0.6, 0.9}. The recursion is in turn held bit for bit to the
 // DES central queue, which the package's tests keep as its oracle.

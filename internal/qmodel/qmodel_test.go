@@ -127,7 +127,7 @@ func TestRelativeError(t *testing.T) {
 	}
 }
 
-// TestRelativeErrorEdges pins the corner cases the plan/check qmodel-oracle
+// TestRelativeErrorEdges pins the corner cases plan's qmodel-differential
 // band checks depend on: a zero expected value falls back to absolute
 // error (sign-insensitively), and NaN on either side must propagate — a
 // NaN comparison silently passing a `rel ≤ tol` band would make a broken

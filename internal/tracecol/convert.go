@@ -26,7 +26,7 @@ func ConvertTextToColumnar(r io.Reader, w io.Writer, opts WriteOptions) (int, er
 // ConvertColumnarToText decodes a columnar trace and writes the canonical
 // CSV form (always including the deadline column, like
 // workload.WriteTrace), returning the row count.
-func ConvertColumnarToText(p BlockProvider, w io.Writer, opts ReadOptions) (int, error) {
+func ConvertColumnarToText(p *Provider, w io.Writer, opts ReadOptions) (int, error) {
 	entries, err := ReadAll(p, opts)
 	if err != nil {
 		return 0, err

@@ -30,7 +30,7 @@
 // The same validation the text parser applies at the row level is applied
 // here at the block level: non-finite floats, non-positive length/pes, and
 // negative arrival/deadline are rejected with positioned errors, so a file
-// that decodes is safe to replay. Reading goes through a BlockProvider so
+// that decodes is safe to replay. Reading goes through a Provider so
 // K decode workers can pull disjoint blocks in parallel; results are
 // bit-identical at every reader count (see reader.go).
 package tracecol

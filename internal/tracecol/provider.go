@@ -8,28 +8,23 @@ import (
 	"os"
 )
 
-// BlockProvider hands decode workers the stored bytes of individual
-// blocks. Implementations must be safe for concurrent Block calls — that
-// is the whole point: K workers fetch disjoint blocks in parallel and the
+// Provider hands decode workers the stored bytes of individual blocks
+// from an io.ReaderAt: a file (OpenFile) or a byte slice (OpenBytes).
+// Block is safe for concurrent calls — each one is an independent
+// positional read — so K workers fetch disjoint blocks in parallel and the
 // reassembly stage (reader.go) puts the rows back in file order.
-type BlockProvider interface {
-	// Index returns the parsed, validated footer index.
-	Index() *Index
-	// Block returns the stored (possibly compressed) bytes of block b.
-	// The returned slice is owned by the caller.
-	Block(b int) ([]byte, error)
-}
-
-// readerAtProvider serves blocks from any io.ReaderAt — the common core of
-// the file-backed and in-memory providers.
-type readerAtProvider struct {
+type Provider struct {
 	r  io.ReaderAt
 	ix *Index
+	f  *os.File // the file OpenFile opened, for Close; nil otherwise
 }
 
-func (p *readerAtProvider) Index() *Index { return p.ix }
+// Index returns the parsed, validated footer index.
+func (p *Provider) Index() *Index { return p.ix }
 
-func (p *readerAtProvider) Block(b int) ([]byte, error) {
+// Block returns the stored (possibly compressed) bytes of block b. The
+// returned slice is owned by the caller.
+func (p *Provider) Block(b int) ([]byte, error) {
 	if b < 0 || b >= len(p.ix.Blocks) {
 		return nil, fmt.Errorf("tracecol: block %d out of range [0, %d)", b, len(p.ix.Blocks))
 	}
@@ -41,8 +36,16 @@ func (p *readerAtProvider) Block(b int) ([]byte, error) {
 	return buf, nil
 }
 
+// Close closes the file OpenFile opened; it is a no-op for OpenBytes.
+func (p *Provider) Close() error {
+	if p.f == nil {
+		return nil
+	}
+	return p.f.Close()
+}
+
 // openReaderAt validates the header/trailer geometry and parses the footer.
-func openReaderAt(r io.ReaderAt, size int64) (*readerAtProvider, error) {
+func openReaderAt(r io.ReaderAt, size int64) (*Provider, error) {
 	if size < int64(len(Magic))+trailerLen {
 		return nil, fmt.Errorf("tracecol: file too short (%d bytes) to be a columnar trace", size)
 	}
@@ -77,18 +80,11 @@ func openReaderAt(r io.ReaderAt, size int64) (*readerAtProvider, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &readerAtProvider{r: r, ix: ix}, nil
-}
-
-// FileProvider is the file-backed BlockProvider. Concurrent Block calls
-// issue independent preads on the shared descriptor.
-type FileProvider struct {
-	readerAtProvider
-	f *os.File
+	return &Provider{r: r, ix: ix}, nil
 }
 
 // OpenFile opens path and parses its index. Close releases the descriptor.
-func OpenFile(path string) (*FileProvider, error) {
+func OpenFile(path string) (*Provider, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -103,23 +99,12 @@ func OpenFile(path string) (*FileProvider, error) {
 		f.Close()
 		return nil, err
 	}
-	return &FileProvider{readerAtProvider: *p, f: f}, nil
+	p.f = f
+	return p, nil
 }
 
-// Close closes the underlying file.
-func (p *FileProvider) Close() error { return p.f.Close() }
-
-// MemProvider is the in-memory BlockProvider, for tests, fuzzing, and
-// traces already loaded (or received over the network) as one byte slice.
-type MemProvider struct {
-	readerAtProvider
-}
-
-// OpenBytes parses data as a columnar trace without copying it.
-func OpenBytes(data []byte) (*MemProvider, error) {
-	p, err := openReaderAt(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	return &MemProvider{readerAtProvider: *p}, nil
+// OpenBytes parses data as a columnar trace without copying it, for tests,
+// fuzzing, and traces already loaded as one byte slice.
+func OpenBytes(data []byte) (*Provider, error) {
+	return openReaderAt(bytes.NewReader(data), int64(len(data)))
 }

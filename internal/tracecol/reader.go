@@ -40,7 +40,7 @@ func (o ReadOptions) workers(rows int) int {
 // blocks; reassembly is positional (block b writes the rows after those of
 // blocks 0..b-1), so the result is deterministic and identical to a serial
 // read.
-func ReadAll(p BlockProvider, opts ReadOptions) ([]workload.TraceEntry, error) {
+func ReadAll(p *Provider, opts ReadOptions) ([]workload.TraceEntry, error) {
 	ix := p.Index()
 	if ix.TotalRows == 0 {
 		return nil, fmt.Errorf("tracecol: empty trace")
@@ -67,15 +67,12 @@ func ReadAll(p BlockProvider, opts ReadOptions) ([]workload.TraceEntry, error) {
 
 // decodeBlockInto fetches, checks, decompresses, parses, and validates one
 // block into dst (len(dst) == the index's row count for the block).
-func decodeBlockInto(p BlockProvider, b int, dst []workload.TraceEntry) error {
+func decodeBlockInto(p *Provider, b int, dst []workload.TraceEntry) error {
 	ix := p.Index()
 	info := ix.Blocks[b]
 	stored, err := p.Block(b)
 	if err != nil {
 		return err
-	}
-	if int64(len(stored)) != info.StoredLen {
-		return fmt.Errorf("provider returned %d bytes, index says %d", len(stored), info.StoredLen)
 	}
 	if got := crcOf(stored); got != info.CRC {
 		return fmt.Errorf("checksum mismatch (got %08x, want %08x)", got, info.CRC)
@@ -162,8 +159,8 @@ func decodeBlockInto(p BlockProvider, b int, dst []workload.TraceEntry) error {
 		if int64(id) != prevID {
 			return fmt.Errorf("row %d: id %d overflows int", i, prevID)
 		}
-		if pv > math.MaxInt32 {
-			return fmt.Errorf("row %d: pes %d out of range", i, pv)
+		if pv > math.MaxInt {
+			return fmt.Errorf("row %d: pes %d overflows int", i, pv)
 		}
 		if err := validateRow(i, id, length, int(pv), fileSize, outputSize, arrival, deadline); err != nil {
 			return err
