@@ -20,25 +20,28 @@
 // bonus on the iteration-best tour (Eq. 11). The best tour over all
 // iterations is returned.
 //
-// All Eq. 6/8 arithmetic comes from the shared internal/objective layer: a
-// compressed execution matrix caches d_ij per (cloudlet, VM-class), η^β is
-// precomputed per class alongside it, and tours are scored by an
-// incremental Evaluator. The pheromone itself is stored factored as
-// τ_ij = g·b_ij with a global decay scalar g, which makes Eq. 9's
-// evaporation O(1) instead of O(n·m) and lets Eq. 5's sampling skip the
+// All Eq. 6/8 arithmetic comes from the shared internal/objective layer, and
+// tours are scored by its incremental Evaluator. The pheromone is stored
+// factored as τ_ij = g·b_ij with a global decay scalar g, which makes Eq.
+// 9's evaporation O(1) instead of O(n·m) and lets Eq. 5's sampling skip the
 // per-cell τ^α power entirely: g^α is a common factor of every candidate
 // weight, so it cancels in the roulette normalization and only b^α·η^β is
-// needed. The dense layout caches that product per cell and refreshes it on
-// deposit, so a pick masks and prefix-sums one row. The sampled
-// distribution is mathematically identical to the direct form (individual
-// draws may differ in the last float ulp). Every power goes through
-// objective.Pow, which is math.Pow bit for bit at about half the cost.
+// needed. The dense layout's one n×m table is that weight per cell, so a
+// pick masks and prefix-sums one row. It is filled from K η^β powers per
+// cloudlet (one per VM class) and refreshed on each deposited cell; the
+// base pheromone b is kept only for the cells deposits touched, since
+// every other cell still holds one shared value. The sampled distribution
+// is mathematically identical to the direct form (individual draws may
+// differ in the last float ulp). Every power goes through objective.Pow,
+// which is math.Pow bit for bit at about half the cost.
 //
 // Tour construction is the hot path and fans out over GOMAXPROCS workers:
 // each ant owns the xrand child stream indexed by (iteration, ant) and
 // writes only its own chunk of the combined tour, so assignments are
-// bit-identical for every pool width at a fixed seed. The pheromone update — which
-// couples ants — stays serial in ant order after the join.
+// bit-identical for every pool width at a fixed seed. The dense layout's
+// deposits, the elitist bonus included, fan out the same way, each ant's
+// chunk owning its rows; the vector layout's deposits on one pheromone per
+// VM stay serial after the join.
 //
 // With Table II's α=0.01, β=0.99 the search is heavily heuristic-driven:
 // ACO chases computation speed, which is exactly the behaviour the paper
@@ -69,12 +72,13 @@ type Config struct {
 	Q          float64 // pheromone deposit constant (Table II: 100)
 	Iterations int     // tour-construction rounds (paper: "maxIterations")
 	InitialTau float64 // τ(0), the uniform initial pheromone (Alg. 2's C)
-	// MaxMatrixCells bounds the dense per-(cloudlet, VM) pheromone matrix of
-	// Eq. 5 and the shared execution-estimate cache. Batches with n·m beyond
-	// the bound fall back to a per-VM pheromone vector — exact for the
-	// paper's homogeneous scenario (where d_ij is constant per VM) and the
-	// only way to run its extreme sizes (1 000 000 cloudlets × 100 000 VMs
-	// would need a 10¹¹-cell matrix).
+	// MaxMatrixCells bounds the dense per-(cloudlet, VM) weight table of
+	// Eq. 5, one float64 per cell. Batches with n·m beyond the bound fall
+	// back to a per-VM pheromone vector, whose η^β and execution-estimate
+	// caches have n·K cells under the same bound — exact for the paper's
+	// homogeneous scenario (where d_ij is constant per VM) and the only way
+	// to run its extreme sizes (1 000 000 cloudlets × 100 000 VMs would need
+	// a 10¹¹-cell table).
 	MaxMatrixCells int64
 }
 
@@ -115,7 +119,7 @@ type Scheduler struct {
 	cfg Config
 
 	// runs pools *run values, so a stream of small batches reuses the
-	// pheromone, η^β, tour and ant buffers instead of allocating them per
+	// weight, pheromone, tour and ant buffers instead of allocating them per
 	// call.
 	runs sync.Pool
 	// fleet is the VM class partition of the last fleet scheduled onto.
@@ -228,14 +232,14 @@ func (s *Scheduler) Schedule(ctx *sched.Context) ([]sched.Assignment, error) {
 	for i, v := range best {
 		out[i] = sched.Assignment{Cloudlet: ctx.Cloudlets[i], VM: ctx.VMs[v]}
 	}
-	r.ctx, r.mx = nil, nil
+	r.ctx, r.mx, r.classes = nil, nil, nil
 	s.runs.Put(r)
 	return out, nil
 }
 
 // renormThreshold triggers folding the global decay scalar g back into the
-// per-cell base pheromone before g underflows. With ρ=0.4, g reaches it
-// after ~650 iterations, so renormalization is essentially free.
+// stored base pheromone before g underflows. With ρ=0.4, g reaches it after
+// ~541 iterations, so renormalization is essentially free.
 const renormThreshold = 1e-120
 
 // minParallelCells is the n·m size below which the ant-construction pool
@@ -245,43 +249,59 @@ const minParallelCells = 1 << 12
 
 // run carries one call's search state in buffers that outlive the call:
 // Schedule pools runs, and reset resizes every buffer to the next problem,
-// reallocating only when it has grown. Execution estimates live in a
-// shared objective.Matrix (compressed per VM class); pheromone has two
-// layouts:
+// reallocating only when it has grown. Pheromone has two layouts:
 //
-//   - dense: the faithful per-(cloudlet, VM) matrix of Eq. 5, used whenever
-//     n·m fits within Config.MaxMatrixCells;
+//   - dense: the faithful per-(cloudlet, VM) pheromone of Eq. 5, used
+//     whenever n·m fits within Config.MaxMatrixCells. Its one n×m table is
+//     the roulette weight w = b^α·η^β. The base pheromone b is sparse: every
+//     cell no deposit has touched holds the same b0, and each row lists its
+//     touched cells with their b and η^β. A row gains at most one cell per
+//     iteration (its ant deposits on one cell, and the elitist deposit on
+//     that same cell again), so a row has min(Iterations, m) slots and a
+//     linear scan finds a cell. Eq. 6 estimates are computed on demand.
 //   - vector: one pheromone value per VM, used for the paper's extreme
-//     homogeneous sizes (up to 10¹¹ pairs) where a dense matrix is
+//     homogeneous sizes (up to 10¹¹ pairs) where a dense table is
 //     physically impossible. In the homogeneous scenario every cloudlet has
 //     identical d_ij per VM, so collapsing the cloudlet dimension is exact;
 //     for heterogeneous batches it is an approximation, which is why the
-//     threshold is generous and configurable.
+//     threshold is generous and configurable. Eq. 6 estimates and η^β are
+//     cached per (cloudlet, VM class) when the n×K table fits the bound.
 //
 // Both layouts store τ factored as g·b (see the package comment): evaporate
 // touches only g, deposits touch only the cells of the deposited tours, and
-// dense picks read the cached weight row b^α·η^β without any power.
+// dense picks read the weight row without any power.
 type run struct {
 	cfg     Config
 	ctx     *sched.Context
 	n       int // cloudlets
 	m       int // VMs
-	workers int // effective construction pool size (≥ 1)
+	workers int // effective pool size (≥ 1)
 	dense   bool
 
-	mx  *objective.Matrix // shared Eq. 6 cache
-	k   int               // VM class count
-	cls []int32           // VM → class index (the fleet partition's, shared)
+	mx      *objective.Matrix  // Eq. 6 estimates
+	classes *objective.Classes // the fleet's VM partition (shared)
+	k       int                // VM class count
+	cls     []int32            // VM → class index (the fleet partition's, shared)
 
-	// etaCls caches η_ij^β per (cloudlet, class) when the execution matrix is
-	// materialized; nil means compute on demand (memory-bounded fallback).
+	// etaCls caches η_ij^β per (cloudlet, class) in the vector layout when
+	// the execution matrix is materialized; nil means compute on demand.
 	// etaBuf is its backing store across calls.
 	etaCls, etaBuf []float64
 
-	g        float64   // global pheromone decay scalar
-	ba0      float64   // τ(0)^α, every cell's initial b^α
-	b        []float64 // dense: base pheromone per (cloudlet, VM), row-major
-	w        []float64 // dense: cached Eq. 5 weight b^α·η^β, refreshed on deposit
+	g   float64   // global pheromone decay scalar
+	b0  float64   // dense: base pheromone of every untouched cell
+	ba0 float64   // b0^α, every untouched cell's b^α
+	w   []float64 // dense: Eq. 5 weight b^α·η^β per (cloudlet, VM), row-major
+
+	// Dense touched cells: row i's live entries are the first used[i] of
+	// its slots [i·slots, (i+1)·slots), each a VM with its base pheromone
+	// and its η^β.
+	slots   int
+	used    []int32
+	cellVM  []int32
+	cellB   []float64
+	cellEta []float64
+
 	bVM      []float64 // vector: base pheromone per VM
 	bVMAlpha []float64 // vector: cached b^α, refreshed once per iteration
 
@@ -294,15 +314,17 @@ type run struct {
 	// across goroutines.
 	scratch sync.Pool
 
+	ants     int       // colony size for this batch: min(Ants, n)
 	chunks   [][2]int  // ant k's cloudlet range [lo, hi)
 	tourLens []float64 // ant k's Eq. 8 tour quality this iteration
 	busy     []float64 // MakespanOf scratch
+	iterBest int       // the ant with the iteration's shortest tour
 	seed     uint64    // the search's draw off ctx.Rand
 	iterBase uint64    // child-stream index of the iteration's ant 0
 
 	// The fan-out bodies, bound to this run once so that handing them to
 	// objective.ParallelFor allocates nothing per call.
-	antFn, etaRowFn, tauRowFn func(int)
+	antFn, etaRowFn, weightFn, depositFn func(int)
 
 	bestTour []int
 	bestLen  float64
@@ -312,6 +334,7 @@ type run struct {
 type antScratch struct {
 	tabu []bool
 	cum  []float64            // roulette cumulative-weight buffer
+	eta  []float64            // one row's η^β per VM class
 	eval *objective.Evaluator // incremental Eq. 8 scorer for ant tours
 	src  *xrand.Source        // repositioned on each ant's child stream
 	rnd  *rand.Rand           // draws from src
@@ -326,6 +349,7 @@ func (r *run) getScratch() *antScratch {
 		return &antScratch{
 			tabu: make([]bool, r.m),
 			cum:  make([]float64, r.m),
+			eta:  make([]float64, r.k),
 			eval: objective.NewEvaluator(r.mx, false),
 			src:  src,
 			rnd:  rand.New(src),
@@ -334,6 +358,7 @@ func (r *run) getScratch() *antScratch {
 	if sc.eval.Matrix() != r.mx {
 		sc.tabu = grow(sc.tabu, r.m)
 		sc.cum = grow(sc.cum, r.m)
+		sc.eta = grow(sc.eta, r.k)
 		sc.eval.Rebind(r.mx)
 	}
 	return sc
@@ -347,27 +372,52 @@ func newRun() *run {
 	r := &run{}
 	r.antFn = r.buildAnt
 	r.etaRowFn = r.fillEtaRow
-	r.tauRowFn = r.fillTauRow
+	r.weightFn = r.fillWeights
+	r.depositFn = r.depositAnt
 	return r
 }
 
 // reset prepares r for one search of ctx under cfg, with classes the VM
-// partition of ctx.VMs. A dense run always has the η^β cache: dense means
-// n·m ≤ MaxMatrixCells, and the class count K ≤ m, so the n·K execution
-// matrix fits the same bound and is materialized. Only the vector layout
-// may compute η^β on demand.
+// partition of ctx.VMs.
 func (r *run) reset(cfg Config, ctx *sched.Context, classes *objective.Classes) {
 	r.cfg, r.ctx = cfg, ctx
 	r.n, r.m = len(ctx.Cloudlets), len(ctx.VMs)
 	r.bestLen, r.g = math.Inf(1), 1
 	r.bestTour = r.bestTour[:0]
-	// The construction pool: one worker below the dispatch break-even point,
-	// otherwise GOMAXPROCS. Results never depend on the choice.
+	// The pool: one worker below the dispatch break-even point, otherwise
+	// GOMAXPROCS. Results never depend on the choice.
 	r.workers = objective.EffectiveWorkers(int64(r.n)*int64(r.m), minParallelCells)
-	r.mx = objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{MaxCells: cfg.MaxMatrixCells, Classes: classes})
-	r.k = r.mx.K()
-	r.cls = classes.Index
+	r.classes, r.cls, r.k = classes, classes.Index, classes.K
+	r.tour = grow(r.tour, r.n)
+	// Following Algorithm 2 and Figure 2, the scheduler "distributes the
+	// Cloudlets to each ant": one contiguous chunk per ant, never more ants
+	// than cloudlets (the rest would idle).
+	r.ants = min(cfg.Ants, r.n)
+	r.chunks = grow(r.chunks, r.ants)
+	for k := range r.chunks {
+		r.chunks[k] = [2]int{k * r.n / r.ants, (k + 1) * r.n / r.ants}
+	}
+
+	r.dense = int64(r.n)*int64(r.m) <= cfg.MaxMatrixCells
+	r.b0 = cfg.InitialTau
+	r.ba0 = objective.Pow(r.b0, cfg.Alpha)
 	r.etaCls = nil
+	if r.dense {
+		// The roulette reads only w, which reset fills row by row from K
+		// powers; the Evaluator and MakespanOf compute each Eq. 6 estimate
+		// when they need it, bit-identical to a cached one.
+		r.mx = objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{Mode: objective.OnDemand, Classes: classes})
+		r.w = grow(r.w, r.n*r.m)
+		r.slots = min(cfg.Iterations, r.m)
+		r.used = grow(r.used, r.n)
+		clear(r.used)
+		r.cellVM = grow(r.cellVM, r.n*r.slots)
+		r.cellB = grow(r.cellB, r.n*r.slots)
+		r.cellEta = grow(r.cellEta, r.n*r.slots)
+		objective.ParallelFor(r.workers, r.ants, r.weightFn)
+		return
+	}
+	r.mx = objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{MaxCells: cfg.MaxMatrixCells, Classes: classes})
 	if r.mx.Cached() {
 		// η^β rows are independent; a power per cell is exactly the kind of
 		// work that fans out cleanly.
@@ -375,25 +425,15 @@ func (r *run) reset(cfg Config, ctx *sched.Context, classes *objective.Classes) 
 		r.etaCls = r.etaBuf
 		objective.ParallelFor(r.workers, r.n, r.etaRowFn)
 	}
-	r.tour = grow(r.tour, r.n)
-
-	r.dense = int64(r.n)*int64(r.m) <= cfg.MaxMatrixCells
-	r.ba0 = objective.Pow(cfg.InitialTau, cfg.Alpha)
-	if r.dense {
-		r.b = grow(r.b, r.n*r.m)
-		r.w = grow(r.w, r.n*r.m)
-		objective.ParallelFor(r.workers, r.n, r.tauRowFn)
-	} else {
-		r.bVM = grow(r.bVM, r.m)
-		r.bVMAlpha = grow(r.bVMAlpha, r.m)
-		for j := range r.bVM {
-			r.bVM[j] = cfg.InitialTau
-			r.bVMAlpha[j] = r.ba0
-		}
+	r.bVM = grow(r.bVM, r.m)
+	r.bVMAlpha = grow(r.bVMAlpha, r.m)
+	for j := range r.bVM {
+		r.bVM[j] = r.b0
+		r.bVMAlpha[j] = r.ba0
 	}
 }
 
-// fillEtaRow fills cloudlet i's row of the η^β cache.
+// fillEtaRow fills cloudlet i's row of the vector layout's η^β cache.
 func (r *run) fillEtaRow(i int) {
 	row := r.etaCls[i*r.k : (i+1)*r.k]
 	for cl := range row {
@@ -401,24 +441,53 @@ func (r *run) fillEtaRow(i int) {
 	}
 }
 
-// fillTauRow sets cloudlet i's dense pheromone row to τ(0) and its cached
-// weights to τ(0)^α·η^β.
-func (r *run) fillTauRow(i int) {
-	row := r.b[i*r.m : (i+1)*r.m]
-	w := r.w[i*r.m : (i+1)*r.m]
-	eta := r.etaCls[i*r.k : (i+1)*r.k]
-	for j := range row {
-		row[j] = r.cfg.InitialTau
-		w[j] = r.ba0 * eta[r.cls[j]]
+// fillWeights recomputes the dense weight rows of ant k's chunk from the
+// stored pheromone: b0^α·η^β on untouched cells, b^α·η^β on touched ones.
+// Each row costs K powers for η^β plus one per touched cell, and each
+// product has the operands a per-cell store of b and η^β would multiply.
+func (r *run) fillWeights(k int) {
+	sc := r.getScratch()
+	for i := r.chunks[k][0]; i < r.chunks[k][1]; i++ {
+		eta := r.classes.ExecTimes(r.ctx.Cloudlets[i], sc.eta)
+		for cl, d := range eta {
+			eta[cl] = etaPow(d, r.cfg.Beta)
+		}
+		w := r.w[i*r.m : (i+1)*r.m]
+		for j, cl := range r.cls {
+			w[j] = r.ba0 * eta[cl]
+		}
+		lo := i * r.slots
+		for e := lo; e < lo+int(r.used[i]); e++ {
+			w[r.cellVM[e]] = objective.Pow(r.cellB[e], r.cfg.Alpha) * r.cellEta[e]
+		}
 	}
+	r.scratch.Put(sc)
 }
 
-// setWeight refreshes dense cell (i, j)'s cached weight from its base
-// pheromone: the same b^α·η^β operands a pick would multiply, so caching
-// the product moves no bit.
-func (r *run) setWeight(i, j int) {
-	idx := i*r.m + j
-	r.w[idx] = objective.Pow(r.b[idx], r.cfg.Alpha) * r.etaCls[i*r.k+int(r.cls[j])]
+// cell returns the slot of dense cell (i, j), taking the row's next free
+// slot on first touch. A new cell starts at b0 with its η^β stored, so each
+// deposit on it costs one power. An untouched cell's weight is b0^α·η^β,
+// which is η^β itself, bit for bit, while b0^α is exactly 1 (τ(0) = 1, the
+// default, before any renormalisation); only otherwise does a first touch
+// pay a second power for η^β.
+func (r *run) cell(i, j int) int {
+	lo := i * r.slots
+	hi := lo + int(r.used[i])
+	for e := lo; e < hi; e++ {
+		if int(r.cellVM[e]) == j {
+			return e
+		}
+	}
+	r.cellVM[hi] = int32(j)
+	r.cellB[hi] = r.b0
+	//schedlint:ignore floateq 1·x is x exactly, so the weight is η^β only when the factor is exactly 1
+	if r.ba0 == 1 {
+		r.cellEta[hi] = r.w[i*r.m+j]
+	} else {
+		r.cellEta[hi] = etaPow(r.mx.Exec(i, j), r.cfg.Beta)
+	}
+	r.used[i]++
+	return hi
 }
 
 // etaPow returns η^β = (1/d)^β with the degenerate d≤0 case clamped so the
@@ -431,7 +500,7 @@ func etaPow(d, beta float64) float64 {
 	return objective.Pow(1/d, beta)
 }
 
-// eta returns the cached (or on-demand) η_ij^β.
+// eta returns the vector layout's cached (or on-demand) η_ij^β.
 func (r *run) eta(i, j int) float64 {
 	if r.etaCls != nil {
 		return r.etaCls[i*r.k+int(r.cls[j])]
@@ -441,40 +510,33 @@ func (r *run) eta(i, j int) float64 {
 
 // search runs the configured iterations and returns the best combined tour.
 //
-// Following Algorithm 2 and Figure 2, the scheduler "distributes the
-// Cloudlets to each ant": the batch is partitioned into one contiguous
-// chunk per ant, each ant walks VMs for its own chunk under its own tabu
+// Each ant walks VMs for its own chunk of the batch under its own tabu
 // list, and the union of all ants' picks is the iteration's solution. The
 // best iteration (by Eq. 8 makespan over the union) is returned.
 //
 // Ants within an iteration are independent — ant k writes only tour[lo:hi)
 // of its own chunk and tourLens[k], and draws from its own xrand child
-// stream — so construction fans out across the worker pool. Everything that
-// couples ants (iteration-best selection, evaporation, deposits in ant
-// order, the elitist bonus) runs serially after the join, which is what
-// keeps tours bit-identical for every worker count.
+// stream — so construction fans out across the worker pool. So do the
+// dense layout's deposits, the elitist bonus included: ant k's chunk owns
+// its rows, so no two ants touch the same cell, and each cell gets its
+// additions in the serial order. Iteration-best selection, evaporation and
+// the vector layout's deposits (which share one pheromone per VM) run
+// serially after the join, which is what keeps tours bit-identical for
+// every worker count.
 func (r *run) search() []int {
-	ants := r.cfg.Ants
-	if ants > r.n {
-		ants = r.n // never more ants than cloudlets; the rest would idle
-	}
-	r.chunks = grow(r.chunks, ants)
-	for k := 0; k < ants; k++ {
-		r.chunks[k] = [2]int{k * r.n / ants, (k + 1) * r.n / ants}
-	}
-	r.tourLens = grow(r.tourLens, ants)
+	r.tourLens = grow(r.tourLens, r.ants)
 	r.busy = grow(r.busy, r.m)
 	// One draw off the caller's stream seeds the whole search; ant k of
 	// iteration it then owns child stream it·ants+k, so its randomness
 	// depends only on (seed, iteration, ant) — never on worker interleaving.
 	r.seed = r.ctx.Rand.Uint64()
 	for it := 0; it < r.cfg.Iterations; it++ {
-		r.iterBase = uint64(it) * uint64(ants)
-		objective.ParallelFor(r.workers, ants, r.antFn)
-		iterBest := 0
-		for k := 1; k < ants; k++ {
-			if r.tourLens[k] < r.tourLens[iterBest] {
-				iterBest = k
+		r.iterBase = uint64(it) * uint64(r.ants)
+		objective.ParallelFor(r.workers, r.ants, r.antFn)
+		r.iterBest = 0
+		for k := 1; k < r.ants; k++ {
+			if r.tourLens[k] < r.tourLens[r.iterBest] {
+				r.iterBest = k
 			}
 		}
 		// Combined iteration quality: Eq. 8 makespan over the whole batch.
@@ -484,13 +546,15 @@ func (r *run) search() []int {
 			r.bestTour = append(r.bestTour[:0], r.tour...)
 		}
 		r.evaporate()
-		// Eq. 9/10: every ant deposits Q/L_k along its own chunk's edges.
-		for k := 0; k < ants; k++ {
-			r.depositChunk(r.chunks[k][0], r.chunks[k][1], r.cfg.Q/r.tourLens[k])
-		}
-		// Eq. 11: elitist reinforcement of the iteration-best ant's tour.
-		r.depositChunk(r.chunks[iterBest][0], r.chunks[iterBest][1], r.cfg.Q/r.tourLens[iterBest])
-		if !r.dense {
+		// Eq. 9/10: every ant deposits Q/L_k along its own chunk's edges,
+		// and Eq. 11's elitist bonus repeats the iteration-best ant's.
+		if r.dense {
+			objective.ParallelFor(r.workers, r.ants, r.depositFn)
+		} else {
+			for k := 0; k < r.ants; k++ {
+				r.depositVM(k)
+			}
+			r.depositVM(r.iterBest)
 			// The vector layout refreshes its K≪n·m cached powers in one pass.
 			for j := range r.bVM {
 				r.bVMAlpha[j] = objective.Pow(r.bVM[j], r.cfg.Alpha)
@@ -603,20 +667,23 @@ func (r *run) pick(i int, tabu []bool, cum []float64, rnd interface{ Float64() f
 }
 
 // evaporate applies Eq. 9's decay τ ← (1−ρ)τ by scaling the global factor
-// g in O(1). When g approaches underflow it is folded back into the base
-// pheromone cells (rare; see renormThreshold).
+// g in O(1). When g approaches underflow it is folded back into the stored
+// base pheromone (rare; see renormThreshold).
 func (r *run) evaporate() {
 	r.g *= 1 - r.cfg.Rho
 	if r.g >= renormThreshold {
 		return
 	}
 	if r.dense {
+		r.b0 *= r.g
+		r.ba0 = objective.Pow(r.b0, r.cfg.Alpha)
 		for i := 0; i < r.n; i++ {
-			for j := 0; j < r.m; j++ {
-				r.b[i*r.m+j] *= r.g
-				r.setWeight(i, j)
+			lo := i * r.slots
+			for e := lo; e < lo+int(r.used[i]); e++ {
+				r.cellB[e] *= r.g
 			}
 		}
+		objective.ParallelFor(r.workers, r.ants, r.weightFn)
 	} else {
 		for j := range r.bVM {
 			r.bVM[j] *= r.g
@@ -625,22 +692,47 @@ func (r *run) evaporate() {
 	r.g = 1
 }
 
-// depositChunk adds delta pheromone along the current tour's edges for
-// cloudlets [lo,hi): τ += delta means b += delta/g in the factored store.
-func (r *run) depositChunk(lo, hi int, delta float64) {
+// deposit returns ant k's Q/L_k as a base-pheromone increment: τ += delta
+// means b += delta/g in the factored store. It reports false when the
+// deposit is not finite, which leaves the pheromone as it is.
+func (r *run) deposit(k int) (float64, bool) {
+	delta := r.cfg.Q / r.tourLens[k]
 	if math.IsNaN(delta) || math.IsInf(delta, 0) {
+		return 0, false
+	}
+	return delta / r.g, true
+}
+
+// depositAnt adds ant k's deposit on each dense cell of its chunk's tour and
+// refreshes the cell's weight b^α·η^β. The iteration-best ant adds its
+// deposit twice, the second time as Eq. 11's elitist bonus: no pick reads
+// the weight in between, so one power serves both.
+func (r *run) depositAnt(k int) {
+	du, ok := r.deposit(k)
+	if !ok {
 		return
 	}
-	du := delta / r.g
-	if !r.dense {
-		for i := lo; i < hi; i++ {
-			r.bVM[r.tour[i]] += du
+	elite := k == r.iterBest
+	for i := r.chunks[k][0]; i < r.chunks[k][1]; i++ {
+		j := r.tour[i]
+		e := r.cell(i, j)
+		r.cellB[e] += du
+		if elite {
+			r.cellB[e] += du
 		}
+		r.w[i*r.m+j] = objective.Pow(r.cellB[e], r.cfg.Alpha) * r.cellEta[e]
+	}
+}
+
+// depositVM adds ant k's deposit to the vector layout's pheromone of each
+// VM its chunk's tour visits.
+func (r *run) depositVM(k int) {
+	du, ok := r.deposit(k)
+	if !ok {
 		return
 	}
-	for i := lo; i < hi; i++ {
-		r.b[i*r.m+r.tour[i]] += du
-		r.setWeight(i, r.tour[i])
+	for i := r.chunks[k][0]; i < r.chunks[k][1]; i++ {
+		r.bVM[r.tour[i]] += du
 	}
 }
 

@@ -3,6 +3,7 @@ package aco
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -308,23 +309,39 @@ func BenchmarkScheduleSmallBatch(b *testing.B) {
 // BenchmarkScheduleHeterogeneous prices one paper-scale Fig. 6 batch: the
 // Table II scheduler on 5 000 heterogeneous cloudlets over 4 datacenters,
 // at the sweep's smallest, middle and largest fleets. It is the offline
-// schedule stage of the paper-het benchmark.
+// schedule stage of the paper-het benchmark. The plain variant reuses the
+// scheduler's pooled buffers from one call to the next. The /cold variant
+// runs two garbage collections before each call, off the clock, which
+// empties the pool as paper-het's GC before every batch does, so each call
+// pays for its buffers and their page faults.
 func BenchmarkScheduleHeterogeneous(b *testing.B) {
 	for _, m := range []int{50, 550, 950} {
-		b.Run(fmt.Sprint(m), func(b *testing.B) {
-			scn, err := workload.Heterogeneous(m, 5000, 4, 1)
-			if err != nil {
-				b.Fatal(err)
+		for _, cold := range []bool{false, true} {
+			name := fmt.Sprint(m)
+			if cold {
+				name += "/cold"
 			}
-			s := Default()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(scn.Context()); err != nil {
+			b.Run(name, func(b *testing.B) {
+				scn, err := workload.Heterogeneous(m, 5000, 4, 1)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				s := Default()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						b.StopTimer()
+						runtime.GC()
+						runtime.GC()
+						b.StartTimer()
+					}
+					if _, err := s.Schedule(scn.Context()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -46,8 +46,7 @@ const (
 	// MaxCells and falls back to OnDemand otherwise. The right choice for
 	// search algorithms that read entries many times.
 	Auto Mode = iota
-	// Materialized always builds the n×K matrix (panics on overflow of the
-	// bound is avoided: it builds regardless of MaxCells).
+	// Materialized always builds the n×K matrix, whatever MaxCells says.
 	Materialized
 	// OnDemand never materializes; every access computes the exact Eq. 6
 	// (and cost) formula. The right choice for single-pass consumers that

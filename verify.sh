@@ -15,7 +15,8 @@
 # smoke over the untrusted-input boundaries (the daemon's JSON submit
 # decoder, the CSV workload trace parser, the columnar binary trace
 # reader/converter, schedlint's suppression-directive parser, the ACO
-# roulette's binary search and unrolled masked prefix sum, the power kernel
+# roulette's binary search and unrolled masked prefix sum, ACO's dense
+# layout against its full-table oracle, the power kernel
 # behind ACO's weights against math.Pow, the capacity-plan
 # spec parser, the kernel's FireAt arrival delivery against arrivals
 # registered up front by ScheduleAt, the kernel's event heap against a
@@ -131,7 +132,9 @@ go test -run 'TestQModelDifferential|TestOracleCasesMatchDocumentedBands|TestQMo
 
 go test -race ./...
 # Explicit race gate over the parallel mapping kernels: the invariance and
-# stress tests drive multi-worker pools even on single-core CI hosts.
+# stress tests drive multi-worker pools even on single-core CI hosts. ACO's
+# (12 VMs x 400 cloudlets, 16 ants; 8 x 600, 12 ants) sit above its 2^12-cell
+# threshold in the dense layout, so they fan out its per-ant deposits too.
 go test -race -run 'WorkerCountInvariant|ConcurrentScheduleRace' ./internal/aco ./internal/hbo ./internal/rbs ./internal/ga ./internal/objective
 # Explicit race gate over the sharded daemon: concurrent submitters across
 # 4 shards, per-shard backpressure, and the HTTP round-trips under -race,
@@ -154,6 +157,12 @@ go test -run='^$' -fuzz=FuzzSuppressDirective -fuzztime=5s ./internal/lint
 # plain loop bit for bit on arbitrary float bit patterns and tabu masks
 # (any-NaN matches any-NaN).
 go test -run='^$' -fuzz=FuzzRoulette -fuzztime=5s ./internal/aco
+# ACO dense layout: on fuzzed fleets (classes repeated or one per VM),
+# batches and parameters, up to 80 iterations at decays that pass the
+# pheromone renormalisation, the one-table search picks the same best and
+# last tours as an oracle holding per-cell pheromone, the η^β table and the
+# materialized Eq. 6 matrix.
+go test -run='^$' -fuzz=FuzzDenseLayout -fuzztime=5s ./internal/aco
 # Power kernel: objective.Pow, which every ACO weight goes through, must be
 # math.Pow bit for bit on arbitrary (x, y) float pairs (any-NaN matches
 # any-NaN).
