@@ -3,19 +3,20 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// Histogram is a thread-safe fixed-bucket histogram in the cumulative style
+// HistogramCore is a fixed-bucket histogram in the cumulative style
 // Prometheus expects: observation x lands in the first bucket whose upper
 // bound is ≥ x, and a snapshot reports, per bound, how many observations
-// were ≤ it, plus the running sum and count. The scheduling service records
-// per-scheduler scheduling-time distributions with it; nothing in it is
-// HTTP-specific, so ablation harnesses can reuse it for any latency-shaped
-// quantity.
-type Histogram struct {
-	mu     sync.Mutex
+// were ≤ it, plus the running sum and count. It takes no lock: a core has
+// one owner at a time, as a capacity-planning run's recorder does, and
+// cores merge only once their writers are done. Histogram wraps one with a
+// mutex for concurrent writers. Copy a core only before its first use; a
+// copy shares its counts.
+type HistogramCore struct {
 	bounds []float64 // ascending upper bounds; an implicit +Inf bucket follows
 	counts []uint64  // len(bounds)+1; counts[len(bounds)] is the +Inf bucket
 	sum    float64
@@ -28,11 +29,11 @@ type Histogram struct {
 	log2Start, invLog2Step float64
 }
 
-// NewHistogram returns a histogram over the given ascending upper bounds.
-// It panics on empty, unsorted, duplicate, or non-finite bounds — bucket
-// layouts are static configuration, where failing fast at construction is
-// the only sensible behaviour.
-func NewHistogram(bounds []float64) *Histogram {
+// MakeHistogramCore returns an empty core over the given ascending upper
+// bounds. It panics on empty, unsorted, duplicate, or non-finite bounds —
+// bucket layouts are static configuration, where failing fast at
+// construction is the only sensible behaviour.
+func MakeHistogramCore(bounds []float64) HistogramCore {
 	if len(bounds) == 0 {
 		panic("metrics: histogram needs at least one bucket bound")
 	}
@@ -44,7 +45,7 @@ func NewHistogram(bounds []float64) *Histogram {
 			panic(fmt.Sprintf("metrics: histogram bounds not strictly ascending at index %d (%v after %v)", i, b, bounds[i-1]))
 		}
 	}
-	h := &Histogram{
+	h := HistogramCore{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]uint64, len(bounds)+1),
 	}
@@ -53,6 +54,22 @@ func NewHistogram(bounds []float64) *Histogram {
 		h.invLog2Step = 1 / math.Log2(factor)
 	}
 	return h
+}
+
+// Histogram is a thread-safe HistogramCore: every method takes its mutex,
+// so any number of goroutines may observe, merge and snapshot at once. The
+// scheduling service records per-scheduler scheduling-time distributions
+// with it; nothing in it is HTTP-specific, so ablation harnesses can reuse
+// it for any latency-shaped quantity.
+type Histogram struct {
+	mu   sync.Mutex
+	core HistogramCore
+}
+
+// NewHistogram returns a histogram over the given ascending upper bounds,
+// which must satisfy MakeHistogramCore.
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{core: MakeHistogramCore(bounds)}
 }
 
 // expFactor reports whether bounds grow by one constant factor, to within
@@ -91,7 +108,7 @@ func fastLog2(v float64) float64 {
 // logarithm estimated from v's bits guesses the bucket to within one, and
 // comparisons against the bounds on each side correct the guess, so
 // rounding never moves a value to a neighbouring bucket.
-func (h *Histogram) index(v float64) int {
+func (h *HistogramCore) index(v float64) int {
 	b := h.bounds
 	if h.invLog2Step == 0 {
 		return sort.SearchFloat64s(b, v)
@@ -134,50 +151,41 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 
 // Observe records one value. NaN observations are dropped — they would
 // poison the sum without being attributable to any bucket.
-func (h *Histogram) Observe(v float64) {
+func (h *HistogramCore) Observe(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
-	i := h.index(v)
-	h.mu.Lock()
+	h.add(h.index(v), v)
+}
+
+// add counts v into bucket i.
+func (h *HistogramCore) add(i int, v float64) {
 	h.counts[i]++
 	h.count++
 	h.sum += v
-	h.mu.Unlock()
 }
 
 // Merge folds o's observations into h: per-bucket counts, the observation
-// count, and the running sum all add. Both histograms must share the same
-// bucket layout; like NewHistogram, a mismatch panics because layouts are
-// static configuration. Merge locks o only long enough to copy its state
-// and never holds both locks at once, so any two histograms can be merged
-// concurrently with ongoing Observe calls — the sharded daemon uses this to
-// render one fleet-wide series from per-shard histograms at scrape time.
-func (h *Histogram) Merge(o *Histogram) {
-	o.mu.Lock()
-	counts := append([]uint64(nil), o.counts...)
-	sum, count := o.sum, o.count
-	bounds := o.bounds
-	o.mu.Unlock()
-
-	if len(bounds) != len(h.bounds) {
-		panic(fmt.Sprintf("metrics: merging histograms with %d and %d bounds", len(h.bounds), len(bounds)))
+// count, and the running sum all add. Both must share the same bucket
+// layout; like MakeHistogramCore, a mismatch panics because layouts are
+// static configuration.
+func (h *HistogramCore) Merge(o *HistogramCore) {
+	if len(o.bounds) != len(h.bounds) {
+		panic(fmt.Sprintf("metrics: merging histograms with %d and %d bounds", len(h.bounds), len(o.bounds)))
 	}
-	for i, b := range bounds {
+	for i, b := range o.bounds {
 		if b != h.bounds[i] { // layout identity is exact equality by design
 			panic(fmt.Sprintf("metrics: merging histograms with different bounds at index %d (%v vs %v)", i, h.bounds[i], b))
 		}
 	}
-	h.mu.Lock()
-	for i, c := range counts {
+	for i, c := range o.counts {
 		h.counts[i] += c
 	}
-	h.sum += sum
-	h.count += count
-	h.mu.Unlock()
+	h.sum += o.sum
+	h.count += o.count
 }
 
-// HistogramSnapshot is a consistent point-in-time view of a Histogram.
+// HistogramSnapshot is a consistent point-in-time view of a histogram.
 type HistogramSnapshot struct {
 	Bounds     []float64 // upper bounds, ascending (excludes +Inf)
 	Cumulative []uint64  // per bound: observations ≤ bound
@@ -187,9 +195,7 @@ type HistogramSnapshot struct {
 
 // Snapshot returns a cumulative view suitable for direct rendering as
 // Prometheus `_bucket`/`_sum`/`_count` series.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+func (h *HistogramCore) Snapshot() HistogramSnapshot {
 	snap := HistogramSnapshot{
 		Bounds:     h.bounds, // immutable after construction
 		Cumulative: make([]uint64, len(h.bounds)),
@@ -211,30 +217,69 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // bound live in the implicit +Inf bucket, so any quantile landing there
 // clamps to the last finite bound — the histogram cannot resolve beyond it.
 // It returns NaN for an empty histogram or a q outside [0, 1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if math.IsNaN(q) || q < 0 || q > 1 {
+func (h *HistogramCore) Quantile(q float64) float64 {
+	if math.IsNaN(q) || q < 0 || q > 1 || h.count == 0 {
 		return math.NaN()
 	}
-	snap := h.Snapshot()
-	if snap.Count == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(snap.Count)
-	last := len(snap.Bounds) - 1
-	for i, cum := range snap.Cumulative {
-		if float64(cum) < rank {
+	rank := q * float64(h.count)
+	var cum uint64 // observations in the buckets before i
+	for i, b := range h.bounds {
+		in := h.counts[i]
+		if float64(cum+in) < rank {
+			cum += in
 			continue
 		}
-		lo, loCount := 0.0, uint64(0)
-		if i > 0 {
-			lo, loCount = snap.Bounds[i-1], snap.Cumulative[i-1]
-		}
-		in := snap.Cumulative[i] - loCount
 		if in == 0 {
-			return snap.Bounds[i]
+			return b
 		}
-		return lo + (snap.Bounds[i]-lo)*(rank-float64(loCount))/float64(in)
+		lo := 0.0
+		if i > 0 {
+			lo = h.bounds[i-1]
+		}
+		return lo + (b-lo)*(rank-float64(cum))/float64(in)
 	}
 	// The rank falls in the +Inf bucket: clamp to the largest finite bound.
-	return snap.Bounds[last]
+	return h.bounds[len(h.bounds)-1]
+}
+
+// Observe records one value; NaN is dropped. Only the count update holds
+// the lock: the bucket index is found before taking it.
+func (h *Histogram) Observe(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
+	i := h.core.index(v)
+	h.mu.Lock()
+	h.core.add(i, v)
+	h.mu.Unlock()
+}
+
+// Merge folds o's observations into h (HistogramCore.Merge). It locks o
+// only long enough to copy its counts and never holds both locks at once,
+// so any two histograms can be merged concurrently with ongoing Observe
+// calls — the sharded daemon uses this to render one fleet-wide series
+// from per-shard histograms at scrape time.
+func (h *Histogram) Merge(o *Histogram) {
+	o.mu.Lock()
+	c := o.core
+	c.counts = slices.Clone(c.counts)
+	o.mu.Unlock()
+
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.core.Merge(&c)
+}
+
+// Snapshot returns HistogramCore.Snapshot under the lock.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.core.Snapshot()
+}
+
+// Quantile returns HistogramCore.Quantile under the lock.
+func (h *Histogram) Quantile(q float64) float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.core.Quantile(q)
 }

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -177,7 +179,7 @@ func TestHistogramIndexMatchesSearch(t *testing.T) {
 	}
 	rnd := rand.New(rand.NewSource(1))
 	for name, bounds := range layouts {
-		h := NewHistogram(bounds)
+		h := MakeHistogramCore(bounds)
 		probe := func(v float64) {
 			if got, want := h.index(v), sort.SearchFloat64s(bounds, v); got != want {
 				t.Fatalf("%s: index(%v) = %d, binary search says %d", name, v, got, want)
@@ -196,10 +198,10 @@ func TestHistogramIndexMatchesSearch(t *testing.T) {
 			probe(math.Exp(lo + rnd.Float64()*(hi-lo)))
 		}
 	}
-	if NewHistogram(ExpBuckets(1e-3, 1.15, 100)).invLog2Step == 0 {
+	if h := MakeHistogramCore(ExpBuckets(1e-3, 1.15, 100)); h.invLog2Step == 0 {
 		t.Fatal("an ExpBuckets layout was not recognised as exponential")
 	}
-	if NewHistogram([]float64{1, 2, 3, 4, 5}).invLog2Step != 0 {
+	if h := MakeHistogramCore([]float64{1, 2, 3, 4, 5}); h.invLog2Step != 0 {
 		t.Fatal("a linear layout was taken for exponential")
 	}
 }
@@ -215,4 +217,124 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Observe(vs[i&1023])
 	}
+}
+
+// snapshotQuantile is Quantile as it read before the bucket core: the
+// interpolation over a snapshot's cumulative counts, kept as the oracle the
+// core's single pass over its own counts is held to.
+func snapshotQuantile(snap HistogramSnapshot, q float64) float64 {
+	if math.IsNaN(q) || q < 0 || q > 1 || snap.Count == 0 {
+		return math.NaN()
+	}
+	rank := q * float64(snap.Count)
+	for i, cum := range snap.Cumulative {
+		if float64(cum) < rank {
+			continue
+		}
+		lo, loCount := 0.0, uint64(0)
+		if i > 0 {
+			lo, loCount = snap.Bounds[i-1], snap.Cumulative[i-1]
+		}
+		in := snap.Cumulative[i] - loCount
+		if in == 0 {
+			return snap.Bounds[i]
+		}
+		return lo + (snap.Bounds[i]-lo)*(rank-float64(loCount))/float64(in)
+	}
+	return snap.Bounds[len(snap.Bounds)-1]
+}
+
+// FuzzHistogramCore feeds the same float bit patterns to a locked
+// Histogram and to a bare HistogramCore, optionally split across a second
+// pair that is then merged in, and requires the same per-bucket counts,
+// Count, Sum bits, Snapshot and Quantile bits at q ∈ {0, 0.5, 0.99, 1}.
+// Both are also held to a reference: counts by binary search with NaN
+// dropped, the sum in observation order (per part, then added), and the
+// snapshot-based quantile. The seeds hold NaN, ±Inf, ±0, exact bounds,
+// their neighbours, values past the last bound, and a median whose rank
+// lands exactly on a bucket edge.
+func FuzzHistogramCore(f *testing.F) {
+	layouts := [][]float64{
+		ExpBuckets(1e-3, 1.15, 100),
+		ExpBuckets(1, 2, 13),
+		{1, 2, 3, 4, 5},
+		{7},
+	}
+	pack := func(vs ...float64) []byte {
+		out := make([]byte, 0, 8*len(vs))
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+		return out
+	}
+	for i, bounds := range layouts {
+		last := bounds[len(bounds)-1]
+		edges := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1, 2 * last, math.MaxFloat64}
+		for _, b := range bounds[:min(len(bounds), 8)] {
+			edges = append(edges, b, math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1)))
+		}
+		edges = append(edges, last, math.Nextafter(last, math.Inf(1)))
+		f.Add(uint8(i), false, uint16(0), pack(edges...))
+		f.Add(uint8(i), true, uint16(len(edges)/2), pack(edges...))
+		f.Add(uint8(i), true, uint16(0), pack(bounds[0]/2, last, last*10))
+	}
+	// The median's rank lands exactly on a bound with an empty bucket
+	// after it, where the rank test's strictness decides the bucket.
+	f.Add(uint8(2), true, uint16(1), pack(0.5, 2.5))
+	f.Fuzz(func(t *testing.T, layout uint8, merge bool, split uint16, data []byte) {
+		bounds := layouts[int(layout)%len(layouts)]
+		vs := make([]float64, len(data)/8)
+		for i := range vs {
+			vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		k := len(vs)
+		if merge {
+			k = int(split) % (len(vs) + 1)
+		}
+
+		locked, core := NewHistogram(bounds), MakeHistogramCore(bounds)
+		wantCounts := make([]uint64, len(bounds)+1)
+		var wantCount uint64
+		wantSum := 0.0
+		observe := func(h *Histogram, c *HistogramCore, part []float64) {
+			sum := 0.0
+			for _, v := range part {
+				h.Observe(v)
+				c.Observe(v)
+				if !math.IsNaN(v) {
+					wantCounts[sort.SearchFloat64s(bounds, v)]++
+					wantCount++
+					sum += v
+				}
+			}
+			wantSum += sum
+		}
+		observe(locked, &core, vs[:k])
+		if merge {
+			other, otherCore := NewHistogram(bounds), MakeHistogramCore(bounds)
+			observe(other, &otherCore, vs[k:])
+			locked.Merge(other)
+			core.Merge(&otherCore)
+		}
+
+		for name, c := range map[string]*HistogramCore{"locked": &locked.core, "core": &core} {
+			if !slices.Equal(c.counts, wantCounts) {
+				t.Fatalf("%s: counts %v, want %v", name, c.counts, wantCounts)
+			}
+			if c.count != wantCount || math.Float64bits(c.sum) != math.Float64bits(wantSum) {
+				t.Fatalf("%s: count %d sum %v, want %d and %v", name, c.count, c.sum, wantCount, wantSum)
+			}
+		}
+		got, want := core.Snapshot(), locked.Snapshot()
+		if !slices.Equal(got.Bounds, want.Bounds) || !slices.Equal(got.Cumulative, want.Cumulative) ||
+			got.Count != want.Count || math.Float64bits(got.Sum) != math.Float64bits(want.Sum) {
+			t.Fatalf("core snapshot %+v, locked %+v", got, want)
+		}
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			c, l, ref := core.Quantile(q), locked.Quantile(q), snapshotQuantile(want, q)
+			if math.Float64bits(c) != math.Float64bits(ref) || math.Float64bits(l) != math.Float64bits(ref) {
+				t.Fatalf("Quantile(%v): core %v, locked %v, snapshot oracle %v", q, c, l, ref)
+			}
+		}
+	})
 }

@@ -28,20 +28,35 @@ func parsePerfbenchSpec(b *testing.B) *Spec {
 	return spec
 }
 
-// BenchmarkPlanVerdict answers the perfbench spec: one op is one full
-// verdict, every probe included.
+// BenchmarkPlanVerdict answers the perfbench spec under each dispatch:
+// one op is one full verdict, every probe included. A verdict draws its
+// arrivals and demands once and measures each probe on that draw, so B/op
+// is one draw plus each probe's own state (the server heap, or the DES
+// fleet and cloudlets). Each leg pins its verdict: queue dispatch takes 6
+// probes to a smallest fleet of 345, spread dispatch 6 probes to 418.
 func BenchmarkPlanVerdict(b *testing.B) {
-	spec := parsePerfbenchSpec(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := Plan(spec, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(v.Probes) != 6 || v.MinFleet != 345 {
-			b.Fatalf("%d probes, smallest fleet %d; want 6 and 345", len(v.Probes), v.MinFleet)
-		}
+	for _, leg := range []struct {
+		dispatch         string
+		probes, minFleet int
+	}{
+		{DispatchQueue, 6, 345},
+		{DispatchSpread, 6, 418},
+	} {
+		spec := parsePerfbenchSpec(b)
+		spec.Fleet.Dispatch = leg.dispatch
+		b.Run(leg.dispatch, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := Plan(spec, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(v.Probes) != leg.probes || v.MinFleet != leg.minFleet {
+					b.Fatalf("%d probes, smallest fleet %d; want %d and %d", len(v.Probes), v.MinFleet, leg.probes, leg.minFleet)
+				}
+			}
+		})
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-
-	"bioschedsim/internal/workload"
 )
 
 // Probe is one measured fleet size inside a verdict, in probe order.
@@ -32,9 +30,10 @@ type Verdict struct {
 	Probes   []Probe
 }
 
-// probe runs one fleet size and appends the measurement.
-func (v *Verdict) probe(fleet int, opts *RunOptions) (bool, error) {
-	res, err := Run(v.Spec, fleet, opts)
+// probe measures the drawn workload at one fleet size with a fresh
+// recorder, as Run would at that fleet, and appends the measurement.
+func (v *Verdict) probe(w *draws, fleet int) (bool, error) {
+	res, err := w.run(v.Spec, fleet, NewLatencyStats())
 	if err != nil {
 		return false, err
 	}
@@ -74,8 +73,13 @@ func (v *Verdict) probe(fleet int, opts *RunOptions) (bool, error) {
 //
 // For elastic specs Plan runs once from MinVMs and reports whether the
 // autoscaler held the SLO and how big the fleet had to get. Every probe is
-// recorded so the verdict documents its own evidence. opts.Recorder must
-// be nil: a recorder shared by every probe would mix their samples.
+// recorded so the verdict documents its own evidence.
+//
+// Plan draws the workload once, from opts.Process when given (the process
+// c₀ is computed from), and measures every probe on that draw with a fresh
+// recorder, so each probe equals Run(spec, probe.Fleet, opts).
+// opts.Recorder must be nil: a recorder shared by every probe would mix
+// their samples.
 func Plan(spec *Spec, opts *RunOptions) (*Verdict, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -83,9 +87,18 @@ func Plan(spec *Spec, opts *RunOptions) (*Verdict, error) {
 	if opts != nil && opts.Recorder != nil {
 		return nil, fmt.Errorf("plan: RunOptions.Recorder is per run; Plan probes many fleets and cannot share one")
 	}
+	proc, err := opts.arrivals(spec)
+	if err != nil {
+		return nil, err
+	}
+	w, err := draw(spec, proc)
+	if err != nil {
+		return nil, err
+	}
 	v := &Verdict{Spec: spec, Elastic: spec.Elastic != nil}
+	probe := func(fleet int) (bool, error) { return v.probe(w, fleet) }
 	if v.Elastic {
-		met, err := v.probe(spec.Fleet.MinVMs, opts)
+		met, err := probe(spec.Fleet.MinVMs)
 		if err != nil {
 			return nil, err
 		}
@@ -95,20 +108,9 @@ func Plan(spec *Spec, opts *RunOptions) (*Verdict, error) {
 		}
 		return v, nil
 	}
-
-	var proc workload.ArrivalProcess
-	if opts != nil {
-		proc = opts.Process
-	}
-	if proc == nil {
-		var err error
-		if proc, err = spec.Workload.Arrivals(); err != nil {
-			return nil, err
-		}
-	}
 	c0 := clampFleet(math.Ceil(proc.Rate()/(spec.ServiceRate()*float64(spec.Fleet.VMPes))),
 		spec.Fleet.MinVMs, spec.Fleet.MaxVMs)
-	if err := v.search(c0, func(fleet int) (bool, error) { return v.probe(fleet, opts) }); err != nil {
+	if err := v.search(c0, probe); err != nil {
 		return nil, err
 	}
 	return v, nil

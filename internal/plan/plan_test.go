@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"bioschedsim/internal/xrand"
@@ -26,8 +28,16 @@ const readmePeakSpec = `{
 func bisectPlan(t testing.TB, spec *Spec) *Verdict {
 	t.Helper()
 	v := &Verdict{Spec: spec}
+	proc, err := spec.Workload.Arrivals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := draw(spec, proc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lo, hi := spec.Fleet.MinVMs, spec.Fleet.MaxVMs
-	met, err := v.probe(hi, nil)
+	met, err := v.probe(w, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +47,7 @@ func bisectPlan(t testing.TB, spec *Spec) *Verdict {
 	v.Sustainable = true
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		met, err := v.probe(mid, nil)
+		met, err := v.probe(w, mid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,4 +346,111 @@ func TestPlanSearchAdversarialCurves(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPlanProbesMatchRun: a verdict draws its workload once and measures
+// every probe on that draw, so each probe must be what a fresh Run at its
+// fleet measures, mean wait and quantile bit for bit. It covers the
+// perfbench spec, random queue specs with multi-PE VMs, an arrival process
+// whose offsets come out unsorted, random spread specs and an elastic
+// spec. A probe that wrote into the shared draw, or a recorder carried
+// from one probe to the next, would pass the first probe and fail a later
+// one.
+func TestPlanProbesMatchRun(t *testing.T) {
+	type tc struct {
+		name string
+		spec *Spec
+		opts *RunOptions
+	}
+	var cases []tc
+	perf, err := ParseSpec([]byte(perfbenchSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, tc{"perfbench seed 1", perf, nil})
+	for i, multiPE := 0, 0; multiPE < 20; i++ {
+		if spec := randomPlanSpec(i, DispatchQueue); spec.Fleet.VMPes > 1 {
+			cases = append(cases, tc{spec.Name, spec, nil})
+			multiPE++
+		}
+	}
+
+	shuffled, err := ParseSpec([]byte(saturated3peSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled.Workload.Cloudlets, shuffled.Workload.Warmup = 3000, 300
+	arrivals, err := shuffled.Workload.Arrivals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	offsets, err := arrivals.Offsets(shuffled.Workload.Cloudlets, shuffled.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(offsets), func(i, j int) { offsets[i], offsets[j] = offsets[j], offsets[i] })
+	if slices.IsSorted(offsets) {
+		t.Fatal("shuffled offsets came out sorted")
+	}
+	// fixedOffsets reports rate 1, so c₀ starts the search at 1 VM.
+	cases = append(cases, tc{"shuffled offsets", shuffled, &RunOptions{Process: fixedOffsets(offsets)}})
+
+	for i := 0; i < 20; i++ {
+		spec := randomPlanSpec(1000+i, DispatchSpread)
+		cases = append(cases, tc{spec.Name + " (spread)", spec, nil})
+	}
+	elastic, err := ParseSpec([]byte(validSpecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	elastic.Workload.Rate, elastic.Workload.Cloudlets, elastic.Workload.Warmup = 6, 3000, 300
+	elastic.Fleet.MinVMs, elastic.Fleet.MaxVMs = 1, 16
+	elastic.Elastic = &ElasticSpec{ScaleUpLoad: 3, ScaleDownLoad: 0.5, Interval: 5}
+	cases = append(cases, tc{"elastic", elastic, nil})
+
+	probes, multi := 0, 0
+	for _, c := range cases {
+		v, err := Plan(c.spec, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(v.Probes) > 1 {
+			multi++
+		}
+		for k, p := range v.Probes {
+			res, err := Run(c.spec, p.Fleet, c.opts)
+			if err != nil {
+				t.Fatalf("%s: Run at %d VMs: %v", c.name, p.Fleet, err)
+			}
+			want := Probe{
+				Fleet:         p.Fleet,
+				PeakFleet:     res.PeakFleet,
+				Count:         res.Recorder.Count(),
+				MeanWait:      res.Recorder.MeanWait(),
+				QuantileValue: res.SLOValue(c.spec),
+				Met:           res.SLOMet(c.spec),
+				ScaleUps:      res.ScaleUps,
+				ScaleDowns:    res.ScaleDowns,
+			}
+			if !sameProbe(p, want) {
+				t.Errorf("%s: probe %d at %d VMs is %+v, Run gives %+v", c.name, k, p.Fleet, p, want)
+			}
+			probes++
+		}
+	}
+	t.Logf("%d verdicts, %d of them of more than one probe, %d probes", len(cases), multi, probes)
+	if multi < len(cases)*3/4 {
+		t.Fatalf("%d of %d verdicts have more than one probe; too few to show a later probe diverging", multi, len(cases))
+	}
+}
+
+// sameProbe compares two probes with their float fields by bits, so NaN
+// equals NaN and -0 differs from 0.
+func sameProbe(a, b Probe) bool {
+	if math.Float64bits(a.MeanWait) != math.Float64bits(b.MeanWait) ||
+		math.Float64bits(a.QuantileValue) != math.Float64bits(b.QuantileValue) {
+		return false
+	}
+	a.MeanWait, a.QuantileValue, b.MeanWait, b.QuantileValue = 0, 0, 0, 0
+	return a == b
 }

@@ -146,11 +146,15 @@ func runDESQueue(spec *Spec, fleet int, opts *RunOptions) (*RunResult, error) {
 	if spec.DispatchMode() != DispatchQueue {
 		return nil, fmt.Errorf("plan: DES queue oracle on a %s spec", spec.DispatchMode())
 	}
-	offsets, lengths, rec, err := draw(spec, opts)
+	proc, err := opts.arrivals(spec)
 	if err != nil {
 		return nil, err
 	}
-	return simulate(spec, fleet, offsets, lengths, rec, func(b *cloud.Broker) (dispatcher, error) {
+	w, err := draw(spec, proc)
+	if err != nil {
+		return nil, err
+	}
+	return simulate(spec, fleet, w, opts.recorder(), func(b *cloud.Broker) (dispatcher, error) {
 		q, err := newCentralQueue(b, b.Environment().VMs)
 		return q, err
 	})

@@ -31,16 +31,17 @@ func LatencyBuckets() []float64 {
 }
 
 // LatencyStats is the default Recorder: a latency histogram plus an exact
-// running sum for mean wait.
+// running sum for mean wait. It takes no lock: a run observes from its own
+// goroutine, and shard recorders merge only after their runs have joined.
 type LatencyStats struct {
-	hist    *metrics.Histogram
+	hist    metrics.HistogramCore
 	count   uint64
 	waitSum float64
 }
 
 // NewLatencyStats returns an empty recorder over LatencyBuckets.
 func NewLatencyStats() *LatencyStats {
-	return &LatencyStats{hist: metrics.NewHistogram(LatencyBuckets())}
+	return &LatencyStats{hist: metrics.MakeHistogramCore(LatencyBuckets())}
 }
 
 // Observe implements Recorder.
@@ -65,7 +66,7 @@ func (s *LatencyStats) Quantile(q float64) float64 { return s.hist.Quantile(q) }
 // cross-shard aggregation folds shards in ascending shard-index order
 // (MergeAll) — same convention as the daemon's Eq. 12/13 metric merge.
 func (s *LatencyStats) Merge(o *LatencyStats) {
-	s.hist.Merge(o.hist)
+	s.hist.Merge(&o.hist)
 	s.count += o.count
 	s.waitSum += o.waitSum
 }

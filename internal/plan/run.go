@@ -54,9 +54,12 @@ func (r *RunResult) SLOMet(spec *Spec) bool {
 // (spec, fleet, opts): arrivals come from the spec's process (stream
 // seed/5, 8, or 9 by kind), service demands are exponential with mean
 // MeanLengthMI (stream (seed, 6)) — same spec, same seed, same verdict.
-// A static queue spec is FCFS over fleet × VMPes identical servers, which
-// serveQueue computes without an event list; spread and elastic specs,
-// with their per-VM queues and autoscaler ticks, run on the DES kernel.
+// It draws the workload, then measures it on the fleet (draws.run); a
+// Plan verdict draws once and measures every probe the same way, so each
+// probe equals Run at its fleet. A static queue spec is FCFS over
+// fleet × VMPes identical servers, which serveQueue computes without an
+// event list; spread and elastic specs, with their per-VM queues and
+// autoscaler ticks, run on the DES kernel.
 func Run(spec *Spec, fleet int, opts *RunOptions) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -64,72 +67,94 @@ func Run(spec *Spec, fleet int, opts *RunOptions) (*RunResult, error) {
 	if fleet < 1 {
 		return nil, fmt.Errorf("plan: fleet size must be at least 1, got %d", fleet)
 	}
-	offsets, lengths, rec, err := draw(spec, opts)
+	proc, err := opts.arrivals(spec)
 	if err != nil {
 		return nil, err
 	}
-	if spec.DispatchMode() == DispatchQueue {
-		n := len(offsets)
-		servers := min(fleet, n) * min(spec.Fleet.VMPes, n) // servers past the n-th stay idle
-		serveQueue(min(servers, n), spec.Fleet.VMMips, offsets, lengths, spec.Workload.Warmup, rec)
-		return &RunResult{Fleet: fleet, PeakFleet: fleet, Recorder: rec, EngineEvents: 2 * uint64(n)}, nil
+	w, err := draw(spec, proc)
+	if err != nil {
+		return nil, err
 	}
-	return simulate(spec, fleet, offsets, lengths, rec, func(b *cloud.Broker) (dispatcher, error) { return spread{b}, nil })
+	return w.run(spec, fleet, opts.recorder())
 }
 
-// draw returns a run's arrival offsets (finite and non-negative, not
-// necessarily sorted) and service demands, and the recorder for its
-// samples, honouring opts' overrides.
-func draw(spec *Spec, opts *RunOptions) (offsets, lengths []float64, rec Recorder, err error) {
-	if opts == nil {
-		opts = &RunOptions{}
+// arrivals returns the arrival process override, or the spec's own.
+func (o *RunOptions) arrivals(spec *Spec) (workload.ArrivalProcess, error) {
+	if o != nil && o.Process != nil {
+		return o.Process, nil
 	}
-	proc, rec := opts.Process, opts.Recorder
-	if proc == nil {
-		if proc, err = spec.Workload.Arrivals(); err != nil {
-			return nil, nil, nil, err
-		}
+	return spec.Workload.Arrivals()
+}
+
+// recorder returns the recorder override, or a fresh LatencyStats.
+func (o *RunOptions) recorder() Recorder {
+	if o == nil || o.Recorder == nil {
+		return NewLatencyStats()
 	}
-	if rec == nil {
-		rec = NewLatencyStats()
-	}
+	return o.Recorder
+}
+
+// draws is a run's drawn workload, read-only once drawn: arrival offsets
+// (finite and non-negative, not necessarily sorted), the stable order the
+// DES fires them in, and service demands.
+type draws struct {
+	offsets, lengths []float64
+	order            sim.ArrivalOrder
+}
+
+// draw draws the spec's workload, its arrivals from proc.
+func draw(spec *Spec, proc workload.ArrivalProcess) (*draws, error) {
 	n := spec.Workload.Cloudlets
-	if offsets, err = proc.Offsets(n, spec.Seed); err != nil {
-		return nil, nil, nil, err
+	offsets, err := proc.Offsets(n, spec.Seed)
+	if err != nil {
+		return nil, err
 	}
 	if len(offsets) != n {
-		return nil, nil, nil, fmt.Errorf("plan: arrival process %s drew %d offsets, want %d", proc.Name(), len(offsets), n)
+		return nil, fmt.Errorf("plan: arrival process %s drew %d offsets, want %d", proc.Name(), len(offsets), n)
 	}
 	for i, t := range offsets {
 		if !(t >= 0) || math.IsInf(t, 1) {
-			return nil, nil, nil, fmt.Errorf("plan: arrival offset %d is %v, want finite and non-negative", i, t)
+			return nil, fmt.Errorf("plan: arrival offset %d is %v, want finite and non-negative", i, t)
 		}
 	}
 
 	// Service demands: exponential length with mean MeanLengthMI, clamped
 	// to the engine's positive-length floor. Stream (seed, 6) is reserved
 	// for service draws so arrival and service randomness never correlate.
-	lengths = make([]float64, n)
+	lengths := make([]float64, n)
 	r := xrand.New(spec.Seed, 6)
 	for i := range lengths {
 		lengths[i] = max(r.ExpFloat64()*spec.Workload.MeanLengthMI, 1e-6)
 	}
-	return offsets, lengths, rec, nil
+	return &draws{offsets: offsets, lengths: lengths, order: sim.OrderArrivals(offsets)}, nil
+}
+
+// run measures the drawn workload on a fleet of the given size (at least 1),
+// recording into rec, which must be empty. It only reads w, so one draw
+// serves any number of runs.
+func (w *draws) run(spec *Spec, fleet int, rec Recorder) (*RunResult, error) {
+	if spec.DispatchMode() == DispatchQueue {
+		n := len(w.offsets)
+		servers := min(fleet, n) * min(spec.Fleet.VMPes, n) // servers past the n-th stay idle
+		w.serveQueue(min(servers, n), spec.Fleet.VMMips, spec.Workload.Warmup, rec)
+		return &RunResult{Fleet: fleet, PeakFleet: fleet, Recorder: rec, EngineEvents: 2 * uint64(n)}, nil
+	}
+	return simulate(spec, fleet, w, rec, func(b *cloud.Broker) (dispatcher, error) { return spread{b}, nil })
 }
 
 // serveQueue serves the cloudlets first-come-first-served on slots
 // identical servers of mips MIPS by the Kiefer–Wolfowitz recursion, and
-// records each one past warmup. Arrivals are taken in stable offset
-// order, as the DES fires them. A min-heap holds each server's cloudlet,
-// keyed by (finish, serve position) and seeded with idle servers at −Inf.
-// Each arrival replaces the heap's top, whose cloudlet completes, and
-// starts at max(offset, that finish). The DES fires completions in
+// records each one past warmup. Arrivals are taken in w.order, the stable
+// offset order the DES fires them in. A min-heap holds each server's
+// cloudlet, keyed by (finish, serve position) and seeded with idle servers
+// at −Inf. Each arrival replaces the heap's top, whose cloudlet completes,
+// and starts at max(offset, that finish). The DES fires completions in
 // (finish, dispatch order), and strict FIFO dispatches in serve order.
 // Each entry pushed sorts after the one it replaces (no earlier finish, a
 // later position), so the pops, and the recorder's samples, come in the
-// DES's order.
-func serveQueue(slots int, mips float64, offsets, lengths []float64, warmup int, rec Recorder) {
-	order := sim.OrderArrivals(offsets)
+// DES's order. The heap is the only state it writes besides rec.
+func (w *draws) serveQueue(slots int, mips float64, warmup int, rec Recorder) {
+	offsets, lengths, order := w.offsets, w.lengths, w.order
 	h := make(serverHeap, slots)
 	for i := range h {
 		h[i] = running{finish: math.Inf(-1), pos: -1}
@@ -216,11 +241,12 @@ func (s spread) arrive(c *cloud.Cloudlet) {
 
 func (spread) released(*cloud.Cloudlet) {}
 
-// simulate runs drawn arrivals through the DES kernel on single-VM hosts
+// simulate runs the drawn workload through the DES kernel on single-VM hosts
 // (MaxVMs of them for elastic headroom) with space-shared VMs, placed by
 // the dispatcher newDispatcher builds on the broker, and under the spec's
 // autoscaler when it has one.
-func simulate(spec *Spec, fleet int, offsets, lengths []float64, rec Recorder, newDispatcher func(*cloud.Broker) (dispatcher, error)) (*RunResult, error) {
+func simulate(spec *Spec, fleet int, w *draws, rec Recorder, newDispatcher func(*cloud.Broker) (dispatcher, error)) (*RunResult, error) {
+	offsets := w.offsets
 	slots := fleet
 	if spec.Elastic != nil {
 		slots = max(fleet, spec.Fleet.MaxVMs)
@@ -248,7 +274,7 @@ func simulate(spec *Spec, fleet int, offsets, lengths []float64, rec Recorder, n
 	n := len(offsets)
 	cloudlets := make([]*cloud.Cloudlet, n)
 	for i := range cloudlets {
-		cloudlets[i] = cloud.NewCloudlet(i, lengths[i], 1, 0, 0)
+		cloudlets[i] = cloud.NewCloudlet(i, w.lengths[i], 1, 0, 0)
 	}
 	// Latency is measured against the arrival offset, not SubmitTime: a
 	// dispatcher may hold a cloudlet back, and its queueing delay then
@@ -288,9 +314,8 @@ func simulate(spec *Spec, fleet int, offsets, lengths []float64, rec Recorder, n
 
 	var c *cloud.Cloudlet
 	arrive := func() { d.arrive(c) }
-	order := sim.OrderArrivals(offsets)
 	for p := range offsets {
-		i := order.Index(p)
+		i := w.order.Index(p)
 		c = cloudlets[i]
 		eng.FireAt(offsets[i], sim.PriorityAcquire, arrive)
 	}

@@ -4,8 +4,8 @@
 // Kiefer–Wolfowitz recursion for a static central queue, the DES kernel
 // for spread and elastic specs), recording per-cloudlet wait and latency
 // (arrival → completion) into
-// metrics.Histogram, and searching for the smallest fleet that meets the
-// SLO. Experiment runs are driven by a spec file (workload, fleet,
+// metrics.HistogramCore, and searching for the smallest fleet that meets
+// the SLO. Experiment runs are driven by a spec file (workload, fleet,
 // dispatch, SLO, success criteria) so every result is self-documenting and
 // replayable: the same spec and seed reproduce the same verdict bit for
 // bit.

@@ -18,7 +18,8 @@
 # roulette's binary search and unrolled masked prefix sum, ACO's dense
 # layout against its full-table oracle, the power kernel
 # behind ACO's weights against math.Pow, the capacity-plan
-# spec parser, the kernel's FireAt arrival delivery against arrivals
+# spec parser, the unlocked histogram bucket core against the locked
+# Histogram, the kernel's FireAt arrival delivery against arrivals
 # registered up front by ScheduleAt, the kernel's event heap against a
 # reference model, and the one-pass online
 # EFT placement against its class-cache oracle).
@@ -127,8 +128,11 @@ go test -run 'TestShardInvariance' ./internal/check
 # replaced (same MinFleet on every monotone spec, within twice bisection's
 # probes), and the static queue recursion against the DES central queue
 # (the same ordered wait/latency samples and event count, bit for bit, on
-# the pinned probes, 300 random specs, shuffled offsets and ties).
-go test -run 'TestQModelDifferential|TestOracleCasesMatchDocumentedBands|TestQModelDifferentialCatchesBiasedArrivals|TestQModelDifferentialCatchesDroppedSamples|TestCentralQueueFleetShapeInvariant|TestCentralQueuePickMatchesScan|TestPlanSearchMatchesBisection|TestQueueRecursionMatchesDES' ./internal/plan
+# the pinned probes, 300 random specs, shuffled offsets and ties), and
+# every probe of a verdict, which draws its workload once, against a fresh
+# Run at that probe's fleet (queue specs with multi-PE VMs, unsorted
+# offsets, spread and elastic specs; mean wait and quantile bit for bit).
+go test -run 'TestQModelDifferential|TestOracleCasesMatchDocumentedBands|TestQModelDifferentialCatchesBiasedArrivals|TestQModelDifferentialCatchesDroppedSamples|TestCentralQueueFleetShapeInvariant|TestCentralQueuePickMatchesScan|TestPlanSearchMatchesBisection|TestQueueRecursionMatchesDES|TestPlanProbesMatchRun' ./internal/plan
 
 go test -race ./...
 # Explicit race gate over the parallel mapping kernels: the invariance and
@@ -182,6 +186,12 @@ go test -run='^$' -fuzz=FuzzReschedule -fuzztime=5s ./internal/sim
 # and survives a marshal→reparse round trip (NaN/Inf rates and bogus SLO
 # targets must be rejected, never half-configured).
 go test -run='^$' -fuzz=FuzzPlanSpec -fuzztime=5s ./internal/plan
+# Histogram bucket core: on arbitrary float bit patterns (NaN dropped, ±Inf,
+# exact bounds, values past the last bound), split across an optional
+# merge, the unlocked core behind a plan recorder and the locked Histogram
+# behind the daemon's series agree on counts, Count, Sum bits, Snapshot and
+# Quantile bits, with each other and with a binary-search reference.
+go test -run='^$' -fuzz=FuzzHistogramCore -fuzztime=5s ./internal/metrics
 # Online EFT: on fuzzed fleets (mixed Bw including 0, repeated capacities,
 # a single VM) with fuzzed residencies and cloudlets, exact ties included,
 # the one-pass Place picks the same VM as the per-class oracle it replaced.
